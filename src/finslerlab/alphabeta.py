@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .geometry import SprayField
+from .geometry import SprayField, _degeneracy
 from .jets import (SingularPointError, TaylorValue, compose_series,
                    fiber_arguments, jet_space)
 
@@ -59,8 +59,7 @@ class RiemannSetup:
             raise ValueError(f"c must be {(n - 1, n - 1)}, got {c.shape}")
         if not np.allclose(c, c.T, rtol=0, atol=1e-12):
             raise ValueError("c must be symmetric")
-        scale = np.linalg.norm(c) / max(1, np.sqrt(n - 1))
-        if abs(np.linalg.det(c)) <= 1e-10 * max(scale, 1e-300) ** (n - 1):
+        if _degeneracy(c)[1]:
             raise ValueError("c must be non-singular")
         self.n = n
         self.f = f

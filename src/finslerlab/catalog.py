@@ -167,6 +167,11 @@ class MetricClassSpec:
 
 
 def _validate_params(class_id, params):
+    for key, val in sorted(params.items()):
+        if not math.isfinite(val):
+            raise CatalogError(
+                f"{class_id} parameter {key} must be finite, got {val}"
+            )
     if class_id == "class1":
         if params["a"] == 0.0:
             raise CatalogError("class1 requires a != 0")

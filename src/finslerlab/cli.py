@@ -155,9 +155,14 @@ def _csv_table(report):
 
 def run_classify(args):
     lo, _, hi = args.x_range.partition(",")
-    x_range = (float(lo), float(hi))
+    plan = SamplePlan(
+        n_points=args.points,
+        seed=args.seed,
+        x_range=(float(lo), float(hi)),
+        tolerances=TOL_PROFILES[args.tol_profile],
+    )
     f_ast = exprlang.parse_expr(args.f)
-    _check_f_positive(f_ast, x_range)
+    _check_f_positive(f_ast, plan.x_range)
     spec = catalog.make_spec(
         args.metric,
         params=_parse_params(args.param),
@@ -172,12 +177,6 @@ def run_classify(args):
         spray = None  # classify derives the variational spray
     else:
         spray = catalog.closed_form_spray(spec).as_spray_field()
-    plan = SamplePlan(
-        n_points=args.points,
-        seed=args.seed,
-        x_range=x_range,
-        tolerances=TOL_PROFILES[args.tol_profile],
-    )
     report = verify.classify(field, spray, plan, params=spec.params)
     doc = verify.report_to_json(report)
     if args.out:

@@ -2,7 +2,11 @@
 
 Everything here is a pure function of a :class:`FinslerField` (a scalar
 function of base point x and direction y, evaluable on jets) and/or a
-:class:`SprayField`.  Two spray routes exist:
+:class:`SprayField`.  :func:`point_tensors` is the per-sample pipeline: one
+field jet at caps (1, 2) gives F, d_xF, ell and g, one spray jet at fiber
+order 3 gives G and its fiber derivatives, all read with
+:meth:`TaylorValue.fiber_tensor`; the tensor helpers wrap it.  Two spray
+routes exist:
 
 * closed-form sprays supplied by the catalog (cheap; fiber order 3 is
   enough for the Berwald tensor), and
@@ -53,6 +57,15 @@ class DegenerateMetricError(RuntimeError):
 
 class DegenerateMetricWarning(RuntimeWarning):
     pass
+
+
+def _degeneracy(m):
+    """(det m, whether |det m| < DET_RTOL * s**k for the k x k matrix m),
+    with s the Frobenius norm of m over sqrt(k)."""
+    k = len(m)
+    scale = np.linalg.norm(m) / max(1, np.sqrt(k))
+    det = float(np.linalg.det(m))
+    return det, abs(det) < DET_RTOL * max(scale, 1e-300) ** k
 
 
 class FinslerField:
@@ -150,13 +163,11 @@ def _solve_jet_system(a, b, context=""):
     n = len(b)
     a = [row[:] for row in a]
     b = list(b)
-    g0 = np.array([[entry.value for entry in row] for row in a])
-    scale = np.linalg.norm(g0) / max(1, np.sqrt(n))
-    det = float(np.linalg.det(g0))
-    if abs(det) < DET_RTOL * max(scale, 1e-300) ** n:
-        raise DegenerateMetricError(
-            f"degenerate metric{context}", det=det
-        )
+    det, degenerate = _degeneracy(
+        np.array([[entry.value for entry in row] for row in a])
+    )
+    if degenerate:
+        raise DegenerateMetricError(f"degenerate metric{context}", det=det)
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col].value))
         if piv != col:
@@ -220,21 +231,16 @@ def geodesic_spray(field, x, y):
 # ---------------------------------------------------------------------------
 
 
+def _energy_hessian(f_jet):
+    """g_ij, the fiber Hessian of F^2/2, from a pure-y jet of F."""
+    return (f_jet * f_jet * 0.5).fiber_tensor(2)
+
+
 def metric_tensor(field, x, y):
     """Hessian of the energy F^2/2 in the fiber variables."""
-    e = field.jet(x, y, 0, 2)
-    e = e * e * 0.5
-    n = field.n
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            idx = [0] * n
-            idx[i] += 1
-            idx[j] += 1
-            g[i, j] = g[j, i] = e.extract_y(idx)
-    scale = np.linalg.norm(g) / max(1, np.sqrt(n))
-    det = float(np.linalg.det(g))
-    if abs(det) < DET_RTOL * max(scale, 1e-300) ** n:
+    g = _energy_hessian(field.jet(x, y, 0, 2))
+    det, degenerate = _degeneracy(g)
+    if degenerate:
         warnings.warn(
             f"metric tensor nearly degenerate: det(g) = {det:.3e}",
             DegenerateMetricWarning,
@@ -243,44 +249,14 @@ def metric_tensor(field, x, y):
     return g
 
 
-def _ell(field, x, y):
-    fj = field.jet(x, y, 0, 1)
-    n = field.n
-    ell = np.array([fj.extract_y(_unit(n, i)) for i in range(n)])
-    return fj.value, ell
-
-
-def _unit(n, i, k=1):
-    e = [0] * n
-    e[i] = k
-    return e
-
-
 def berwald_tensor(spray, x, y):
     """Third fiber derivatives of the spray coefficients."""
-    n = spray.n
-    gj = spray.jets(x, y, 3)
-    out = np.empty((n, n, n, n))
-    for j in range(n):
-        for k in range(j, n):
-            for h in range(k, n):
-                idx = [0] * n
-                idx[j] += 1
-                idx[k] += 1
-                idx[h] += 1
-                for i in range(n):
-                    v = gj[i].extract_y(idx)
-                    out[i, j, k, h] = out[i, j, h, k] = v
-                    out[i, k, j, h] = out[i, k, h, j] = v
-                    out[i, h, j, k] = out[i, h, k, j] = v
-    return out
+    return np.array([gi.fiber_tensor(3) for gi in spray.jets(x, y, 3)])
 
 
 def landsberg_tensor(field, spray, x, y):
     """L_jkh = -1/2 F ell_i G^i_jkh."""
-    fval, ell = _ell(field, x, y)
-    gb = berwald_tensor(spray, x, y)
-    return -0.5 * fval * np.einsum("i,ijkh->jkh", ell, gb)
+    return point_tensors(field, spray, x, y).L
 
 
 def horizontal_differential(field, spray, x, y):
@@ -290,33 +266,27 @@ def horizontal_differential(field, spray, x, y):
     horizontal distribution of the spray, i.e. the first metrizability
     equation holds.
     """
-    n = field.n
-    fj = field.jet(x, y, 1, 1)
-    dxf = np.array([fj.extract(_unit(2 * n, i)) for i in range(n)])
-    dyf = np.array([fj.extract(_unit(2 * n, n + i)) for i in range(n)])
-    sj = spray.jets(x, y, 1)
-    gji = np.array(
-        [[sj[j].extract_y(_unit(n, i)) for i in range(n)] for j in range(n)]
-    )
-    return dxf - gji.T @ dyf
+    pt = point_tensors(field, spray, x, y)
+    return pt.dxF - pt.Gij.T @ pt.ell
 
 
 def euler_residual(field, x, y):
     """|y^i dot_iF - F|; zero for 1-homogeneous F by Euler's theorem."""
-    fval, ell = _ell(field, x, y)
-    return abs(float(np.dot(np.asarray(y, float), ell)) - fval)
+    fj = field.jet(x, y, 0, 1)
+    return abs(float(np.dot(np.asarray(y, float), fj.fiber_tensor(1))) - fj.value)
 
 
 @dataclass(frozen=True)
 class PointTensors:
-    """All pointwise tensors of one (field, spray, sample) triple."""
+    """All pointwise tensors of one (field, spray, sample) triple; spray
+    tensors put the component first (``Gij[i, j]`` is dot_j G^i)."""
 
     x: np.ndarray
     y: np.ndarray
     F: float
-    g: np.ndarray
-    g_inv: np.ndarray
+    dxF: np.ndarray
     ell: np.ndarray
+    g: np.ndarray
     G: np.ndarray
     Gij: np.ndarray
     Gijk: np.ndarray
@@ -324,53 +294,43 @@ class PointTensors:
     L: np.ndarray
 
     @property
+    def g_inv(self):
+        return np.linalg.inv(self.g)
+
+    @property
     def det_g(self):
         return float(np.linalg.det(self.g))
 
 
 def point_tensors(field, spray, x, y):
+    """The per-sample record: F, d_xF, ell and g from one field jet at
+    caps (1, 2), the spray tensors from one spray jet at order 3.  Raises
+    ValueError, before the spray is evaluated, unless F > 0."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    n = field.n
-    g = metric_tensor(field, x, y)
-    fval, ell = _ell(field, x, y)
+    fj = field.jet(x, y, 1, 2)
+    if not fj.value > 0.0:
+        raise ValueError(
+            f"F must be strictly positive on admissible samples; got "
+            f"{fj.value} at x = {x}, y = {y}"
+        )
+    ell = fj.fiber_tensor(1)
     gj = spray.jets(x, y, 3)
-    gvals = np.array([t.value for t in gj])
-    gij = np.array(
-        [[gj[i].extract_y(_unit(n, j)) for j in range(n)] for i in range(n)]
-    )
-    gijk = np.empty((n, n, n))
-    gijkh = np.empty((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                idx = [0] * n
-                idx[j] += 1
-                idx[k] += 1
-                gijk[i, j, k] = gijk[i, k, j] = gj[i].extract_y(idx)
-    for j in range(n):
-        for k in range(j, n):
-            for h in range(k, n):
-                idx = [0] * n
-                idx[j] += 1
-                idx[k] += 1
-                idx[h] += 1
-                for i in range(n):
-                    v = gj[i].extract_y(idx)
-                    gijkh[i, j, k, h] = gijkh[i, j, h, k] = v
-                    gijkh[i, k, j, h] = gijkh[i, k, h, j] = v
-                    gijkh[i, h, j, k] = gijkh[i, h, k, j] = v
-    lans = -0.5 * fval * np.einsum("i,ijkh->jkh", ell, gijkh)
+    gijkh = np.array([gi.fiber_tensor(3) for gi in gj])
     return PointTensors(
         x=x,
         y=y,
-        F=fval,
-        g=g,
-        g_inv=np.linalg.inv(g),
+        F=fj.value,
+        dxF=np.array([fj.dx(i).value for i in range(field.n)]),
         ell=ell,
-        G=gvals,
-        Gij=gij,
-        Gijk=gijk,
+        g=_energy_hessian(fj.drop_x()),
+        G=np.array([gi.value for gi in gj]),
+        Gij=np.array([gi.fiber_tensor(1) for gi in gj]),
+        Gijk=np.array([gi.fiber_tensor(2) for gi in gj]),
         Gijkh=gijkh,
-        L=lans,
+        # One dot product per (j, k, h) over a contiguous axis, so every
+        # component rounds exactly as ell @ G[:, j, k, h] does.
+        L=-0.5 * fj.value * np.inner(
+            np.ascontiguousarray(np.moveaxis(gijkh, 0, -1)), ell
+        ),
     )

@@ -17,7 +17,9 @@ spaces are cached, so coefficient positions are deterministic.
 
 Stored coefficients are Taylor coefficients, i.e. ``coeff(kappa) =
 (d^kappa f)(point) / kappa!``; :meth:`TaylorValue.extract` multiplies the
-factorial back in exactly once and returns the derivative.
+factorial back in exactly once and returns the derivative, and
+:meth:`TaylorValue.fiber_tensor` does the same for every order-k fiber
+derivative at once.
 
 All values are immutable after construction and every operation is pure,
 so evaluation at many sample points can run concurrently.
@@ -118,6 +120,7 @@ class JetSpace:
         self._diff_tables = {}
         self._truncate_tables = {}
         self._drop_x_table = None
+        self._fiber_tables = {}
 
     def __repr__(self):
         return (
@@ -206,6 +209,21 @@ class JetSpace:
             )
             self._drop_x_table = (target, src)
         return self._drop_x_table
+
+    def _fiber_table(self, k):
+        """(positions, factorials), each of shape (n_y,)*k: entry ``axes``
+        is the pure-y monomial that counts how often each y index occurs."""
+        tab = self._fiber_tables.get(k)
+        if tab is None:
+            if not 0 <= k <= self.y_cap:
+                raise JetUsageError(f"fiber order {k} exceeds y_cap of {self}")
+            pos = np.empty((self.n_y,) * k, dtype=np.intp)
+            for axes in np.ndindex(pos.shape):
+                exps = tuple(map(axes.count, range(self.n_y)))
+                pos[axes] = self.position[(0,) * self.n_x + exps]
+            tab = (pos, self.factorial[pos])
+            self._fiber_tables[k] = tab
+        return tab
 
     # -- constructors ----------------------------------------------------
 
@@ -300,6 +318,15 @@ class TaylorValue:
     def extract_y(self, y_idx):
         """Derivative w.r.t. y variables only (x exponents zero)."""
         return self.extract((0,) * self.space.n_x + tuple(y_idx))
+
+    def fiber_tensor(self, k):
+        """All order-k pure-y derivatives as a symmetric (n_y,)*k array.
+
+        Entry ``[a, b, ...]`` is the derivative by y^a, y^b, ...; it equals
+        :meth:`extract_y` of the matching multi-index, bit for bit.
+        """
+        pos, fact = self.space._fiber_table(k)
+        return self.coeffs[pos] * fact
 
     def __repr__(self):
         return f"TaylorValue({self.space}, value={self.value:.6g})"

@@ -1,5 +1,9 @@
 """Sampling-based classification of Finsler metrics.
 
+Each entry point (:func:`classify`, :func:`check_metrizability`,
+:func:`landsberg_via_p`) draws admissible samples and reduces the
+:func:`~finslerlab.geometry.point_tensors` record of each to residual maxima.
+
 "Vanishes identically" is operationalized as: the residual, normalized by
 max(1, |F|, ||G||) at the sample, stays below a tolerance at every drawn
 admissible sample.  "Non-Berwald" needs at least one Berwald component
@@ -19,18 +23,13 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import jets
 from .catalog import ClosedFormSpray
-from .geometry import (
-    DegenerateMetricWarning,
-    ad_spray_field,
-    metric_tensor,
-)
+from .geometry import ad_spray_field, point_tensors
 from .jets import fiber_arguments
 
 __all__ = [
@@ -91,6 +90,11 @@ class SamplePlan:
     tolerances: TolProfile = field(default_factory=TolProfile)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.x_range, self.exclusion_angle))):
+            raise ValueError(
+                f"x_range {tuple(self.x_range)} and exclusion angle "
+                f"{self.exclusion_angle} must be finite"
+            )
         if self.n_points < 1:
             raise ValueError("n_points must be at least 1")
         if not 0.0 < self.exclusion_angle < math.pi / 2:
@@ -127,17 +131,20 @@ def draw_samples(domain_guard, n, plan):
     return points
 
 
-def _unit(n, i):
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)
-
-
 def _max_update(store, key, value, index):
     entry = store[key]
     if value > entry["max"]:
         entry["max"] = value
         entry["at_sample"] = index
+
+
+def _metrizability_residuals(pt):
+    """(scale, metrizability, euler) of one record; both residuals are
+    normalized by scale = max(1, |F|, ||G||)."""
+    scale = max(1.0, abs(pt.F), float(np.abs(pt.G).max()))
+    horiz = float(np.abs(pt.dxF - pt.Gij.T @ pt.ell).max()) / scale
+    euler = abs(float(pt.y @ pt.ell) - pt.F) / scale
+    return scale, horiz, euler
 
 
 _VERDICT_RANK = {
@@ -209,8 +216,7 @@ def classify(field, spray=None, plan=None, params=None):
     if derived:
         spray = ad_spray_field(field)
     oracle = None if derived else ad_spray_field(field)
-    n = field.n
-    pts = draw_samples(field.domain_guard, n, plan)
+    pts = draw_samples(field.domain_guard, field.n, plan)
     keys = (
         "landsberg",
         "berwald",
@@ -225,38 +231,10 @@ def classify(field, spray=None, plan=None, params=None):
     rate_max = 0.0
     rows = []
     for i, (x, y) in enumerate(pts):
-        f11 = field.jet(x, y, 1, 1)
-        fval = f11.value
-        if not fval > 0.0:
-            raise ValueError(
-                f"F must be strictly positive on admissible samples; got "
-                f"{fval} at sample {i}"
-            )
-        dxf = np.array([f11.extract(_unit(2 * n, j)) for j in range(n)])
-        dyf = np.array([f11.extract(_unit(2 * n, n + j)) for j in range(n)])
-        gj = spray.jets(x, y, 3)
-        gvals = np.array([t.value for t in gj])
-        gij = np.array(
-            [[gj[a].extract_y(_unit(n, b)) for b in range(n)] for a in range(n)]
-        )
-        scale = max(1.0, abs(fval), float(np.abs(gvals).max()))
-        # Berwald and Landsberg
-        bmax = 0.0
-        lmax = 0.0
-        for j in range(n):
-            for k in range(j, n):
-                for h in range(k, n):
-                    idx = [0] * n
-                    idx[j] += 1
-                    idx[k] += 1
-                    idx[h] += 1
-                    col = np.array([gj[a].extract_y(idx) for a in range(n)])
-                    bmax = max(bmax, float(np.abs(col).max()))
-                    lmax = max(lmax, abs(-0.5 * fval * float(dyf @ col)))
-        # metrizability system
-        horiz = dxf - gij.T @ dyf
-        mres = float(np.abs(horiz).max()) / scale
-        eres = abs(float(np.asarray(y) @ dyf) - fval) / scale
+        pt = point_tensors(field, spray, x, y)
+        fval = pt.F
+        gvals = pt.G
+        scale, mres, eres = _metrizability_residuals(pt)
         # homogeneity of F and of the spray
         hres = 0.0
         sres = 0.0
@@ -275,12 +253,9 @@ def classify(field, spray=None, plan=None, params=None):
             mismatch = float(np.abs(go - gvals).max()) / max(
                 1.0, float(np.abs(gvals).max()), float(np.abs(go).max())
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateMetricWarning)
-            g = metric_tensor(field, x, y)
-        det = float(np.linalg.det(g))
+        det = pt.det_g
         det_min = min(det_min, abs(det))
-        rate = float(np.abs(dxf).max()) / abs(fval)
+        rate = float(np.abs(pt.dxF).max()) / abs(fval)
         rate_max = max(rate_max, rate)
         row = {
             "index": i,
@@ -288,8 +263,8 @@ def classify(field, spray=None, plan=None, params=None):
             "y": [float(v) for v in y],
             "F": fval,
             "G": [float(v) for v in gvals],
-            "landsberg": lmax / scale,
-            "berwald": bmax / scale,
+            "landsberg": float(np.abs(pt.L).max()) / scale,
+            "berwald": float(np.abs(pt.Gijkh).max()) / scale,
             "metrizability": mres,
             "euler": eres,
             "homogeneity": hres,
@@ -326,27 +301,12 @@ def classify(field, spray=None, plan=None, params=None):
 def check_metrizability(field, spray, plan=None):
     """Maxima of the horizontal differential of F and its Euler defect."""
     plan = plan or SamplePlan()
-    n = field.n
-    pts = draw_samples(field.domain_guard, n, plan)
+    pts = draw_samples(field.domain_guard, field.n, plan)
     out = {k: {"max": 0.0, "at_sample": None} for k in ("metrizability", "euler")}
     for i, (x, y) in enumerate(pts):
-        f11 = field.jet(x, y, 1, 1)
-        fval = f11.value
-        dxf = np.array([f11.extract(_unit(2 * n, j)) for j in range(n)])
-        dyf = np.array([f11.extract(_unit(2 * n, n + j)) for j in range(n)])
-        gj = spray.jets(x, y, 1)
-        gvals = np.array([t.value for t in gj])
-        gij = np.array(
-            [[gj[a].extract_y(_unit(n, b)) for b in range(n)] for a in range(n)]
-        )
-        scale = max(1.0, abs(fval), float(np.abs(gvals).max()))
-        _max_update(
-            out, "metrizability",
-            float(np.abs(dxf - gij.T @ dyf).max()) / scale, i,
-        )
-        _max_update(
-            out, "euler", abs(float(np.asarray(y) @ dyf) - fval) / scale, i
-        )
+        _, mres, eres = _metrizability_residuals(point_tensors(field, spray, x, y))
+        _max_update(out, "metrizability", mres, i)
+        _max_update(out, "euler", eres, i)
     return out
 
 
@@ -371,72 +331,28 @@ def landsberg_via_p(cfs, field, plan=None):
         k: {"max": 0.0, "at_sample": None}
         for k in ("via_p", "general", "agreement")
     }
+    spray = cfs.as_spray_field()
     for i, (x, y) in enumerate(pts):
-        space, y_jets = fiber_arguments(n, y, 3)
-        g1 = cfs.g1(x, y_jets)
-        pj = cfs.p(x, y_jets)
+        pt = point_tensors(field, spray, x, y)
         # special-form check: G^1 must be quadratic in the fiber
-        g1_scale = max(1.0, abs(g1.value))
-        for j in range(n):
-            for k in range(j, n):
-                for h in range(k, n):
-                    idx = [0] * n
-                    idx[j] += 1
-                    idx[k] += 1
-                    idx[h] += 1
-                    if abs(g1.extract_y(idx)) > 1e-9 * g1_scale:
-                        raise SpecialFormError(
-                            "G^1 is not quadratic in y; the projective "
-                            "shortcut does not apply"
-                        )
-        f01 = field.jet(x, y, 0, 1)
-        fval = f01.value
-        ell = np.array([f01.extract_y(_unit(n, j)) for j in range(n)])
-        ell_mu_y = float(ell[1:] @ np.asarray(y)[1:])
-        p2 = np.empty((n - 1, n - 1))
-        p3 = np.empty((n - 1, n - 1, n - 1))
-        for a in range(1, n):
-            for b in range(a, n):
-                idx = [0] * n
-                idx[a] += 1
-                idx[b] += 1
-                p2[a - 1, b - 1] = p2[b - 1, a - 1] = pj.extract_y(idx)
-                for c in range(b, n):
-                    idx3 = list(idx)
-                    idx3[c] += 1
-                    v = pj.extract_y(idx3)
-                    for perm in (
-                        (a, b, c), (a, c, b), (b, a, c),
-                        (b, c, a), (c, a, b), (c, b, a),
-                    ):
-                        p3[perm[0] - 1, perm[1] - 1, perm[2] - 1] = v
+        if np.abs(pt.Gijkh[0]).max() > 1e-9 * max(1.0, abs(pt.G[0])):
+            raise SpecialFormError(
+                "G^1 is not quadratic in y; the projective "
+                "shortcut does not apply"
+            )
+        pj = cfs.p(x, fiber_arguments(n, y, 3)[1])
+        p2 = pj.fiber_tensor(2)[1:, 1:]
+        p3 = pj.fiber_tensor(3)[1:, 1:, 1:]
+        fval = pt.F
+        ell_mu = pt.ell[1:]
         l_via = np.zeros((n, n, n))
-        for a in range(1, n):
-            for b in range(1, n):
-                for c in range(1, n):
-                    l_via[a, b, c] = -0.5 * fval * (
-                        p3[a - 1, b - 1, c - 1] * ell_mu_y
-                        + p2[a - 1, b - 1] * ell[c]
-                        + p2[b - 1, c - 1] * ell[a]
-                        + p2[c - 1, a - 1] * ell[b]
-                    )
-        # general definition from the same spray
-        gj = cfs.components(x, y_jets)
-        l_gen = np.zeros((n, n, n))
-        for j in range(n):
-            for k in range(j, n):
-                for h in range(k, n):
-                    idx = [0] * n
-                    idx[j] += 1
-                    idx[k] += 1
-                    idx[h] += 1
-                    col = np.array([gj[a2].extract_y(idx) for a2 in range(n)])
-                    v = -0.5 * fval * float(ell @ col)
-                    for perm in (
-                        (j, k, h), (j, h, k), (k, j, h),
-                        (k, h, j), (h, j, k), (h, k, j),
-                    ):
-                        l_gen[perm] = v
+        l_via[1:, 1:, 1:] = -0.5 * fval * (
+            p3 * float(ell_mu @ pt.y[1:])
+            + p2[:, :, None] * ell_mu[None, None, :]
+            + p2[None, :, :] * ell_mu[:, None, None]
+            + p2.T[:, None, :] * ell_mu[None, :, None]
+        )
+        l_gen = pt.L  # the general definition, from the same spray
         scale = max(1.0, abs(fval))
         _max_update(out, "via_p", float(np.abs(l_via).max()) / scale, i)
         _max_update(out, "general", float(np.abs(l_gen).max()) / scale, i)

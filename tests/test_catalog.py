@@ -67,6 +67,11 @@ def test_class4_degenerate_discriminant_delegates():
         ("shen_eq8", {"c1": 3.0, "c3": 0.0}, CatalogError),
         ("asanov_eq9", {"g": 2.5}, CatalogError),
         ("asanov_eq9", {"g": 0.0}, CatalogError),
+        ("class1", {"a": math.nan}, CatalogError),
+        ("class1", {"a": math.inf}, CatalogError),
+        ("class4", {"p": 1.0, "q": math.nan}, CatalogError),
+        ("class4", {"p": -math.inf, "q": 1.0}, CatalogError),
+        ("shen_eq8", {"c4": math.inf}, CatalogError),
     ],
 )
 def test_parameter_validation(metric_id, params, exc):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -120,6 +121,29 @@ def test_extract_basics():
     assert cubed.extract((0, 3)) == pytest.approx(6.0)  # 3! * coefficient 1
     with pytest.raises(JetUsageError):
         f.extract((6, 0))
+
+
+@pytest.mark.parametrize("signature", [(0, 3, 0, 3), (4, 4, 1, 5)])
+def test_fiber_tensor_matches_extract_y(signature):
+    sp = jet_space(*signature)
+    v = jets.TaylorValue(sp, np.random.default_rng(17).normal(size=sp.size))
+    n = sp.n_y
+    for k in range(1, sp.y_cap + 1):
+        t = v.fiber_tensor(k)
+        assert t.shape == (n,) * k
+        for axes in np.ndindex(t.shape):
+            idx = [0] * n
+            for a in axes:
+                idx[a] += 1
+            assert t[axes] == v.extract_y(idx)
+        for perm in itertools.permutations(range(k)):
+            assert np.array_equal(np.transpose(t, perm), t)
+
+
+def test_fiber_tensor_order_above_cap():
+    v = jet_space(1, 2, 1, 3).seed_y(0, 1.0)
+    with pytest.raises(JetUsageError):
+        v.fiber_tensor(4)
 
 
 def test_integer_power_with_nonpositive_base():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,14 @@ def test_plan_validation():
         SamplePlan(exclusion_angle=2.0)
     with pytest.raises(ValueError):
         SamplePlan(x_range=(0.5, -0.5))
+    for bad in (
+        {"x_range": (-math.inf, 0.5)},
+        {"x_range": (-0.5, math.nan)},
+        {"exclusion_angle": math.nan},
+        {"exclusion_angle": math.inf},
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            SamplePlan(**bad)
 
 
 def test_sampler_determinism_and_exclusion():
