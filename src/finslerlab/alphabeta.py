@@ -24,8 +24,8 @@ import numpy as np
 
 from . import jets
 from .geometry import SprayField, _degeneracy
-from .jets import (SingularPointError, TaylorValue, compose_series,
-                   fiber_arguments, jet_space)
+from .jets import (TaylorValue, branch, compose_series, fiber_arguments,
+                   jet_space, raise_if_singular, scalar_map)
 
 __all__ = [
     "RiemannSetup",
@@ -71,17 +71,23 @@ class RiemannSetup:
         return f"RiemannSetup(n={self.n})"
 
     def f_values(self, x1):
-        """(f(x1), f'(x1)) via a base-order-1 jet."""
+        """(f(x1), f'(x1)) via a base-order-1 jet; arrays of both for a
+        batch of x1 values."""
+        x1 = np.asarray(x1, dtype=float)
         space = jet_space(1, 0, 1, 0)
-        fj = self.f(space.seed_x(0, float(x1)))
+        fj = self.f(space.seed_x(0, x1))
         fv = fj.value
-        if fv <= 0.0:
-            raise ValueError(f"f(x^1) must be positive, got {fv} at x^1={x1}")
+        if np.any(fv <= 0.0):
+            every = np.broadcast_to(fv, x1.shape)
+            s = np.argmax(every <= 0.0) if x1.ndim else ...
+            raise ValueError(
+                f"f(x^1) must be positive, got {every[s]} at x^1={x1[s]}"
+            )
         return fv, fj.extract((1,))
 
     def k_value(self, x1):
         fv, fp = self.f_values(x1)
-        return fp / fv**2
+        return fp / scalar_map(lambda v: v**2, fv)
 
     def phi_value(self, yhat):
         yhat = np.asarray(yhat, float)
@@ -141,8 +147,8 @@ class RiemannSetup:
 
     def b_vector(self, x1):
         fv, _ = self.f_values(x1)
-        b = np.zeros(self.n)
-        b[0] = 1.0 / fv
+        b = np.zeros(np.shape(fv) + (self.n,))
+        b[..., 0] = 1.0 / fv
         return b
 
     def riemann_spray_field(self):
@@ -155,22 +161,24 @@ class RiemannSetup:
 
 def riemann_spray_jets(setup, x, y, order):
     _, y_jets = fiber_arguments(setup.n, y, order)
-    return _riemann_components(setup, float(x[0]), y_jets)
+    return _riemann_components(setup, np.asarray(x, float)[..., 0], y_jets)
 
 
 def _riemann_components(setup, x1, y_jets):
     fv, fp = setup.f_values(x1)
+    fv2 = scalar_map(lambda v: v**2, fv)
+    fv3 = scalar_map(lambda v: v**3, fv)
     y1 = y_jets[0]
     phi = setup.phi_jet(y_jets)
-    alpha2 = (y1 * y1 + phi) * fv**2
-    g1 = (y1 * y1 * (2 * fv**2) - alpha2) * (fp / (2 * fv**3))
+    alpha2 = (y1 * y1 + phi) * fv2
+    g1 = (y1 * y1 * (2 * fv2) - alpha2) * (fp / (2 * fv3))
     ratio = fp / fv
     return [g1] + [y1 * y_mu * ratio for y_mu in y_jets[1:]]
 
 
 def riemann_spray(setup, x, y):
     """Levi-Civita geodesic coefficients of alpha at a point."""
-    return np.array([g.value for g in riemann_spray_jets(setup, x, y, 0)])
+    return np.stack([g.value for g in riemann_spray_jets(setup, x, y, 0)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -188,40 +196,38 @@ class PhiFunction:
 
 def _phi_jet_at(phi, s0, cap):
     space = jet_space(0, 1, 0, cap)
-    return phi.fn(space.seed_y(0, float(s0))), space
+    return phi.fn(space.seed_y(0, s0)), space
 
 
 def _q_w_theta_jets(phi, s0, order, b2):
-    """Univariate jets of Q, Q'/(Q - tQ') and Theta at t = s0."""
+    """Univariate jets of Q, Q'/(Q - tQ') and Theta at t = s0 (a float,
+    or one per sample)."""
+    label = phi.label or "phi"
     phj, space = _phi_jet_at(phi, s0, order + 2)
     t1 = space.seed_y(0, s0).truncate(0, order + 1)
     p1 = phj.dy(0)
     den = phj.truncate(0, order + 1) - t1 * p1
-    if abs(den.value) <= PARAM_DEN_TOL:
-        raise SingularPointError(
-            f"phi - t phi' vanishes for {phi.label or 'phi'}", den.value
-        )
+    raise_if_singular(abs(den.value) <= PARAM_DEN_TOL,
+                      f"phi - t phi' vanishes for {label}", den.value)
     q = p1 / den  # cap order+1
     qp = q.dy(0)  # cap order
     qt = q.truncate(0, order)
     t0 = t1.truncate(0, order)
     num_theta = qt - t0 * qp
-    if not np.any(qp.coeffs):
-        # Riemannian profile (phi' = 0): the projective factor never
-        # enters because Theta = 0; define W = 0 rather than 0/0.
-        w = qp.space.constant(0.0)
-    else:
-        if abs(num_theta.value) <= PARAM_DEN_TOL:
-            raise SingularPointError(
-                f"Q - tQ' vanishes for {phi.label or 'phi'}", num_theta.value
-            )
-        w = qp / num_theta
+
+    def quotient(qp, num_theta):
+        raise_if_singular(abs(num_theta.value) <= PARAM_DEN_TOL,
+                          f"Q - tQ' vanishes for {label}", num_theta.value)
+        return qp / num_theta
+
+    # Riemannian profile (phi' = 0): the projective factor never enters
+    # because Theta = 0; define W = 0 rather than 0/0.
+    w = branch(~np.any(qp.coeffs, axis=-1),
+               lambda qp, num_theta: qp.space.constant(0.0), quotient,
+               qp, num_theta)
     den_theta = (t0 * qt + (b2 - t0 * t0) * qp + 1.0) * 2.0
-    if abs(den_theta.value) <= PARAM_DEN_TOL:
-        raise SingularPointError(
-            f"Theta denominator vanishes for {phi.label or 'phi'}",
-            den_theta.value,
-        )
+    raise_if_singular(abs(den_theta.value) <= PARAM_DEN_TOL,
+                      f"Theta denominator vanishes for {label}", den_theta.value)
     theta = num_theta / den_theta
     return q, w, theta
 
@@ -250,22 +256,22 @@ def ab_spray_jets(phi, setup, x, y, order):
     where r_00 = (alpha^2 - beta^2) f'/f^2 = f' phi(yhat).
     """
     n = setup.n
+    x1 = np.asarray(x, float)[..., 0]
     _, y_jets = fiber_arguments(n, y, order)
-    fv, fp = setup.f_values(x[0])
+    fv, fp = setup.f_values(x1)
     y1 = y_jets[0]
     phi_y = setup.phi_jet(y_jets)
     w2 = y1 * y1 + phi_y
     w = jets.sqrt(w2)
     s_jet = y1 / w  # beta/alpha; the conformal factor cancels
     s0 = s_jet.value
-    if abs(s0) >= phi.b0:
-        raise SingularPointError("direction outside the phi domain", s0)
+    raise_if_singular(abs(s0) >= phi.b0, "direction outside the phi domain", s0)
     qj, wj, thetaj = _q_w_theta_jets(phi, s0, order, setup.b2)
     h = s_jet - s0
     w_y = compose_series(wj.coeffs, h)
     theta_y = compose_series(thetaj.coeffs, h)
     r00 = phi_y * fp
-    galpha = _riemann_components(setup, float(x[0]), y_jets)
+    galpha = _riemann_components(setup, x1, y_jets)
     out = []
     for i in range(n):
         bracket = y_jets[i] / (w * fv)
@@ -276,7 +282,7 @@ def ab_spray_jets(phi, setup, x, y, order):
 
 
 def ab_spray(phi, setup, x, y):
-    return np.array([g.value for g in ab_spray_jets(phi, setup, x, y, 0)])
+    return np.stack([g.value for g in ab_spray_jets(phi, setup, x, y, 0)], axis=-1)
 
 
 def ab_spray_field(phi, setup, domain_guard=None, label=""):
@@ -305,28 +311,30 @@ def shen_class_spray_jets(c1, c3, setup, x, y, order):
     if 1.0 + c3 * setup.b2 <= 0.0:
         raise ValueError("1 + c3 b0^2 must be positive")
     n = setup.n
+    x1 = np.asarray(x, float)[..., 0]
     _, y_jets = fiber_arguments(n, y, order)
-    fv, fp = setup.f_values(x[0])
-    k = fp / fv**2
+    fv, fp = setup.f_values(x1)
+    k = fp / scalar_map(lambda v: v**2, fv)
     y1 = y_jets[0]
     phi_y = setup.phi_jet(y_jets)
     root = jets.sqrt(phi_y) * fv  # sqrt(alpha^2 - beta^2)
     beta = y1 * fv
-    bvec = setup.b_vector(x[0])
+    bvec = setup.b_vector(x1)
     front = root * (c1 * k / (2.0 * (1.0 + c3)))
-    galpha = _riemann_components(setup, float(x[0]), y_jets)
+    galpha = _riemann_components(setup, x1, y_jets)
     out = []
     for i in range(n):
         bracket = y_jets[i]
-        if bvec[i] != 0.0:
-            bracket = bracket - beta * bvec[i] + root * (c3 / c1 * bvec[i])
+        b_i = bvec[..., i]
+        if np.any(b_i != 0.0):
+            bracket = bracket - beta * b_i + root * (c3 / c1 * b_i)
         out.append(galpha[i] + front * bracket)
     return out
 
 
 def shen_class_spray(c1, c3, setup, x, y):
-    return np.array(
-        [g.value for g in shen_class_spray_jets(c1, c3, setup, x, y, 0)]
+    return np.stack(
+        [g.value for g in shen_class_spray_jets(c1, c3, setup, x, y, 0)], axis=-1
     )
 
 

@@ -384,9 +384,12 @@ def _class4_exponent(p, d, y1, v):
     small = y1 * sd
     if d > 0:
         return jets.arctanh(small / big) * (p / sd)
-    if abs(small.value) <= abs(big.value):
-        return jets.arctan(small / big) * (p / sd)
-    return jets.arctan(big / small) * (-p / sd)
+    return jets.branch(
+        abs(small.value) <= abs(big.value),
+        lambda small, big: jets.arctan(small / big) * (p / sd),
+        lambda small, big: jets.arctan(big / small) * (-p / sd),
+        small, big,
+    )
 
 
 def _field_class4(spec):
@@ -595,13 +598,13 @@ def closed_form_spray(spec):
     setup = spec.setup
 
     def g1(x, y_jets):
-        fv, fp = setup.f_values(x[0])
+        fv, fp = setup.f_values(np.asarray(x)[..., 0])
         y1 = y_jets[0]
         phi = setup.phi_jet(y_jets)
         return (y1 * y1 - phi * (1.0 / one_plus_c3)) * (fp / (2.0 * fv))
 
     def p(x, y_jets):
-        fv, fp = setup.f_values(x[0])
+        fv, fp = setup.f_values(np.asarray(x)[..., 0])
         y1 = y_jets[0]
         v = jets.sqrt(setup.phi_jet(y_jets))
         return (y1 + v * kappa) * (fp / fv)

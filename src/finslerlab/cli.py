@@ -97,6 +97,15 @@ def list_catalog():
     return "\n".join(lines)
 
 
+def _number(text, what):
+    try:
+        return float(text)
+    except ValueError:
+        raise catalog.CatalogError(
+            f"{what} must be a number, got {text.strip()!r}"
+        ) from None
+
+
 def _parse_params(pairs):
     params = {}
     for pair in pairs:
@@ -105,14 +114,20 @@ def _parse_params(pairs):
                 f"--param expects K=V, got {pair!r}"
             )
         key, _, val = pair.partition("=")
-        params[key.strip()] = float(val)
+        key = key.strip()
+        if key in params:
+            raise catalog.CatalogError(f"--param {key} is given more than once")
+        params[key] = _number(val, f"--param {key}")
     return params
 
 
 def _parse_quadratic(text):
     if text is None or text in catalog.QUADRATIC_PRESETS:
         return text
-    vals = [float(v) for v in text.split(",")]
+    vals = [
+        _number(v, f"--quadratic entry {i + 1}")
+        for i, v in enumerate(text.split(","))
+    ]
     k = int(round(len(vals) ** 0.5))
     if k * k != len(vals):
         raise catalog.CatalogError(
@@ -123,8 +138,16 @@ def _parse_quadratic(text):
 
 def _check_f_positive(f_ast, x_range):
     space = jet_space(1, 0, 1, 0)
-    for x1 in np.linspace(x_range[0], x_range[1], 33):
-        val = exprlang.evaluate(f_ast, space.seed_x(0, float(x1))).value
+    grid = np.linspace(x_range[0], x_range[1], 33)
+    try:
+        values = exprlang.evaluate(f_ast, space.seed_x(0, grid)).value
+        values = np.broadcast_to(values, grid.shape)
+    except (ArithmeticError, ValueError):
+        # Point by point, so the error raised is the first along the grid.
+        values = [None] * len(grid)
+    for x1, val in zip(grid, values):
+        if val is None:
+            val = exprlang.evaluate(f_ast, space.seed_x(0, float(x1))).value
         if not val > 0.0:
             raise ValueError(
                 f"f(x1) must be positive on the sampled range; "

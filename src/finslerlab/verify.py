@@ -1,8 +1,18 @@
 """Sampling-based classification of Finsler metrics.
 
 Each entry point (:func:`classify`, :func:`check_metrizability`,
-:func:`landsberg_via_p`) draws admissible samples and reduces the
-:func:`~finslerlab.geometry.point_tensors` record of each to residual maxima.
+:func:`landsberg_via_p`, :func:`compare_sprays`) draws admissible samples
+and reduces the :func:`~finslerlab.geometry.point_tensors` record (or the
+spray values) of each to residual maxima.
+
+The samples of a plan are evaluated together: a fixed number of batched
+calls per plan (see the batch contract in :mod:`finslerlab.jets`), then a
+per-sample loop over the record for every reduction, so the reports are
+byte-identical to evaluating one point at a time.  If the batched pass
+raises a domain error (``SingularPointError``, ``DegenerateMetricError``,
+``SpecialFormError`` or the ``F > 0`` ``ValueError``), the plan is re-run
+one sample at a time through the same code, so the exception that
+escapes is exactly the one the per-sample order meets first.
 
 "Vanishes identically" is operationalized as: the residual, normalized by
 max(1, |F|, ||G||) at the sample, stays below a tolerance at every drawn
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -29,8 +40,8 @@ import numpy as np
 
 from . import jets
 from .catalog import ClosedFormSpray
-from .geometry import ad_spray_field, point_tensors
-from .jets import fiber_arguments
+from .geometry import DegenerateMetricError, ad_spray_field, point_tensors
+from .jets import SingularPointError, fiber_arguments
 
 __all__ = [
     "TolProfile",
@@ -95,8 +106,14 @@ class SamplePlan:
                 f"x_range {tuple(self.x_range)} and exclusion angle "
                 f"{self.exclusion_angle} must be finite"
             )
+        for name in ("n_points", "guard_retries"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_points < 1:
             raise ValueError("n_points must be at least 1")
+        if self.guard_retries < 1:
+            raise ValueError("guard_retries must be at least 1")
         if not 0.0 < self.exclusion_angle < math.pi / 2:
             raise ValueError("exclusion angle must lie in (0, pi/2)")
         if not self.x_range[0] <= self.x_range[1]:
@@ -129,6 +146,27 @@ def draw_samples(domain_guard, n, plan):
         else:
             raise SamplerStarvationError(len(points), plan.n_points, attempts)
     return points
+
+
+def _sample_arrays(domain_guard, n, plan):
+    """The plan's admissible samples as (N, n) arrays of x and of y."""
+    pts = draw_samples(domain_guard, n, plan)
+    return np.array([x for x, _ in pts]), np.array([y for _, y in pts])
+
+
+#: What a batched pass may raise where the per-sample order would meet a
+#: different error first (SpecialFormError is a ValueError).
+_SAMPLE_ERRORS = (SingularPointError, DegenerateMetricError, ValueError)
+
+
+def _per_sample(rows_of, x, y):
+    """``rows_of(x, y)``, one result per sample, for the whole batch; if
+    that raises, the samples again one at a time, so the exception raised
+    is the first one in per-sample order."""
+    try:
+        return rows_of(x, y)
+    except _SAMPLE_ERRORS:
+        return [row for s in range(len(x)) for row in rows_of(x[s:s + 1], y[s:s + 1])]
 
 
 def _max_update(store, key, value, index):
@@ -201,6 +239,54 @@ def report_to_json(report):
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _classify_rows(field, spray, oracle, x, y):
+    """The report rows (without their index) of a batch of samples."""
+    pt = point_tensors(field, spray, x, y)
+    # homogeneity of F and of the spray
+    scaled = [
+        (lam, field.value(x, lam * y).tolist(), spray.values(x, lam * y))
+        for lam in (0.5, 2.0)
+    ]
+    go = None if oracle is None else oracle.values(x, y)
+    rows = []
+    for s in range(len(x)):
+        p = pt[s]
+        fval = p.F
+        gvals = p.G
+        scale, mres, eres = _metrizability_residuals(p)
+        hres = 0.0
+        sres = 0.0
+        for lam, fl, gl in scaled:
+            hres = max(hres, abs(fl[s] - lam * fval) / (lam * abs(fval)))
+            sres = max(
+                sres,
+                float(np.abs(gl[s] - lam**2 * gvals).max())
+                / max(1.0, lam**2 * float(np.abs(gvals).max())),
+            )
+        mismatch = None
+        if go is not None:
+            mismatch = float(np.abs(go[s] - gvals).max()) / max(
+                1.0, float(np.abs(gvals).max()), float(np.abs(go[s]).max())
+            )
+        rows.append({
+            "index": None,
+            "x1": float(p.x[0]),
+            "y": [float(v) for v in p.y],
+            "F": fval,
+            "G": [float(v) for v in gvals],
+            "landsberg": float(np.abs(p.L).max()) / scale,
+            "berwald": float(np.abs(p.Gijkh).max()) / scale,
+            "metrizability": mres,
+            "euler": eres,
+            "homogeneity": hres,
+            "spray_homogeneity": sres,
+            "spray_mismatch": mismatch,
+            "det_g": p.det_g,
+            "conformal_rate": float(np.abs(p.dxF).max()) / abs(fval),
+        })
+    return rows
+
+
 def classify(field, spray=None, plan=None, params=None):
     """Run the tensor pipeline over a sample plan and aggregate a verdict.
 
@@ -216,7 +302,7 @@ def classify(field, spray=None, plan=None, params=None):
     if derived:
         spray = ad_spray_field(field)
     oracle = None if derived else ad_spray_field(field)
-    pts = draw_samples(field.domain_guard, field.n, plan)
+    x, y = _sample_arrays(field.domain_guard, field.n, plan)
     keys = (
         "landsberg",
         "berwald",
@@ -227,56 +313,16 @@ def classify(field, spray=None, plan=None, params=None):
         "spray_mismatch",
     )
     maxima = {k: {"max": 0.0, "at_sample": None} for k in keys}
-    det_min = math.inf
-    rate_max = 0.0
-    rows = []
-    for i, (x, y) in enumerate(pts):
-        pt = point_tensors(field, spray, x, y)
-        fval = pt.F
-        gvals = pt.G
-        scale, mres, eres = _metrizability_residuals(pt)
-        # homogeneity of F and of the spray
-        hres = 0.0
-        sres = 0.0
-        for lam in (0.5, 2.0):
-            fl = field.value(x, lam * np.asarray(y))
-            hres = max(hres, abs(fl - lam * fval) / (lam * abs(fval)))
-            gl = spray.values(x, lam * np.asarray(y))
-            sres = max(
-                sres,
-                float(np.abs(gl - lam**2 * gvals).max())
-                / max(1.0, lam**2 * float(np.abs(gvals).max())),
-            )
-        mismatch = None
-        if oracle is not None:
-            go = oracle.values(x, y)
-            mismatch = float(np.abs(go - gvals).max()) / max(
-                1.0, float(np.abs(gvals).max()), float(np.abs(go).max())
-            )
-        det = pt.det_g
-        det_min = min(det_min, abs(det))
-        rate = float(np.abs(pt.dxF).max()) / abs(fval)
-        rate_max = max(rate_max, rate)
-        row = {
-            "index": i,
-            "x1": float(x[0]),
-            "y": [float(v) for v in y],
-            "F": fval,
-            "G": [float(v) for v in gvals],
-            "landsberg": float(np.abs(pt.L).max()) / scale,
-            "berwald": float(np.abs(pt.Gijkh).max()) / scale,
-            "metrizability": mres,
-            "euler": eres,
-            "homogeneity": hres,
-            "spray_homogeneity": sres,
-            "spray_mismatch": mismatch,
-            "det_g": det,
-            "conformal_rate": rate,
-        }
-        rows.append(row)
+    rows = _per_sample(
+        lambda x, y: _classify_rows(field, spray, oracle, x, y), x, y
+    )
+    for i, row in enumerate(rows):
+        row["index"] = i
         for key in keys:
             if row[key] is not None:
                 _max_update(maxima, key, row[key], i)
+    det_min = min([math.inf] + [abs(row["det_g"]) for row in rows])
+    rate_max = max([0.0] + [row["conformal_rate"] for row in rows])
     floor_eff = tol.berwald_floor * rate_max
     verdict = decide_verdict(
         maxima["landsberg"]["max"], maxima["berwald"]["max"], floor_eff, tol
@@ -301,10 +347,14 @@ def classify(field, spray=None, plan=None, params=None):
 def check_metrizability(field, spray, plan=None):
     """Maxima of the horizontal differential of F and its Euler defect."""
     plan = plan or SamplePlan()
-    pts = draw_samples(field.domain_guard, field.n, plan)
+    x, y = _sample_arrays(field.domain_guard, field.n, plan)
     out = {k: {"max": 0.0, "at_sample": None} for k in ("metrizability", "euler")}
-    for i, (x, y) in enumerate(pts):
-        _, mres, eres = _metrizability_residuals(point_tensors(field, spray, x, y))
+
+    def rows_of(x, y):
+        pt = point_tensors(field, spray, x, y)
+        return [_metrizability_residuals(pt[s])[1:] for s in range(len(x))]
+
+    for i, (mres, eres) in enumerate(_per_sample(rows_of, x, y)):
         _max_update(out, "metrizability", mres, i)
         _max_update(out, "euler", eres, i)
     return out
@@ -326,39 +376,50 @@ def landsberg_via_p(cfs, field, plan=None):
     plan = plan or SamplePlan()
     n = cfs.n
     guard = cfs.domain_guard or field.domain_guard
-    pts = draw_samples(guard, n, plan)
+    x, y = _sample_arrays(guard, n, plan)
     out = {
         k: {"max": 0.0, "at_sample": None}
         for k in ("via_p", "general", "agreement")
     }
     spray = cfs.as_spray_field()
-    for i, (x, y) in enumerate(pts):
+
+    def rows_of(x, y):
         pt = point_tensors(field, spray, x, y)
         # special-form check: G^1 must be quadratic in the fiber
-        if np.abs(pt.Gijkh[0]).max() > 1e-9 * max(1.0, abs(pt.G[0])):
-            raise SpecialFormError(
-                "G^1 is not quadratic in y; the projective "
-                "shortcut does not apply"
-            )
+        for s in range(len(x)):
+            if np.abs(pt.Gijkh[s, 0]).max() > 1e-9 * max(1.0, abs(pt.G[s, 0])):
+                raise SpecialFormError(
+                    "G^1 is not quadratic in y; the projective "
+                    "shortcut does not apply"
+                )
         pj = cfs.p(x, fiber_arguments(n, y, 3)[1])
-        p2 = pj.fiber_tensor(2)[1:, 1:]
-        p3 = pj.fiber_tensor(3)[1:, 1:, 1:]
-        fval = pt.F
-        ell_mu = pt.ell[1:]
-        l_via = np.zeros((n, n, n))
-        l_via[1:, 1:, 1:] = -0.5 * fval * (
-            p3 * float(ell_mu @ pt.y[1:])
-            + p2[:, :, None] * ell_mu[None, None, :]
-            + p2[None, :, :] * ell_mu[:, None, None]
-            + p2.T[:, None, :] * ell_mu[None, :, None]
-        )
-        l_gen = pt.L  # the general definition, from the same spray
-        scale = max(1.0, abs(fval))
-        _max_update(out, "via_p", float(np.abs(l_via).max()) / scale, i)
-        _max_update(out, "general", float(np.abs(l_gen).max()) / scale, i)
-        _max_update(
-            out, "agreement", float(np.abs(l_via - l_gen).max()) / scale, i
-        )
+        p2s, p3s = pj.fiber_tensor(2), pj.fiber_tensor(3)
+        rows = []
+        for s in range(len(x)):
+            p = pt[s]
+            p2 = p2s[s, 1:, 1:]
+            p3 = p3s[s, 1:, 1:, 1:]
+            fval = p.F
+            ell_mu = p.ell[1:]
+            l_via = np.zeros((n, n, n))
+            l_via[1:, 1:, 1:] = -0.5 * fval * (
+                p3 * float(ell_mu @ p.y[1:])
+                + p2[:, :, None] * ell_mu[None, None, :]
+                + p2[None, :, :] * ell_mu[:, None, None]
+                + p2.T[:, None, :] * ell_mu[None, :, None]
+            )
+            l_gen = p.L  # the general definition, from the same spray
+            scale = max(1.0, abs(fval))
+            rows.append((
+                float(np.abs(l_via).max()) / scale,
+                float(np.abs(l_gen).max()) / scale,
+                float(np.abs(l_via - l_gen).max()) / scale,
+            ))
+        return rows
+
+    for i, row in enumerate(_per_sample(rows_of, x, y)):
+        for key, value in zip(("via_p", "general", "agreement"), row):
+            _max_update(out, key, value, i)
     return out
 
 
@@ -389,10 +450,16 @@ def compare_sprays(spray_a, spray_b, plan=None):
     def guard(x, y):
         return spray_a.domain_guard(x, y) and spray_b.domain_guard(x, y)
 
-    worst = 0.0
-    for x, y in draw_samples(guard, spray_a.n, plan):
+    def rows_of(x, y):
         ga = spray_a.values(x, y)
         gb = spray_b.values(x, y)
-        scale = max(1.0, float(np.abs(ga).max()), float(np.abs(gb).max()))
-        worst = max(worst, float(np.abs(ga - gb).max()) / scale)
+        return [
+            float(np.abs(ga[s] - gb[s]).max())
+            / max(1.0, float(np.abs(ga[s]).max()), float(np.abs(gb[s]).max()))
+            for s in range(len(x))
+        ]
+
+    worst = 0.0
+    for deviation in _per_sample(rows_of, *_sample_arrays(guard, spray_a.n, plan)):
+        worst = max(worst, deviation)
     return worst

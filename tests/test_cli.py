@@ -119,6 +119,19 @@ def test_oracle_ad_route(tmp_path):
     assert doc["residuals"]["spray_mismatch"]["max"] is None
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--param", "a=foo"], "--param a must be a number, got 'foo'"),
+        (["--param", "a=2", "--param", "a=3"], "--param a is given more than once"),
+        (["--quadratic", "1,x,0,1"], "--quadratic entry 2 must be a number, got 'x'"),
+    ],
+)
+def test_bad_numbers_named_at_the_boundary(extra, message, capsys):
+    assert run(["classify", "--metric", "class1", *extra]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_unknown_metric_exit_one(capsys):
     assert run(["classify", "--metric", "class9"]) == 1
     assert "unknown metric" in capsys.readouterr().err

@@ -1,9 +1,10 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from finslerlab import catalog, geometry, jets
+from finslerlab import alphabeta, catalog, geometry, jets
 from finslerlab.geometry import (
     DegenerateMetricError,
     DegenerateMetricWarning,
@@ -282,3 +283,103 @@ def test_berwald_ad_vs_closed_form(metric_id):
         b_oracle = berwald_tensor(oracle, x, y)
         scale = max(1.0, np.abs(b_closed).max())
         assert np.abs(b_closed - b_oracle).max() < 1e-7 * scale
+
+
+# ---------------------------------------------------------------------------
+# the sample axis: one batched pass equals the per-sample passes bit for bit
+# ---------------------------------------------------------------------------
+
+BATCH_CASES = [
+    (metric_id, quadratic)
+    for metric_id in ("class1", "class2", "class3", "class4", "shen_eq8",
+                      "asanov_eq9")
+    for quadratic in ("product", "euclid", "mixed4")
+] + [(metric_id, None) for metric_id in ("example31", "example32",
+                                         "example33", "shen_r3_eq1")]
+
+
+def _plan_arrays(field, n_points=50, seed=41):
+    pts = admissible_points(field, n_points, seed=seed)
+    return np.array([x for x, _ in pts]), np.array([y for _, y in pts])
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the domain error it raises."""
+    try:
+        return fn(*args)
+    except (jets.SingularPointError, DegenerateMetricError) as exc:
+        return exc
+
+
+def _assert_row_matches(batched, single, s):
+    for b, one in zip(batched, single):
+        assert one.batch is None and b.batch == len(b.coeffs)
+        assert np.array_equal(b.coeffs[s], one.coeffs)
+
+
+@pytest.mark.parametrize("metric_id, quadratic", BATCH_CASES)
+def test_batched_pass_matches_per_sample_bitwise(metric_id, quadratic):
+    spec = catalog.make_spec(metric_id, quadratic=quadratic)
+    field = catalog.build_finsler(spec)
+    x, y = _plan_arrays(field)
+    calls = {
+        "field(1,2)": (lambda x, y: [field.jet(x, y, 1, 2)]),
+        "field(0,1)": (lambda x, y: [field.jet(x, y, 0, 1)]),
+    }
+    sprays = {"variational": (ad_spray_field(field), (0, 3))}
+    if spec.entry.has_closed_form:
+        phi = catalog.phi_function(spec)
+        sprays["closed"] = (catalog.closed_form_spray(spec).as_spray_field(), (3,))
+        sprays["eq5"] = (alphabeta.ab_spray_field(phi, spec.setup), (0, 3))
+    for name, (spray, orders) in sprays.items():
+        for order in orders:
+            calls[name, order] = (
+                lambda x, y, spray=spray, order=order: spray.jets(x, y, order)
+            )
+    batched = {key: _outcome(fn, x, y) for key, fn in calls.items()}
+    # a batched error must be the first error in sample order
+    first_error = {}
+    for s in range(len(x)):
+        for key, fn in calls.items():
+            failed = isinstance(batched[key], Exception)
+            # the order-3 variational spray is slow one point at a time
+            if key == ("variational", 3) and s % 5 and not failed:
+                continue
+            single = _outcome(fn, x[s], y[s])
+            if isinstance(single, Exception):
+                first_error.setdefault(key, single)
+            elif not failed:
+                _assert_row_matches(batched[key], single, s)
+    for key, got in batched.items():
+        want = first_error.get(key)
+        assert isinstance(got, Exception) == (want is not None), key
+        if want is not None:
+            assert (type(got), str(got)) == (type(want), str(want))
+
+    spray = sprays.get("closed", sprays["variational"])[0]
+    record = point_tensors(field, spray, x, y)
+    for s in range(len(x)):
+        one = point_tensors(field, spray, x[s], y[s])
+        for f in dataclasses.fields(one):
+            assert np.array_equal(getattr(record, f.name)[s], getattr(one, f.name))
+            assert np.array_equal(getattr(record[s], f.name), getattr(one, f.name))
+
+
+def test_class4_batch_across_the_arctan_chart_switch():
+    spec = catalog.make_spec("class4", {"p": 1.0, "q": 0.0})  # d = -3 < 0
+    field = catalog.build_finsler(spec)
+    x, y = _plan_arrays(field, 50, seed=43)
+    v = np.sqrt([spec.setup.phi_value(yi[1:]) for yi in y])
+    # _class4_exponent's chart test: |y1 sqrt(-d)| <= |p y1 + 2 v|
+    chart = np.abs(y[:, 0] * np.sqrt(3.0)) <= np.abs(y[:, 0] + v * 2.0)
+    assert chart.any() and not chart.all()
+    batched = field.jet(x, y, 1, 2)
+    for s in range(len(x)):
+        assert np.array_equal(batched.coeffs[s], field.jet(x[s], y[s], 1, 2).coeffs)
+    # the same branch inside phi(s), on the univariate jets of eq. (5)
+    phi = catalog.phi_function(spec)
+    space = jets.jet_space(0, 1, 0, 3)
+    s0 = y[:, 0] / np.sqrt(y[:, 0] ** 2 + v**2)
+    batched = phi.fn(space.seed_y(0, s0))
+    for s in range(len(x)):
+        assert np.array_equal(batched.coeffs[s], phi.fn(space.seed_y(0, s0[s])).coeffs)

@@ -309,3 +309,148 @@ def test_first_and_second_partials_match_fd(metric_id):
                 # floor, so the second-order check extrapolates instead
                 ref = richardson_partial(f_of_y, y, (i, j), 1e-3)
                 assert abs(got - ref) < 1e-6 * max(1.0, abs(got), abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# index tables: the numpy builders against the monomial loops they replace
+# ---------------------------------------------------------------------------
+
+# Every JetSpace signature the catalog's verification routes build.
+CATALOG_SIGNATURES = [
+    (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 0, 2), (1, 0, 1, 0),
+    *[(0, n, 0, k) for n in (3, 4) for k in range(6)],
+    *[(n, n, 0, k) for n in (3, 4) for k in (1, 2, 4, 5)],
+    *[(n, n, 1, k) for n in (3, 4) for k in range(6)],
+]
+
+
+def _loop_mul_table(sp):
+    nx = sp.n_x
+    I, J, K = [], [], []
+    for i, mi in enumerate(sp.monomials):
+        for j, mj in enumerate(sp.monomials):
+            s = tuple(a + b for a, b in zip(mi, mj))
+            if sum(s[:nx]) > sp.x_cap or sum(s[nx:]) > sp.y_cap:
+                continue
+            I.append(i)
+            J.append(j)
+            K.append(sp.position[s])
+    return [np.asarray(v, dtype=np.intp) for v in (I, J, K)]
+
+
+def _loop_diff_table(sp, target, var):
+    src = np.empty(target.size, dtype=np.intp)
+    mult = np.empty(target.size)
+    for t, m in enumerate(target.monomials):
+        bumped = list(m)
+        bumped[var] += 1
+        src[t] = sp.position[tuple(bumped)]
+        mult[t] = bumped[var]
+    return src, mult
+
+
+def _loop_fiber_table(sp, k):
+    pos = np.empty((sp.n_y,) * k, dtype=np.intp)
+    for axes in np.ndindex(pos.shape):
+        exps = tuple(map(axes.count, range(sp.n_y)))
+        pos[axes] = sp.position[(0,) * sp.n_x + exps]
+    return pos
+
+
+@pytest.mark.parametrize("signature", CATALOG_SIGNATURES)
+def test_index_tables_match_monomial_loops(signature):
+    sp = jet_space(*signature)
+    factorial = [math.prod(math.factorial(e) for e in m) for m in sp.monomials]
+    assert np.array_equal(sp.factorial, factorial)
+    for got, ref in zip(sp.mul_table, _loop_mul_table(sp)):
+        assert got.dtype == np.intp and np.array_equal(got, ref)
+    for group, n, cap, offset in (("x", sp.n_x, sp.x_cap, 0),
+                                  ("y", sp.n_y, sp.y_cap, sp.n_x)):
+        for index in range(n if cap else 0):
+            target, src, mult = sp.diff_table(group, index)
+            ref_src, ref_mult = _loop_diff_table(sp, target, offset + index)
+            assert np.array_equal(src, ref_src)
+            assert np.array_equal(mult, ref_mult)
+    for x_cap in range(sp.x_cap + 1):
+        for y_cap in range(sp.y_cap + 1):
+            target, src = sp.truncate_table(x_cap, y_cap)
+            assert np.array_equal(src, [sp.position[m] for m in target.monomials])
+    target, src = sp.drop_x_table
+    zeros = (0,) * sp.n_x
+    assert np.array_equal(src, [sp.position[zeros + m] for m in target.monomials])
+    for k in range(sp.y_cap + 1):
+        pos, fact = sp._fiber_table(k)
+        assert np.array_equal(pos, _loop_fiber_table(sp, k))
+        assert np.array_equal(fact, sp.factorial[pos])
+
+
+# ---------------------------------------------------------------------------
+# the sample axis
+# ---------------------------------------------------------------------------
+
+
+def _rows_of(batch):
+    return [jets.TaylorValue(batch.space, c) for c in batch.coeffs]
+
+
+@pytest.mark.parametrize("signature", [(0, 3, 0, 3), (3, 3, 1, 2), (4, 4, 1, 5)])
+def test_batched_operations_match_each_sample_bitwise(signature):
+    sp = jet_space(*signature)
+    rng = np.random.default_rng(29)
+    ca = rng.normal(size=(7, sp.size))
+    cb = rng.normal(size=(7, sp.size))
+    ca[:, 0] = np.abs(ca[:, 0]) + 0.5
+    cb[:, 0] = rng.uniform(-0.9, 0.9, size=7)
+    shift = rng.normal(size=7)
+    a, b = jets.TaylorValue(sp, ca), jets.TaylorValue(sp, cb)
+
+    def program(a, b, shift):
+        c = a * b + jets.sqrt(a) / (a + 1.0) - jets.exp(b) * shift
+        c = c + jets.ln(a) * jets.arctan(b) + jets.arctanh(b) - 2.0 / a
+        c = c + jets.power(a, -1.5) * jets.sin(b) + jets.cos(a) * a**3
+        return sp.constant(0.25) * c - shift + jets.power(b, 7) + jets.power(a, b)
+
+    batched = program(a, b, shift)
+    assert batched.batch == 7 and batched.value.shape == (7,)
+    for s, (ai, bi) in enumerate(zip(_rows_of(a), _rows_of(b))):
+        single = program(ai, bi, shift[s])
+        assert np.array_equal(batched.coeffs[s], single.coeffs)
+        for k in range(min(sp.y_cap, 3) + 1):
+            assert np.array_equal(batched.fiber_tensor(k)[s], single.fiber_tensor(k))
+
+
+def test_batched_domain_check_names_first_bad_sample():
+    sp = jet_space(0, 1, 0, 2)
+    y = sp.seed_y(0, np.array([0.5, 1.0, -2.0, -3.0]))
+    with pytest.raises(SingularPointError) as err:
+        jets.sqrt(y)
+    assert err.value.constant_term == -2.0
+    with pytest.raises(SingularPointError) as err:
+        (y - 1.0).reciprocal()
+    assert err.value.constant_term == 0.0
+
+
+def test_branch_evaluates_each_sample_on_its_own_side():
+    sp = jet_space(0, 1, 0, 3)
+    y = sp.seed_y(0, np.array([0.5, -2.0, 3.0, -0.1]))
+    seen = []
+
+    def positive(v):
+        seen.append(("+", v.batch))
+        return jets.sqrt(v)
+
+    def negative(v):
+        seen.append(("-", v.batch))
+        return jets.sqrt(-v)
+
+    out = jets.branch(y.value > 0, positive, negative, y)
+    assert sorted(seen) == [("+", 2), ("-", 2)]
+    for s, ys in enumerate(_rows_of(y)):
+        ref = jets.sqrt(ys) if ys.value > 0 else jets.sqrt(-ys)
+        assert np.array_equal(out.coeffs[s], ref.coeffs)
+
+
+def test_batch_size_mismatch_rejected():
+    sp = jet_space(0, 1, 0, 2)
+    with pytest.raises(ValueError):
+        sp.seed_y(0, np.ones(3)) * sp.seed_y(0, np.ones(4))

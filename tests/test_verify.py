@@ -41,6 +41,15 @@ def test_plan_validation():
         SamplePlan(exclusion_angle=2.0)
     with pytest.raises(ValueError):
         SamplePlan(x_range=(0.5, -0.5))
+    for bad, field_name in (
+        ({"n_points": 2.5}, "n_points"),
+        ({"n_points": True}, "n_points"),
+        ({"guard_retries": 0}, "guard_retries"),
+        ({"guard_retries": -3}, "guard_retries"),
+    ):
+        with pytest.raises(ValueError, match=field_name):
+            SamplePlan(**bad)
+    assert SamplePlan(n_points=np.int64(4)).n_points == 4
     for bad in (
         {"x_range": (-math.inf, 0.5)},
         {"x_range": (-0.5, math.nan)},
@@ -239,3 +248,49 @@ def test_positivity_enforced():
     )
     with pytest.raises(ValueError):
         classify(bad, None, SamplePlan(n_points=3, seed=2))
+
+
+def test_batched_entry_points_raise_the_per_sample_error():
+    # Sample 3 makes the spray singular (an ln of a zero constant term),
+    # sample 8 the field (a zero divisor).  One point at a time, sample 3
+    # raises first; a batched pass meets the field's error first, so the
+    # entry points must fall back to per-sample order.
+    setup = catalog.make_setup("product")
+    base = alpha_field(setup)
+    plan = SamplePlan(n_points=12, seed=5)
+    pts = verify.draw_samples(base.domain_guard, 3, plan)
+    x = np.array([p[0] for p in pts])
+    y = np.array([p[1] for p in pts])
+    c_spray, c_field = y[3, 0], y[8, 0]
+
+    def ev(xs, ys):
+        d = ys[0] - c_field
+        return base.evaluate(xs, ys) * (1.0 + (d * d).reciprocal())
+
+    def g1(x, y_jets):
+        return y_jets[0] * y_jets[0] * 0.1
+
+    def p(x, y_jets):
+        d = y_jets[0] - c_spray
+        return y_jets[0] * 0.1 + jets.ln(d * d) * 0.0
+
+    field = geometry.FinslerField(3, ev, base.domain_guard, "singular")
+    from finslerlab.catalog import ClosedFormSpray
+
+    cfs = ClosedFormSpray(3, g1, p, "singular-spray", base.domain_guard)
+    spray = cfs.as_spray_field()
+    with pytest.raises(jets.SingularPointError) as batched:
+        geometry.point_tensors(field, spray, x, y)
+    assert "division" in str(batched.value)
+    with pytest.raises(jets.SingularPointError) as first:
+        for s in range(len(x)):
+            geometry.point_tensors(field, spray, x[s], y[s])
+    assert str(first.value).startswith("ln of non-positive constant term")
+    for call in (
+        lambda: classify(field, spray, plan),
+        lambda: check_metrizability(field, spray, plan),
+        lambda: landsberg_via_p(cfs, field, plan),
+    ):
+        with pytest.raises(jets.SingularPointError) as err:
+            call()
+        assert str(err.value) == str(first.value)
