@@ -138,16 +138,8 @@ def _parse_quadratic(text):
 
 def _check_f_positive(f_ast, x_range):
     space = jet_space(1, 0, 1, 0)
-    grid = np.linspace(x_range[0], x_range[1], 33)
-    try:
-        values = exprlang.evaluate(f_ast, space.seed_x(0, grid)).value
-        values = np.broadcast_to(values, grid.shape)
-    except (ArithmeticError, ValueError):
-        # Point by point, so the error raised is the first along the grid.
-        values = [None] * len(grid)
-    for x1, val in zip(grid, values):
-        if val is None:
-            val = exprlang.evaluate(f_ast, space.seed_x(0, float(x1))).value
+    for x1 in np.linspace(x_range[0], x_range[1], 33):
+        val = exprlang.evaluate(f_ast, space.seed_x(0, float(x1))).value
         if not val > 0.0:
             raise ValueError(
                 f"f(x1) must be positive on the sampled range; "

@@ -54,8 +54,8 @@ DET_RTOL = 1e-10
 #: Coefficients per jet (samples x space size) that one pass of the
 #: variational spray holds at most; larger batches run in chunks of
 #: samples.  Its order-3 pass keeps some fifty jets alive in spaces of up
-#: to 630 coefficients, so an unchunked 50-point batch would hold about
-#: 12 MB, against some 0.6 MB one point at a time.
+#: to 630 coefficients: measured unchunked, a 50-point batch held 5.5 MB,
+#: against 0.6 MB one point at a time.
 AD_CHUNK_COEFFS = 4096
 
 

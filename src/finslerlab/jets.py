@@ -32,7 +32,9 @@ result at point k.  That is the batch contract: it lets callers evaluate
 all samples of a plan in one pass and still get per-sample results.
 
 * An unbatched operand (a constant, say) broadcasts against a batch, and
-  scalar operands may be per-sample arrays of shape ``(N,)``.
+  scalar operands may be per-sample arrays of shape ``(N,)``.  Two batched
+  operands must have the same number of samples; a batch of one does not
+  broadcast against a larger one (:class:`JetUsageError`).
 * Series coefficients of the elementary functions are computed per sample
   in Python floats with the scalar ``math`` code (numpy's SIMD
   transcendentals may round differently); only their exact recurrences
@@ -351,6 +353,10 @@ def _check_same_space(a, b):
         raise JetUsageError(
             f"operands live in different jet spaces: {a.space} vs {b.space}"
         )
+    if a.batch is not None and b.batch is not None and a.batch != b.batch:
+        raise JetUsageError(
+            f"operands have batches of {a.batch} and {b.batch} samples"
+        )
 
 
 def _scalar(other):
@@ -445,7 +451,7 @@ def _product(space, a, b):
     if a.ndim == 1 and b.ndim == 1:
         return np.bincount(K, weights=a[I] * b[J], minlength=space.size)
     n = len(a) if a.ndim == 2 else len(b)
-    if n == 1:
+    if n == 1:  # neither operand has more than one row
         w = a.reshape(-1)[I] * b.reshape(-1)[J]
         return np.bincount(K, weights=w, minlength=space.size).reshape(1, -1)
     step = max(1, MUL_CHUNK_ELEMENTS // len(K))

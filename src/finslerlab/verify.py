@@ -9,7 +9,8 @@ The samples of a plan are evaluated together: a fixed number of batched
 calls per plan (see the batch contract in :mod:`finslerlab.jets`), then a
 per-sample loop over the record for every reduction, so the reports are
 byte-identical to evaluating one point at a time.  If the batched pass
-raises a domain error (``SingularPointError``, ``DegenerateMetricError``,
+raises a domain or arithmetic error (``SingularPointError``, an
+``OverflowError`` of a sample's series code, ``DegenerateMetricError``,
 ``SpecialFormError`` or the ``F > 0`` ``ValueError``), the plan is re-run
 one sample at a time through the same code, so the exception that
 escapes is exactly the one the per-sample order meets first.
@@ -41,7 +42,7 @@ import numpy as np
 from . import jets
 from .catalog import ClosedFormSpray
 from .geometry import DegenerateMetricError, ad_spray_field, point_tensors
-from .jets import SingularPointError, fiber_arguments
+from .jets import fiber_arguments
 
 __all__ = [
     "TolProfile",
@@ -155,8 +156,11 @@ def _sample_arrays(domain_guard, n, plan):
 
 
 #: What a batched pass may raise where the per-sample order would meet a
-#: different error first (SpecialFormError is a ValueError).
-_SAMPLE_ERRORS = (SingularPointError, DegenerateMetricError, ValueError)
+#: different error first: SingularPointError, and the OverflowError or
+#: ZeroDivisionError of a sample's scalar series code, are
+#: ArithmeticErrors; SpecialFormError and the ``F > 0`` check raise
+#: ValueErrors.
+_SAMPLE_ERRORS = (ArithmeticError, DegenerateMetricError, ValueError)
 
 
 def _per_sample(rows_of, x, y):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -454,3 +455,9 @@ def test_batch_size_mismatch_rejected():
     sp = jet_space(0, 1, 0, 2)
     with pytest.raises(ValueError):
         sp.seed_y(0, np.ones(3)) * sp.seed_y(0, np.ones(4))
+    one, four = sp.seed_y(0, np.ones(1)), sp.seed_y(0, np.ones(4))
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(JetUsageError):
+            op(one, four)
+        with pytest.raises(JetUsageError):
+            op(four, one)

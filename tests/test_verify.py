@@ -250,22 +250,16 @@ def test_positivity_enforced():
         classify(bad, None, SamplePlan(n_points=3, seed=2))
 
 
-def test_batched_entry_points_raise_the_per_sample_error():
-    # Sample 3 makes the spray singular (an ln of a zero constant term),
-    # sample 8 the field (a zero divisor).  One point at a time, sample 3
-    # raises first; a batched pass meets the field's error first, so the
-    # entry points must fall back to per-sample order.
+def _spray_singular_at_sample_3():
+    """A plan, its samples, a field to wrap and a closed-form spray whose
+    P takes the ln of a zero constant term at sample 3 (and only there)."""
     setup = catalog.make_setup("product")
     base = alpha_field(setup)
     plan = SamplePlan(n_points=12, seed=5)
     pts = verify.draw_samples(base.domain_guard, 3, plan)
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
-    c_spray, c_field = y[3, 0], y[8, 0]
-
-    def ev(xs, ys):
-        d = ys[0] - c_field
-        return base.evaluate(xs, ys) * (1.0 + (d * d).reciprocal())
+    c_spray = y[3, 0]
 
     def g1(x, y_jets):
         return y_jets[0] * y_jets[0] * 0.1
@@ -274,14 +268,16 @@ def test_batched_entry_points_raise_the_per_sample_error():
         d = y_jets[0] - c_spray
         return y_jets[0] * 0.1 + jets.ln(d * d) * 0.0
 
-    field = geometry.FinslerField(3, ev, base.domain_guard, "singular")
     from finslerlab.catalog import ClosedFormSpray
 
     cfs = ClosedFormSpray(3, g1, p, "singular-spray", base.domain_guard)
+    return plan, x, y, base, cfs
+
+
+def _assert_entry_points_raise_per_sample_error(field, cfs, plan, x, y):
+    """The entry points raise the exception of the first failing sample,
+    type and message, as a point-by-point pass over the plan does."""
     spray = cfs.as_spray_field()
-    with pytest.raises(jets.SingularPointError) as batched:
-        geometry.point_tensors(field, spray, x, y)
-    assert "division" in str(batched.value)
     with pytest.raises(jets.SingularPointError) as first:
         for s in range(len(x)):
             geometry.point_tensors(field, spray, x[s], y[s])
@@ -294,3 +290,40 @@ def test_batched_entry_points_raise_the_per_sample_error():
         with pytest.raises(jets.SingularPointError) as err:
             call()
         assert str(err.value) == str(first.value)
+
+
+def test_batched_entry_points_raise_the_per_sample_error():
+    # Sample 3 makes the spray singular (an ln of a zero constant term),
+    # sample 8 the field (a zero divisor).  One point at a time, sample 3
+    # raises first; a batched pass meets the field's error first, so the
+    # entry points must fall back to per-sample order.
+    plan, x, y, base, cfs = _spray_singular_at_sample_3()
+    c_field = y[8, 0]
+
+    def ev(xs, ys):
+        d = ys[0] - c_field
+        return base.evaluate(xs, ys) * (1.0 + (d * d).reciprocal())
+
+    field = geometry.FinslerField(3, ev, base.domain_guard, "singular")
+    with pytest.raises(jets.SingularPointError) as batched:
+        geometry.point_tensors(field, cfs.as_spray_field(), x, y)
+    assert "division" in str(batched.value)
+    _assert_entry_points_raise_per_sample_error(field, cfs, plan, x, y)
+
+
+def test_batched_overflow_falls_back_to_the_per_sample_error():
+    # As above, but sample 8 overflows the scalar series code of exp
+    # (exp(1000)) instead of meeting a singular point: the batched pass
+    # raises OverflowError, and the entry points must still raise sample
+    # 3's SingularPointError.
+    plan, x, y, base, cfs = _spray_singular_at_sample_3()
+    c_field = y[8, 0]
+
+    def ev(xs, ys):
+        d = ys[0] - c_field
+        return base.evaluate(xs, ys) * jets.exp(1e-3 / (d * d + 1e-6))
+
+    field = geometry.FinslerField(3, ev, base.domain_guard, "overflowing")
+    with pytest.raises(OverflowError):
+        geometry.point_tensors(field, cfs.as_spray_field(), x, y)
+    _assert_entry_points_raise_per_sample_error(field, cfs, plan, x, y)
