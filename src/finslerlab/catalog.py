@@ -5,28 +5,39 @@ geodesic spray (through the quadratic coefficient G^1 and the projective
 factor P with G^mu = P y^mu), the published non-zero Berwald component used
 as a non-Berwaldness witness, and parameter-validity rules.
 
-All entries except ``shen_r3_eq1`` live over the block Riemannian setup
-of :mod:`finslerlab.alphabeta` (beta = f(x^1) y^1); ``shen_r3_eq1`` has
-its own warped Riemannian part and therefore no closed-form spray: it is
-verified purely through the variational spray route.
+All entries except ``shen_r3_eq1`` are (alpha, beta)-metrics
+F = alpha phi(beta/alpha) over the block Riemannian setup of
+:mod:`finslerlab.alphabeta` (beta = f(x^1) y^1, alpha^2 - beta^2 =
+f(x^1)^2 phi(yhat)).  Each is written once, as a :class:`Profile`: its
+degree-1 profile psi(b, r) in b = beta and r = sqrt(alpha^2 - beta^2),
+its float domain test and its spray constants (kappa, 1 + c3).  F =
+f(x^1) psi(y^1, sqrt(phi(yhat))), phi(s) = psi(s, sqrt(1 - s^2)), the
+sampling guard and the closed-form spray all derive from it.  f(x^1) is
+the left-most factor of psi's product and r^2 is passed in as phi(yhat)
+itself, so F is the formula below operation for operation.
 
-The four parametric classes:
+``shen_r3_eq1`` has its own warped Riemannian part and therefore no
+closed-form spray: it is verified purely through the variational spray
+route.  Its F is the examples' psi with the warped r.
 
-    class1  F = (a b + r) exp(a b / (a b + r)),           a != 0
-    class2  F = ((a+1)b + r)^{(1+a)/2} ((a-1)b + r)^{(1-a)/2},  a != 0, +-1
-    class3  F = a b + (r^2) / (a b + 2 r),                a != 0
-    class4  F = sqrt(a^2 + p b r + q b^2) exp(...arctanh/arctan...),
+The four parametric classes, F / f(x^1) = psi(b, r):
+
+    class1  (a b + r) exp(a b / (a b + r)),               a != 0
+    class2  ((a+1)b + r)^{(1+a)/2} ((a-1)b + r)^{(1-a)/2}, a != 0, +-1
+    class3  a b + (r^2) / (a b + 2 r),                    a != 0
+    class4  sqrt(b^2 + r^2 + p b r + q b^2) exp(...arctanh/arctan...),
             p != 0, q != -1
 
-with b = beta, r = sqrt(alpha^2 - beta^2).  class4 dispatches on the
-discriminant p^2 - 4q - 4: positive uses the real arctanh branch,
-negative the real arctan form, zero reduces to class1 with a = p/2.
+class4 dispatches on the discriminant p^2 - 4q - 4: positive uses the
+real arctanh branch, negative the real arctan form, zero reduces to
+class1 with a = p/2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -257,116 +268,69 @@ def make_spec(metric_id, params=None, quadratic=None, dim=None, f=None,
 
 
 # ---------------------------------------------------------------------------
-# shared jet fragments
+# (alpha, beta) profiles: one record per entry
 # ---------------------------------------------------------------------------
 
 
-def _parts(setup, xs, ys):
-    f_jet = setup.f(xs[0])
-    y1 = ys[0]
-    phi = setup.phi_jet(ys)
-    v = jets.sqrt(phi)
-    return f_jet, y1, phi, v
+@dataclass(frozen=True)
+class Profile:
+    """One (alpha, beta) entry, written once in b = beta and
+    r = sqrt(alpha^2 - beta^2).
+
+    ``psi(pre, b, r, r2)`` is pre times the degree-1 profile, on jets;
+    r2 = r^2 is passed in so that it can be phi(yhat) itself.
+    ``admits(b, r, r2, s2)`` is the float domain test at squared scale s2.
+    ``spray()`` gives (kappa, 1 + c3) of the closed-form spray; it is
+    lazy, because the singular class4 (p, q) = (p, -1) field still builds.
+    """
+
+    psi: Callable
+    admits: Callable
+    spray: Callable
+    suffix: str = ""  # label suffix of a delegated entry
 
 
-def _scales(setup, y):
-    y = np.asarray(y, float)
-    yhat = y[1:]
-    phi = setup.phi_value(yhat)
-    s2 = float(y @ y)
-    return y[0], yhat, phi, s2
-
-
-def _guard_base(setup, y):
-    y1, yhat, phi, s2 = _scales(setup, y)
-    hat2 = float(yhat @ yhat)
-    if hat2 <= 1e-12 * s2:
-        return False
-    return phi >= PHI_MARGIN * hat2
-
-
-def _class4_branch(p, q):
-    d = p * p - 4.0 * q - 4.0
-    if abs(d) <= 1e-12 * max(1.0, p * p, abs(q)):
-        return 0.0
-    return d
-
-
-# ---------------------------------------------------------------------------
-# Finsler functions
-# ---------------------------------------------------------------------------
-
-
-def build_finsler(spec):
-    """FinslerField for a catalog spec, with its admissibility guard."""
-    cid = spec.class_id
-    builder = _FIELD_BUILDERS.get(cid)
-    if builder is None:
-        raise CatalogError(f"unknown metric id {cid!r}")
-    return builder(spec)
-
-
-def _field_class1(spec, label=None):
-    a = spec.params["a"]
-    setup = spec.setup
+def _class1(a):
     sa = max(1.0, abs(a))
 
-    def evaluate(xs, ys):
-        f_jet, y1, _, v = _parts(setup, xs, ys)
-        base = y1 * a + v
-        return f_jet * base * jets.exp(y1 * a / base)
+    def psi(pre, b, r, r2):
+        base = b * a + r
+        return pre * base * jets.exp(b * a / base)
 
-    def guard(x, y):
-        if not _guard_base(setup, y):
-            return False
-        y1, yhat, phi, s2 = _scales(setup, y)
-        return a * y1 + math.sqrt(phi) >= DEN_MARGIN * sa * math.sqrt(s2)
+    def admits(b, r, r2, s2):
+        return a * b + r >= DEN_MARGIN * sa * math.sqrt(s2)
 
-    return FinslerField(setup.n, evaluate, guard, label or spec.label)
+    return Profile(psi, admits, lambda: (1.0 / a, a * a))
 
 
-def _field_class2(spec):
-    a = spec.params["a"]
-    setup = spec.setup
+def _class2(a):
     sa = max(1.0, abs(a) + 1.0)
 
-    def evaluate(xs, ys):
-        f_jet, y1, _, v = _parts(setup, xs, ys)
-        ap = y1 * (a + 1.0) + v
-        am = y1 * (a - 1.0) + v
-        return f_jet * jets.power(ap, (1.0 + a) / 2.0) * jets.power(
+    def psi(pre, b, r, r2):
+        ap = b * (a + 1.0) + r
+        am = b * (a - 1.0) + r
+        return pre * jets.power(ap, (1.0 + a) / 2.0) * jets.power(
             am, (1.0 - a) / 2.0
         )
 
-    def guard(x, y):
-        if not _guard_base(setup, y):
-            return False
-        y1, yhat, phi, s2 = _scales(setup, y)
-        v = math.sqrt(phi)
+    def admits(b, r, r2, s2):
         m = DEN_MARGIN * sa * math.sqrt(s2)
-        return (a + 1.0) * y1 + v >= m and (a - 1.0) * y1 + v >= m
+        return (a + 1.0) * b + r >= m and (a - 1.0) * b + r >= m
 
-    return FinslerField(setup.n, evaluate, guard, spec.label)
+    return Profile(psi, admits, lambda: (a / (a * a - 1.0), a * a - 1.0))
 
 
-def _field_class3(spec):
-    a = spec.params["a"]
-    setup = spec.setup
+def _class3(a):
     sa = max(1.0, abs(a))
 
-    def evaluate(xs, ys):
-        f_jet, y1, phi, v = _parts(setup, xs, ys)
-        return f_jet * (y1 * a + phi / (y1 * a + v * 2.0))
+    def psi(pre, b, r, r2):
+        return pre * (b * a + r2 / (b * a + r * 2.0))
 
-    def guard(x, y):
-        if not _guard_base(setup, y):
-            return False
-        y1, yhat, phi, s2 = _scales(setup, y)
-        v = math.sqrt(phi)
+    def admits(b, r, r2, s2):
         m = DEN_MARGIN * sa * math.sqrt(s2)
-        return a * y1 + 2.0 * v >= m and abs(a * y1 + v) >= m
+        return a * b + 2.0 * r >= m and abs(a * b + r) >= m
 
-    return FinslerField(setup.n, evaluate, guard, spec.label)
+    return Profile(psi, admits, lambda: (3.0 / (2.0 * a), a * a / 2.0))
 
 
 def _class4_exponent(p, d, y1, v):
@@ -392,29 +356,24 @@ def _class4_exponent(p, d, y1, v):
     )
 
 
-def _field_class4(spec):
-    p, q = spec.params["p"], spec.params["q"]
-    d = _class4_branch(p, q)
-    if d == 0.0:
-        reduced = MetricClassSpec("class1", {"a": p / 2.0}, spec.setup)
-        return _field_class1(reduced, label=spec.label + "->class1")
-    setup = spec.setup
+def _class4(p, q):
+    def spray():
+        return p / (2.0 * (1.0 + q)), 1.0 + q
+
+    d = p * p - 4.0 * q - 4.0
+    if abs(d) <= 1e-12 * max(1.0, p * p, abs(q)):
+        return replace(_class1(p / 2.0), spray=spray, suffix="->class1")
     sc = max(1.0, abs(p), abs(q))
 
-    def evaluate(xs, ys):
-        f_jet, y1, phi, v = _parts(setup, xs, ys)
-        rad = y1 * y1 * (1.0 + q) + y1 * v * p + phi
-        return f_jet * jets.sqrt(rad) * jets.exp(_class4_exponent(p, d, y1, v))
+    def psi(pre, b, r, r2):
+        rad = b * b * (1.0 + q) + b * r * p + r2
+        return pre * jets.sqrt(rad) * jets.exp(_class4_exponent(p, d, b, r))
 
-    def guard(x, y):
-        if not _guard_base(setup, y):
-            return False
-        y1, yhat, phi, s2 = _scales(setup, y)
-        v = math.sqrt(phi)
-        rad = (1.0 + q) * y1 * y1 + p * y1 * v + phi
+    def admits(b, r, r2, s2):
+        rad = (1.0 + q) * b * b + p * b * r + r2
         return rad >= RAD_MARGIN * sc * s2
 
-    return FinslerField(setup.n, evaluate, guard, spec.label)
+    return Profile(psi, admits, spray)
 
 
 def _shen_psi(c1, c3, y1, v):
@@ -428,89 +387,120 @@ def _shen_psi(c1, c3, y1, v):
     return num / den
 
 
-def _field_shen_eq8(spec):
-    c1, c3, c4 = (spec.params[k] for k in ("c1", "c3", "c4"))
-    setup = spec.setup
+def _shen_eq8(c1, c3, c4):
     kk = (2.0 + c3) ** 2 - c1**2 - c3**2
-    r = math.hypot(c1, c3)
+    r0 = math.hypot(c1, c3)
     sc = max(1.0, abs(c1), abs(c3))
 
-    def evaluate(xs, ys):
-        f_jet, y1, phi, v = _parts(setup, xs, ys)
-        rad = y1 * y1 * (1.0 + c3) + y1 * v * c1 + phi
-        expo = jets.arctan(_shen_psi(c1, c3, y1, v)) * (c1 / math.sqrt(kk))
-        return f_jet * jets.sqrt(rad) * jets.exp(expo) * c4
+    def psi(pre, b, r, r2):
+        rad = b * b * (1.0 + c3) + b * r * c1 + r2
+        expo = jets.arctan(_shen_psi(c1, c3, b, r)) * (c1 / math.sqrt(kk))
+        return pre * jets.sqrt(rad) * jets.exp(expo) * c4
 
-    def guard(x, y):
-        if not _guard_base(setup, y):
-            return False
-        y1, yhat, phi, s2 = _scales(setup, y)
-        v = math.sqrt(phi)
-        rad = (1.0 + c3) * y1 * y1 + c1 * y1 * v + phi
-        if rad < RAD_MARGIN * sc * s2:
-            return False
-        return abs(c3 * y1 + (c1 + r) * v) >= DEN_MARGIN * math.sqrt(s2)
+    def admits(b, r, r2, s2):
+        rad = (1.0 + c3) * b * b + c1 * b * r + r2
+        return (rad >= RAD_MARGIN * sc * s2
+                and abs(c3 * b + (c1 + r0) * r) >= DEN_MARGIN * math.sqrt(s2))
 
-    return FinslerField(setup.n, evaluate, guard, spec.label)
+    return Profile(psi, admits, lambda: (c1 / (2.0 * (1.0 + c3)), 1.0 + c3))
 
 
-def _field_asanov_eq9(spec):
-    g = spec.params["g"]
-    setup = spec.setup
+def _asanov_eq9(g):
     sq = math.sqrt(4.0 - g * g)
 
-    def evaluate(xs, ys):
-        f_jet, y1, phi, v = _parts(setup, xs, ys)
-        rad = y1 * y1 + y1 * v * g + phi
+    def psi(pre, b, r, r2):
+        rad = b * b + b * r * g + r2
         if g > 0:
-            psi = (y1 * 2.0 + v * g) / (v * sq)
+            arg = (b * 2.0 + r * g) / (r * sq)
         else:
-            psi = -((y1 * g + v * 2.0) / (y1 * sq))
-        return f_jet * jets.sqrt(rad) * jets.exp(jets.arctan(psi) * (g / sq))
+            arg = -((b * g + r * 2.0) / (b * sq))
+        return pre * jets.sqrt(rad) * jets.exp(jets.arctan(arg) * (g / sq))
 
-    def guard(x, y):
-        if not _guard_base(setup, y):
-            return False
-        y1, yhat, phi, s2 = _scales(setup, y)
-        v = math.sqrt(phi)
-        rad = y1 * y1 + g * y1 * v + phi
-        if rad < RAD_MARGIN * max(1.0, abs(g)) * s2:
-            return False
-        if g < 0 and abs(y1) < DEN_MARGIN * math.sqrt(s2):
-            return False
-        return True
+    def admits(b, r, r2, s2):
+        rad = b * b + g * b * r + r2
+        return (rad >= RAD_MARGIN * max(1.0, abs(g)) * s2
+                and (g >= 0 or abs(b) >= DEN_MARGIN * math.sqrt(s2)))
 
-    return FinslerField(setup.n, evaluate, guard, spec.label)
+    return Profile(psi, admits, lambda: (g / 2.0, 1.0))
 
 
-def _example3x_field(spec):
-    """Examples 3.1-3.3 verbatim: the (1,0) member in three setups."""
-    setup = spec.setup
+def _example3x():
+    """Examples 3.1-3.3 verbatim: the class4 (1, 0) member in the paper's
+    arctan chart."""
     inv_sqrt3 = 1.0 / math.sqrt(3.0)
 
+    def psi(pre, b, r, r2):
+        rad = b * b + r2 + b * r
+        arg = b * (2.0 * inv_sqrt3) / r + inv_sqrt3
+        return pre * jets.sqrt(rad) * jets.exp(jets.arctan(arg) * inv_sqrt3)
+
+    return Profile(psi, lambda b, r, r2, s2: True, lambda: (0.5, 1.0))
+
+
+_PROFILES = {
+    "class1": _class1,
+    "class2": _class2,
+    "class3": _class3,
+    "class4": _class4,
+    "shen_eq8": _shen_eq8,
+    "asanov_eq9": _asanov_eq9,
+    "example31": _example3x,
+    "example32": _example3x,
+    "example33": _example3x,
+}
+
+
+def _profile(spec):
+    make_profile = _PROFILES.get(spec.class_id)
+    if make_profile is None:
+        raise CatalogError(
+            f"no block-setup (alpha, beta) profile for {spec.class_id!r}"
+        )
+    return make_profile(**spec.params)
+
+
+# ---------------------------------------------------------------------------
+# Finsler functions
+# ---------------------------------------------------------------------------
+
+
+def build_finsler(spec):
+    """FinslerField for a catalog spec, with its admissibility guard.
+
+    F = f(x^1) psi(y^1, sqrt(phi(yhat))); the guard keeps yhat away from
+    the phi(yhat) = 0 cone before the profile's own test.
+    """
+    if spec.class_id == "shen_r3_eq1":
+        return _field_shen_r3_eq1(spec)
+    prof = _profile(spec)
+    setup = spec.setup
+
     def evaluate(xs, ys):
-        f_jet, y1, phi, v = _parts(setup, xs, ys)
-        rad = y1 * y1 + phi + y1 * v
-        arg = y1 * (2.0 * inv_sqrt3) / v + inv_sqrt3
-        return f_jet * jets.sqrt(rad) * jets.exp(jets.arctan(arg) * inv_sqrt3)
+        phi = setup.phi_jet(ys)
+        return prof.psi(setup.f(xs[0]), ys[0], jets.sqrt(phi), phi)
 
     def guard(x, y):
-        return _guard_base(setup, y)
+        y = np.asarray(y, float)
+        yhat = y[1:]
+        phi = setup.phi_value(yhat)
+        s2 = float(y @ y)
+        hat2 = float(yhat @ yhat)
+        if hat2 <= 1e-12 * s2 or not phi >= PHI_MARGIN * hat2:
+            return False
+        return prof.admits(y[0], math.sqrt(phi), phi, s2)
 
-    return FinslerField(setup.n, evaluate, guard, spec.label)
+    return FinslerField(setup.n, evaluate, guard, spec.label + prof.suffix)
 
 
 def _field_shen_r3_eq1(spec):
-    """The warped-product member: alpha has an e^{2 x^1} fiber factor."""
-    inv_sqrt3 = 1.0 / math.sqrt(3.0)
+    """The warped-product member: alpha has an e^{2 x^1} fiber factor,
+    and phi is that of examples 3.1-3.3."""
+    psi = _example3x().psi
 
     def evaluate(xs, ys):
-        y1 = ys[0]
         u2 = ys[1] * ys[1] + ys[2] * ys[2]
         v = jets.exp(xs[0]) * jets.sqrt(u2)
-        rad = y1 * y1 + v * v + y1 * v
-        arg = y1 * (2.0 * inv_sqrt3) / v + inv_sqrt3
-        return jets.sqrt(rad) * jets.exp(jets.arctan(arg) * inv_sqrt3)
+        return psi(1.0, ys[0], v, v * v)
 
     def guard(x, y):
         y = np.asarray(y, float)
@@ -519,48 +509,24 @@ def _field_shen_r3_eq1(spec):
     return FinslerField(3, evaluate, guard, spec.label)
 
 
-_FIELD_BUILDERS = {
-    "class1": _field_class1,
-    "class2": _field_class2,
-    "class3": _field_class3,
-    "class4": _field_class4,
-    "shen_eq8": _field_shen_eq8,
-    "asanov_eq9": _field_asanov_eq9,
-    "example31": _example3x_field,
-    "example32": _example3x_field,
-    "example33": _example3x_field,
-    "shen_r3_eq1": _field_shen_r3_eq1,
-}
+def phi_function(spec):
+    """phi(s) with F = alpha phi(beta/alpha): the profile at alpha = 1."""
+    prof = _profile(spec)
+
+    def fn(t):
+        r2 = 1.0 - t * t
+        return prof.psi(1.0, t, jets.sqrt(r2), r2)
+
+    def admissible(s):
+        r2 = 1.0 - s * s
+        return prof.admits(s, math.sqrt(max(0.0, r2)), r2, 1.0)
+
+    return PhiFunction(fn, label=spec.label + prof.suffix, admissible=admissible)
 
 
 # ---------------------------------------------------------------------------
 # closed-form sprays
 # ---------------------------------------------------------------------------
-
-
-def _spray_constants(spec):
-    """(kappa, 1+c3) with P = (y^1 + kappa sqrt(phi)) f'/f and
-    G^1 = ((y^1)^2 - phi/(1+c3)) f'/(2f)."""
-    cid = spec.class_id
-    p = spec.params
-    if cid == "class1":
-        a = p["a"]
-        return 1.0 / a, a * a
-    if cid == "class2":
-        a = p["a"]
-        return a / (a * a - 1.0), a * a - 1.0
-    if cid == "class3":
-        a = p["a"]
-        return 3.0 / (2.0 * a), a * a / 2.0
-    if cid == "class4":
-        return p["p"] / (2.0 * (1.0 + p["q"])), 1.0 + p["q"]
-    if cid == "shen_eq8":
-        return p["c1"] / (2.0 * (1.0 + p["c3"])), 1.0 + p["c3"]
-    if cid == "asanov_eq9":
-        return p["g"] / 2.0, 1.0
-    if cid in ("example31", "example32", "example33"):
-        return 0.5, 1.0
-    raise CatalogError(f"no closed-form spray is known for {cid!r}")
 
 
 @dataclass(frozen=True)
@@ -588,13 +554,15 @@ class ClosedFormSpray:
 
 
 def closed_form_spray(spec):
-    """The published closed-form spray of an entry (error if none exists)."""
-    if spec.class_id == "shen_r3_eq1" or not spec.entry.has_closed_form:
+    """The published closed-form spray of an entry (error if none exists):
+    P = (y^1 + kappa sqrt(phi)) f'/f and G^1 = ((y^1)^2 - phi/(1+c3)) f'/(2f).
+    """
+    if not spec.entry.has_closed_form:
         raise CatalogError(
             f"{spec.class_id} has no published closed-form spray; "
             "use the variational route"
         )
-    kappa, one_plus_c3 = _spray_constants(spec)
+    kappa, one_plus_c3 = _profile(spec).spray()
     setup = spec.setup
 
     def g1(x, y_jets):
@@ -613,126 +581,6 @@ def closed_form_spray(spec):
     return ClosedFormSpray(
         setup.n, g1, p, label=f"closed:{spec.label}", domain_guard=guard
     )
-
-
-# ---------------------------------------------------------------------------
-# phi profiles (for the general (alpha, beta) spray formula)
-# ---------------------------------------------------------------------------
-
-
-def _phi_margin(t, need_pos):
-    root = math.sqrt(max(0.0, 1.0 - t * t))
-    return all(val >= DEN_MARGIN for val in need_pos(t, root))
-
-
-def phi_function(spec):
-    """phi(s) with F = alpha phi(beta/alpha), evaluable on jets."""
-    cid = spec.class_id
-    p = spec.params
-    if cid == "class1":
-        a = p["a"]
-
-        def fn(t):
-            root = jets.sqrt(1.0 - t * t)
-            base = t * a + root
-            return base * jets.exp(t * a / base)
-
-        def ok(s):
-            return _phi_margin(s, lambda t, r: [a * t + r])
-
-        return PhiFunction(fn, label=spec.label, admissible=ok)
-    if cid == "class2":
-        a = p["a"]
-
-        def fn(t):
-            root = jets.sqrt(1.0 - t * t)
-            return jets.power(t * (a + 1.0) + root, (1.0 + a) / 2.0) * (
-                jets.power(t * (a - 1.0) + root, (1.0 - a) / 2.0)
-            )
-
-        def ok(s):
-            return _phi_margin(
-                s, lambda t, r: [(a + 1.0) * t + r, (a - 1.0) * t + r]
-            )
-
-        return PhiFunction(fn, label=spec.label, admissible=ok)
-    if cid == "class3":
-        a = p["a"]
-
-        def fn(t):
-            root = jets.sqrt(1.0 - t * t)
-            return t * a + (1.0 - t * t) / (t * a + root * 2.0)
-
-        def ok(s):
-            return _phi_margin(
-                s, lambda t, r: [a * t + 2.0 * r, abs(a * t + r)]
-            )
-
-        return PhiFunction(fn, label=spec.label, admissible=ok)
-    if cid in ("class4", "example31", "example32", "example33"):
-        if cid == "class4":
-            pp, qq = p["p"], p["q"]
-        else:
-            pp, qq = 1.0, 0.0
-        d = _class4_branch(pp, qq)
-        if d == 0.0:
-            return phi_function(
-                MetricClassSpec("class1", {"a": pp / 2.0}, spec.setup)
-            )
-
-        def fn(t):
-            root = jets.sqrt(1.0 - t * t)
-            rad = t * t * (1.0 + qq) + t * root * pp + (1.0 - t * t)
-            return jets.sqrt(rad) * jets.exp(_class4_exponent(pp, d, t, root))
-
-        def ok(s):
-            r = math.sqrt(max(0.0, 1.0 - s * s))
-            rad = (1.0 + qq) * s * s + pp * s * r + (1.0 - s * s)
-            return rad >= RAD_MARGIN * max(1.0, abs(pp), abs(qq))
-
-        return PhiFunction(fn, label=spec.label, admissible=ok)
-    if cid == "shen_eq8":
-        c1, c3, c4 = p["c1"], p["c3"], p["c4"]
-        kk = (2.0 + c3) ** 2 - c1**2 - c3**2
-        r0 = math.hypot(c1, c3)
-
-        def fn(t):
-            root = jets.sqrt(1.0 - t * t)
-            rad = t * t * (1.0 + c3) + t * root * c1 + (1.0 - t * t)
-            expo = jets.arctan(_shen_psi(c1, c3, t, root)) * (c1 / math.sqrt(kk))
-            return jets.sqrt(rad) * jets.exp(expo) * c4
-
-        def ok(s):
-            r = math.sqrt(max(0.0, 1.0 - s * s))
-            rad = (1.0 + c3) * s * s + c1 * s * r + (1.0 - s * s)
-            if rad < RAD_MARGIN * max(1.0, abs(c1), abs(c3)):
-                return False
-            return abs(c3 * s + (c1 + r0) * r) >= DEN_MARGIN
-
-        return PhiFunction(fn, label=spec.label, admissible=ok)
-    if cid == "asanov_eq9":
-        g = p["g"]
-        sq = math.sqrt(4.0 - g * g)
-
-        def fn(t):
-            root = jets.sqrt(1.0 - t * t)
-            rad = t * t + t * root * g + (1.0 - t * t)
-            if g > 0:
-                psi = (t * 2.0 + root * g) / (root * sq)
-            else:
-                psi = -((t * g + root * 2.0) / (t * sq))
-            return jets.sqrt(rad) * jets.exp(jets.arctan(psi) * (g / sq))
-
-        def ok(s):
-            r = math.sqrt(max(0.0, 1.0 - s * s))
-            if 1.0 + g * s * r < RAD_MARGIN * max(1.0, abs(g)):
-                return False
-            if g < 0 and abs(s) < DEN_MARGIN:
-                return False
-            return True
-
-        return PhiFunction(fn, label=spec.label, admissible=ok)
-    raise CatalogError(f"no phi profile for {cid!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +611,7 @@ def expected_berwald_component(spec, x, y):
     values here are the ones direct differentiation of the published
     sprays gives, which is what the Berwald tensor must match.)
     """
-    kappa, _ = _spray_constants(spec)
+    kappa, _ = _profile(spec).spray()
     kind = _setup_kind(spec.setup)
     if kind is None:
         raise CatalogError(

@@ -136,6 +136,15 @@ def _parse_quadratic(text):
     return np.array(vals).reshape(k, k)
 
 
+def _parse_x_range(text):
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise catalog.CatalogError(f"--x-range expects LO,HI, got {text!r}")
+    return tuple(
+        _number(v, f"--x-range entry {i + 1}") for i, v in enumerate(parts)
+    )
+
+
 def _check_f_positive(f_ast, x_range):
     space = jet_space(1, 0, 1, 0)
     for x1 in np.linspace(x_range[0], x_range[1], 33):
@@ -169,11 +178,10 @@ def _csv_table(report):
 
 
 def run_classify(args):
-    lo, _, hi = args.x_range.partition(",")
     plan = SamplePlan(
         n_points=args.points,
         seed=args.seed,
-        x_range=(float(lo), float(hi)),
+        x_range=_parse_x_range(args.x_range),
         tolerances=TOL_PROFILES[args.tol_profile],
     )
     f_ast = exprlang.parse_expr(args.f)

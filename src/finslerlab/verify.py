@@ -107,10 +107,12 @@ class SamplePlan:
                 f"x_range {tuple(self.x_range)} and exclusion angle "
                 f"{self.exclusion_angle} must be finite"
             )
-        for name in ("n_points", "guard_retries"):
+        for name in ("n_points", "guard_retries", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_points < 1:
             raise ValueError("n_points must be at least 1")
         if self.guard_retries < 1:

@@ -15,6 +15,7 @@ from finslerlab.catalog import (
     make_spec,
 )
 from finslerlab.geometry import DegenerateMetricError, ad_spray_field
+from finslerlab.jets import jet_space
 
 from conftest import DEFAULT_IDS, admissible_points, default_spec
 
@@ -263,3 +264,51 @@ def test_equivalence_pair_relations():
         assert spread <= 1e-8
         if rel == "equal":
             assert ratios.mean() == pytest.approx(1.0, abs=1e-12)
+
+
+# Every (alpha, beta) entry on every setup it supports, with a negative-a,
+# a negative-g and a zero-discriminant class4 point besides the defaults.
+AB_CASES = [
+    (metric_id, params, quadratic)
+    for metric_id, params in (
+        ("class1", {}), ("class1", {"a": -2.0}), ("class2", {}),
+        ("class3", {}), ("class3", {"a": -0.5}), ("class4", {}),
+        ("class4", {"p": 2.0, "q": 0.0}), ("shen_eq8", {}),
+        ("asanov_eq9", {}), ("asanov_eq9", {"g": -1.0}),
+    )
+    for quadratic in sorted(catalog.QUADRATIC_PRESETS)
+] + [(metric_id, {}, None) for metric_id in ("example31", "example32", "example33")]
+
+
+def _ab_id(case):
+    metric_id, params, quadratic = case
+    return make_spec(metric_id, params).label + f"-{quadratic or 'fixed'}"
+
+
+def _beta_over_alpha(spec, y):
+    """(s, w) with s = beta/alpha = y^1/w and alpha = f(x^1) w."""
+    w = math.sqrt(y[0] ** 2 + spec.setup.phi_value(y[1:]))
+    return y[0] / w, w
+
+
+@pytest.mark.parametrize("case", AB_CASES, ids=_ab_id)
+def test_field_equals_alpha_phi_of_beta_over_alpha(case):
+    metric_id, params, quadratic = case
+    spec = make_spec(metric_id, params, quadratic=quadratic)
+    field = build_finsler(spec)
+    phi = catalog.phi_function(spec)
+    space = jet_space(0, 1, 0, 1)
+    for x, y in admissible_points(field, 10, seed=46):
+        s, w = _beta_over_alpha(spec, y)
+        fv, _ = spec.setup.f_values(x[0])
+        ref = fv * w * phi(space.seed_y(0, s)).value
+        assert abs(field.value(x, y) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("case", AB_CASES, ids=_ab_id)
+def test_phi_admissible_wherever_field_is_sampled(case):
+    metric_id, params, quadratic = case
+    spec = make_spec(metric_id, params, quadratic=quadratic)
+    phi = catalog.phi_function(spec)
+    for x, y in admissible_points(build_finsler(spec), 50, seed=47):
+        assert phi.admissible(_beta_over_alpha(spec, y)[0])

@@ -125,6 +125,10 @@ def test_oracle_ad_route(tmp_path):
         (["--param", "a=foo"], "--param a must be a number, got 'foo'"),
         (["--param", "a=2", "--param", "a=3"], "--param a is given more than once"),
         (["--quadratic", "1,x,0,1"], "--quadratic entry 2 must be a number, got 'x'"),
+        (["--x-range", "foo"], "--x-range expects LO,HI, got 'foo'"),
+        (["--x-range", "0.5"], "--x-range expects LO,HI, got '0.5'"),
+        (["--x-range", "0,bar"], "--x-range entry 2 must be a number, got 'bar'"),
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
     ],
 )
 def test_bad_numbers_named_at_the_boundary(extra, message, capsys):

@@ -46,10 +46,14 @@ def test_plan_validation():
         ({"n_points": True}, "n_points"),
         ({"guard_retries": 0}, "guard_retries"),
         ({"guard_retries": -3}, "guard_retries"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
     ):
         with pytest.raises(ValueError, match=field_name):
             SamplePlan(**bad)
     assert SamplePlan(n_points=np.int64(4)).n_points == 4
+    assert SamplePlan(seed=np.int64(3)).seed == 3
     for bad in (
         {"x_range": (-math.inf, 0.5)},
         {"x_range": (-0.5, math.nan)},
