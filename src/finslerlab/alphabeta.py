@@ -4,8 +4,9 @@ The underlying Riemannian data is always of the special block form
 
     a_11 = f(x^1)^2,   a_1mu = 0,   a_lam_mu = f(x^1)^2 c_lam_mu,
 
-with the one-form b = (f(x^1), 0, ..., 0), so b^2 = 1, the skew part of
-the covariant derivative of b vanishes (s_ij = 0), and r_00 reduces to
+with the one-form b = (f(x^1), 0, ..., 0), so b^2 = 1 (written as the
+literal 1 wherever the general formulas carry b^2), the skew part of the
+covariant derivative of b vanishes (s_ij = 0), and r_00 reduces to
 (alpha^2 - beta^2) f'/f^2.  Every operation here assumes (and exploits)
 that structure; general Riemannian backgrounds with s_ij != 0 are out of
 scope and are rejected by construction.
@@ -13,6 +14,12 @@ scope and are rejected by construction.
 Q and Theta are never hand-differentiated: they are derived from phi by
 jet arithmetic, so the published closed forms in the catalog become test
 oracles instead of trusted inputs.
+
+Each spray has one constructor, returning a :class:`SprayField` (float
+values through ``SprayField.values``): alpha's Levi-Civita spray
+(``RiemannSetup.riemann_spray_field``), the eq. (5) spray of
+alpha phi(beta/alpha) (``ab_spray_field``) and Shen's two-constant class
+(``shen_class_spray_field``).
 """
 
 from __future__ import annotations
@@ -30,12 +37,9 @@ from .jets import (TaylorValue, branch, compose_series, fiber_arguments,
 __all__ = [
     "RiemannSetup",
     "PhiFunction",
-    "riemann_spray",
     "q_theta",
     "q_aux",
-    "ab_spray",
     "ab_spray_field",
-    "shen_class_spray",
     "shen_class_spray_field",
 ]
 
@@ -55,6 +59,8 @@ class RiemannSetup:
         c = np.asarray(c, dtype=float)
         if n < 3:
             raise ValueError("setup needs dimension n >= 3")
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"c must be finite, got {c.tolist()}")
         if c.shape != (n - 1, n - 1):
             raise ValueError(f"c must be {(n - 1, n - 1)}, got {c.shape}")
         if not np.allclose(c, c.T, rtol=0, atol=1e-12):
@@ -64,8 +70,6 @@ class RiemannSetup:
         self.n = n
         self.f = f
         self.c = 0.5 * (c + c.T)
-        self.c_inv = np.linalg.inv(self.c)
-        self.b2 = 1.0
 
     def __repr__(self):
         return f"RiemannSetup(n={self.n})"
@@ -85,10 +89,6 @@ class RiemannSetup:
             )
         return fv, fj.extract((1,))
 
-    def k_value(self, x1):
-        fv, fp = self.f_values(x1)
-        return fp / scalar_map(lambda v: v**2, fv)
-
     def phi_value(self, yhat):
         yhat = np.asarray(yhat, float)
         return float(yhat @ self.c @ yhat)
@@ -106,45 +106,6 @@ class RiemannSetup:
             raise ValueError("quadratic form is identically zero")
         return acc
 
-    def a_matrix(self, x1):
-        fv, _ = self.f_values(x1)
-        a = np.zeros((self.n, self.n))
-        a[0, 0] = fv**2
-        a[1:, 1:] = fv**2 * self.c
-        return a
-
-    def a_inverse(self, x1):
-        fv, _ = self.f_values(x1)
-        a = np.zeros((self.n, self.n))
-        a[0, 0] = 1.0 / fv**2
-        a[1:, 1:] = self.c_inv / fv**2
-        return a
-
-    def christoffel(self, x1):
-        """gamma^h_ij of the Levi-Civita connection (closed form)."""
-        fv, fp = self.f_values(x1)
-        ratio = fp / fv
-        n = self.n
-        gam = np.zeros((n, n, n))
-        gam[0, 0, 0] = ratio
-        gam[0, 1:, 1:] = -ratio * self.c
-        for mu in range(1, n):
-            gam[mu, 0, mu] = gam[mu, mu, 0] = ratio
-        return gam
-
-    def b_covariant_derivative(self, x1):
-        """b_{i|j}; symmetric, equal to k (a_ij - b_i b_j)."""
-        _, fp = self.f_values(x1)
-        out = np.zeros((self.n, self.n))
-        out[1:, 1:] = fp * self.c
-        return out
-
-    def b_covector(self, x1):
-        fv, _ = self.f_values(x1)
-        b = np.zeros(self.n)
-        b[0] = fv
-        return b
-
     def b_vector(self, x1):
         fv, _ = self.f_values(x1)
         b = np.zeros(np.shape(fv) + (self.n,))
@@ -152,16 +113,14 @@ class RiemannSetup:
         return b
 
     def riemann_spray_field(self):
+        """Levi-Civita geodesic spray of alpha."""
         return SprayField(
             self.n,
-            lambda x, y, order: riemann_spray_jets(self, x, y, order),
+            lambda x, y, order: _riemann_components(
+                self, x[..., 0], fiber_arguments(self.n, y, order)[1]
+            ),
             label="riemann-alpha",
         )
-
-
-def riemann_spray_jets(setup, x, y, order):
-    _, y_jets = fiber_arguments(setup.n, y, order)
-    return _riemann_components(setup, np.asarray(x, float)[..., 0], y_jets)
 
 
 def _riemann_components(setup, x1, y_jets):
@@ -176,18 +135,12 @@ def _riemann_components(setup, x1, y_jets):
     return [g1] + [y1 * y_mu * ratio for y_mu in y_jets[1:]]
 
 
-def riemann_spray(setup, x, y):
-    """Levi-Civita geodesic coefficients of alpha at a point."""
-    return np.stack([g.value for g in riemann_spray_jets(setup, x, y, 0)], axis=-1)
-
-
 @dataclass(frozen=True)
 class PhiFunction:
     """A scalar profile phi(s) evaluable on jets, with its domain data."""
 
     fn: Callable[[TaylorValue], TaylorValue]
     label: str = ""
-    b0: float = 1.0
     admissible: Callable[[float], bool] = field(default=lambda s: True)
 
     def __call__(self, t):
@@ -199,7 +152,7 @@ def _phi_jet_at(phi, s0, cap):
     return phi.fn(space.seed_y(0, s0)), space
 
 
-def _q_w_theta_jets(phi, s0, order, b2):
+def _q_w_theta_jets(phi, s0, order):
     """Univariate jets of Q, Q'/(Q - tQ') and Theta at t = s0 (a float,
     or one per sample)."""
     label = phi.label or "phi"
@@ -225,29 +178,29 @@ def _q_w_theta_jets(phi, s0, order, b2):
     w = branch(~np.any(qp.coeffs, axis=-1),
                lambda qp, num_theta: qp.space.constant(0.0), quotient,
                qp, num_theta)
-    den_theta = (t0 * qt + (b2 - t0 * t0) * qp + 1.0) * 2.0
+    den_theta = (t0 * qt + (1.0 - t0 * t0) * qp + 1.0) * 2.0
     raise_if_singular(abs(den_theta.value) <= PARAM_DEN_TOL,
                       f"Theta denominator vanishes for {label}", den_theta.value)
     theta = num_theta / den_theta
     return q, w, theta
 
 
-def q_theta(phi, s, b2=1.0):
+def q_theta(phi, s):
     """(Q(s), Theta(s)) derived from phi by jets (no hand derivatives)."""
-    if abs(s) >= phi.b0:
-        raise ValueError(f"|s| = {abs(s)} outside (-b0, b0) = (-{phi.b0}, {phi.b0})")
-    q, _, theta = _q_w_theta_jets(phi, s, 0, b2)
+    if abs(s) >= 1.0:
+        raise ValueError(f"|s| = {abs(s)} outside (-1, 1)")
+    q, _, theta = _q_w_theta_jets(phi, s, 0)
     return q.value, theta.value
 
 
-def q_aux(phi, s, b2=1.0):
+def q_aux(phi, s):
     """(Q, Q', Q'/(Q - sQ'), Theta) at s, all from phi by jets."""
-    q, w, theta = _q_w_theta_jets(phi, s, 1, b2)
+    q, w, theta = _q_w_theta_jets(phi, s, 1)
     return q.value, q.extract((1,)), w.value, theta.value
 
 
-def ab_spray_jets(phi, setup, x, y, order):
-    """Spray of F = alpha phi(beta/alpha) in the block setup, as jets.
+def ab_spray_field(phi, setup, domain_guard=None, label=""):
+    """Spray of F = alpha phi(beta/alpha) in the block setup.
 
     With s_ij = 0 the general spray formula collapses to
 
@@ -255,8 +208,17 @@ def ab_spray_jets(phi, setup, x, y, order):
 
     where r_00 = (alpha^2 - beta^2) f'/f^2 = f' phi(yhat).
     """
+    return SprayField(
+        setup.n,
+        lambda x, y, order: _ab_spray_jets(phi, setup, x, y, order),
+        label=label or f"ab:{phi.label}",
+        domain_guard=domain_guard,
+    )
+
+
+def _ab_spray_jets(phi, setup, x, y, order):
     n = setup.n
-    x1 = np.asarray(x, float)[..., 0]
+    x1 = x[..., 0]
     _, y_jets = fiber_arguments(n, y, order)
     fv, fp = setup.f_values(x1)
     y1 = y_jets[0]
@@ -265,8 +227,8 @@ def ab_spray_jets(phi, setup, x, y, order):
     w = jets.sqrt(w2)
     s_jet = y1 / w  # beta/alpha; the conformal factor cancels
     s0 = s_jet.value
-    raise_if_singular(abs(s0) >= phi.b0, "direction outside the phi domain", s0)
-    qj, wj, thetaj = _q_w_theta_jets(phi, s0, order, setup.b2)
+    raise_if_singular(abs(s0) >= 1.0, "direction outside the phi domain", s0)
+    qj, wj, thetaj = _q_w_theta_jets(phi, s0, order)
     h = s_jet - s0
     w_y = compose_series(wj.coeffs, h)
     theta_y = compose_series(thetaj.coeffs, h)
@@ -281,23 +243,10 @@ def ab_spray_jets(phi, setup, x, y, order):
     return out
 
 
-def ab_spray(phi, setup, x, y):
-    return np.stack([g.value for g in ab_spray_jets(phi, setup, x, y, 0)], axis=-1)
-
-
-def ab_spray_field(phi, setup, domain_guard=None, label=""):
-    return SprayField(
-        setup.n,
-        lambda x, y, order: ab_spray_jets(phi, setup, x, y, order),
-        label=label or f"ab:{phi.label}",
-        domain_guard=domain_guard,
-    )
-
-
-def shen_class_spray_jets(c1, c3, setup, x, y, order):
+def shen_class_spray_field(c1, c3, setup, domain_guard=None):
     """Spray of the two-constant Landsberg class over the block setup.
 
-    Literal deformation form (b0 = 1):
+    Literal deformation form (b^2 = 1):
 
         G^i = G_alpha^i
             + (c1 k sqrt(alpha^2 - beta^2) / (2 (1 + c3)))
@@ -308,10 +257,19 @@ def shen_class_spray_jets(c1, c3, setup, x, y, order):
     """
     if c1 == 0.0:
         raise ValueError("c1 must be non-zero")
-    if 1.0 + c3 * setup.b2 <= 0.0:
-        raise ValueError("1 + c3 b0^2 must be positive")
+    if 1.0 + c3 <= 0.0:
+        raise ValueError("1 + c3 must be positive")
+    return SprayField(
+        setup.n,
+        lambda x, y, order: _shen_class_spray_jets(c1, c3, setup, x, y, order),
+        label=f"shen-class(c1={c1}, c3={c3})",
+        domain_guard=domain_guard,
+    )
+
+
+def _shen_class_spray_jets(c1, c3, setup, x, y, order):
     n = setup.n
-    x1 = np.asarray(x, float)[..., 0]
+    x1 = x[..., 0]
     _, y_jets = fiber_arguments(n, y, order)
     fv, fp = setup.f_values(x1)
     k = fp / scalar_map(lambda v: v**2, fv)
@@ -330,18 +288,3 @@ def shen_class_spray_jets(c1, c3, setup, x, y, order):
             bracket = bracket - beta * b_i + root * (c3 / c1 * b_i)
         out.append(galpha[i] + front * bracket)
     return out
-
-
-def shen_class_spray(c1, c3, setup, x, y):
-    return np.stack(
-        [g.value for g in shen_class_spray_jets(c1, c3, setup, x, y, 0)], axis=-1
-    )
-
-
-def shen_class_spray_field(c1, c3, setup, domain_guard=None):
-    return SprayField(
-        setup.n,
-        lambda x, y, order: shen_class_spray_jets(c1, c3, setup, x, y, order),
-        label=f"shen-class(c1={c1}, c3={c3})",
-        domain_guard=domain_guard,
-    )

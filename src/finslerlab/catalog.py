@@ -213,7 +213,7 @@ def _validate_params(class_id, params):
         if c1 == 0.0:
             raise CatalogError("shen_eq8 requires c1 != 0")
         if 1.0 + c3 <= 0.0:
-            raise CatalogError("shen_eq8 requires 1 + c3 b0 > 0")
+            raise CatalogError("shen_eq8 requires 1 + c3 > 0")
         if c4 <= 0.0:
             raise CatalogError("shen_eq8 requires c4 > 0")
         if (2.0 + c3) ** 2 - c1**2 - c3**2 <= 0.0:

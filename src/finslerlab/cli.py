@@ -160,18 +160,14 @@ def _csv_table(report):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     n = len(report.samples[0]["y"])
+    keys = verify.RESIDUAL_KEYS
     writer.writerow(
-        ["index", "x1", *[f"y{i + 1}" for i in range(n)], "F", "landsberg",
-         "berwald", "metrizability", "euler", "homogeneity",
-         "spray_mismatch", "det_g"]
+        ["index", "x1", *[f"y{i + 1}" for i in range(n)], "F", *keys, "det_g"]
     )
     for row in report.samples:
         writer.writerow(
             [row["index"], repr(row["x1"]), *[repr(v) for v in row["y"]],
-             repr(row["F"]), repr(row["landsberg"]), repr(row["berwald"]),
-             repr(row["metrizability"]), repr(row["euler"]),
-             repr(row["homogeneity"]),
-             "" if row["spray_mismatch"] is None else repr(row["spray_mismatch"]),
+             repr(row["F"]), *["" if row[k] is None else repr(row[k]) for k in keys],
              repr(row["det_g"])]
         )
     return buf.getvalue()

@@ -39,7 +39,6 @@ __all__ = [
     "DegenerateMetricError",
     "DegenerateMetricWarning",
     "metric_tensor",
-    "geodesic_spray",
     "ad_spray_field",
     "berwald_tensor",
     "landsberg_tensor",
@@ -293,11 +292,6 @@ def ad_spray_field(field):
         label=f"ad:{field.label}",
         domain_guard=field.domain_guard,
     )
-
-
-def geodesic_spray(field, x, y):
-    """Geodesic spray coefficients G^i as floats (variational route)."""
-    return np.stack([g.value for g in _ad_spray_jets(field, x, y, 0)], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -583,13 +583,13 @@ class TaylorValue:
         return power(self, exponent)
 
     def reciprocal(self):
-        b0 = _constant_term(self)
+        c0 = _constant_term(self)
         raise_if_singular(
-            abs(b0) <= SINGULAR_TOL, "division by (near-)zero constant term", b0
+            abs(c0) <= SINGULAR_TOL, "division by (near-)zero constant term", c0
         )
-        u = [1.0 / b0]
+        u = [1.0 / c0]
         for _ in range(self.space.x_cap + self.space.y_cap):
-            u.append(-u[-1] / b0)
+            u.append(-u[-1] / c0)
         return _compose_series(u, self._nilpotent())
 
     # -- helpers ----------------------------------------------------------

@@ -47,6 +47,7 @@ from .jets import fiber_arguments
 __all__ = [
     "TolProfile",
     "TOL_PROFILES",
+    "RESIDUAL_KEYS",
     "SamplePlan",
     "ClassificationReport",
     "SamplerStarvationError",
@@ -90,6 +91,18 @@ TOL_PROFILES = {
     "strict": TolProfile(1e-10, 1e-5, 1e-10, 1e-11, 1e-9),
     "loose": TolProfile(1e-7, 1e-4, 1e-7, 1e-8, 1e-6),
 }
+
+#: The per-sample residuals of a ``classify`` row that the report maximises
+#: (``spray_mismatch`` is None without an oracle spray).
+RESIDUAL_KEYS = (
+    "landsberg",
+    "berwald",
+    "metrizability",
+    "euler",
+    "homogeneity",
+    "spray_homogeneity",
+    "spray_mismatch",
+)
 
 
 @dataclass(frozen=True)
@@ -309,22 +322,13 @@ def classify(field, spray=None, plan=None, params=None):
         spray = ad_spray_field(field)
     oracle = None if derived else ad_spray_field(field)
     x, y = _sample_arrays(field.domain_guard, field.n, plan)
-    keys = (
-        "landsberg",
-        "berwald",
-        "metrizability",
-        "euler",
-        "homogeneity",
-        "spray_homogeneity",
-        "spray_mismatch",
-    )
-    maxima = {k: {"max": 0.0, "at_sample": None} for k in keys}
+    maxima = {k: {"max": 0.0, "at_sample": None} for k in RESIDUAL_KEYS}
     rows = _per_sample(
         lambda x, y: _classify_rows(field, spray, oracle, x, y), x, y
     )
     for i, row in enumerate(rows):
         row["index"] = i
-        for key in keys:
+        for key in RESIDUAL_KEYS:
             if row[key] is not None:
                 _max_update(maxima, key, row[key], i)
     det_min = min([math.inf] + [abs(row["det_g"]) for row in rows])

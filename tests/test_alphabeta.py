@@ -7,12 +7,10 @@ from finslerlab import alphabeta, catalog, geometry, jets
 from finslerlab.alphabeta import (
     PhiFunction,
     RiemannSetup,
-    ab_spray,
     ab_spray_field,
     q_aux,
     q_theta,
-    riemann_spray,
-    shen_class_spray,
+    shen_class_spray_field,
 )
 from finslerlab.jets import SingularPointError
 
@@ -33,74 +31,17 @@ def test_setup_validation():
         RiemannSetup(3, catalog.default_f, np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         RiemannSetup(2, catalog.default_f, np.eye(1))
-
-
-def test_block_metric_structure():
-    setup = product_setup()
-    x1 = 0.3
-    fv = math.exp(x1)
-    a = setup.a_matrix(x1)
-    assert a[0, 0] == pytest.approx(fv**2, rel=1e-12)
-    assert np.allclose(a[0, 1:], 0.0)
-    assert np.allclose(a[1:, 1:], fv**2 * setup.c)
-    assert np.abs(a @ setup.a_inverse(x1) - np.eye(3)).max() < 1e-12
-
-
-def test_unit_length_one_form():
-    setup = product_setup()
-    for x1 in (-0.4, 0.0, 0.25):
-        b_cov = setup.b_covector(x1)
-        b_vec = setup.b_vector(x1)
-        assert abs(float(b_cov @ b_vec) - 1.0) <= 1e-14
-        assert np.allclose(b_vec, setup.a_inverse(x1) @ b_cov, atol=1e-14)
-
-
-def test_covariant_derivative_of_b():
-    setup = product_setup()
-    x1 = 0.2
-    bij = setup.b_covariant_derivative(x1)
-    # the skew part s_ij vanishes exactly (symbolically forced)
-    assert np.abs(0.5 * (bij - bij.T)).max() == 0.0
-    a = setup.a_matrix(x1)
-    b = setup.b_covector(x1)
-    k = setup.k_value(x1)
-    assert np.abs(bij - k * (a - np.outer(b, b))).max() < 1e-14
-
-
-def test_christoffel_closed_form():
-    setup = product_setup()
-    x1 = -0.3
-    fv, fp = setup.f_values(x1)
-    gam = setup.christoffel(x1)
-    ratio = fp / fv
-    assert gam[0, 0, 0] == pytest.approx(ratio)
-    assert np.allclose(gam[0, 1:, 1:], -ratio * setup.c)
-    assert gam[1, 0, 1] == pytest.approx(ratio)
-    assert gam[2, 0, 2] == pytest.approx(ratio)
-    assert gam[0, 0, 1] == gam[1, 0, 0] == gam[1, 1, 2] == 0.0
-
-
-def test_r00_reduces_to_phi_times_fprime():
-    # r_00 = b_{i|j} y^i y^j must equal f' phi(yhat) for the block data
-    setup = product_setup()
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        x1 = rng.uniform(-0.5, 0.5)
-        y = rng.normal(size=3)
-        bij = setup.b_covariant_derivative(x1)
-        _, fp = setup.f_values(x1)
-        assert float(y @ bij @ y) == pytest.approx(
-            fp * setup.phi_value(y[1:]), rel=1e-12
-        )
+    with pytest.raises(ValueError, match="c must be finite"):
+        RiemannSetup(3, catalog.default_f, np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 def test_riemann_spray_constant_f():
     setup = product_setup(f=lambda t: t.space.constant(2.0))
-    assert np.abs(riemann_spray(setup, X0, Y111)).max() == 0.0
+    assert np.abs(setup.riemann_spray_field().values(X0, Y111)).max() == 0.0
 
 
 def test_riemann_spray_hand_values():
-    g = riemann_spray(product_setup(), X0, Y111)
+    g = product_setup().riemann_spray_field().values(X0, Y111)
     assert g == pytest.approx([0.0, 1.0, 1.0], abs=1e-14)
 
 
@@ -116,9 +57,11 @@ def test_riemann_spray_matches_variational_route():
         return setup.phi_value(yhat) > 0.05 * float(yhat @ yhat)
 
     field = geometry.FinslerField(3, ev, guard, "alpha")
+    spray = setup.riemann_spray_field()
+    variational = geometry.ad_spray_field(field)
     for x, y in admissible_points(field, 20, seed=31):
-        got = riemann_spray(setup, x, y)
-        ref = geometry.geodesic_spray(field, x, y)
+        got = spray.values(x, y)
+        ref = variational.values(x, y)
         assert np.abs(got - ref).max() < 1e-9 * max(1.0, np.abs(ref).max())
 
 
@@ -209,10 +152,10 @@ def test_projective_ratio_matches_published_expressions(metric_id, params):
 def test_ab_spray_riemannian_limit_is_exact():
     setup = product_setup()
     phi_one = PhiFunction(lambda t: t.space.constant(1.0) + t * 0.0, "1")
+    eq5 = ab_spray_field(phi_one, setup)
+    riemann = setup.riemann_spray_field()
     for x, y in [(X0, Y111), (np.array([0.3, 0, 0]), np.array([0.4, 0.7, 0.9]))]:
-        assert np.array_equal(
-            ab_spray(phi_one, setup, x, y), riemann_spray(setup, x, y)
-        )
+        assert np.array_equal(eq5.values(x, y), riemann.values(x, y))
 
 
 @pytest.mark.parametrize(
@@ -229,40 +172,42 @@ def test_ab_spray_matches_theorem_closed_form(metric_id, params):
     spec = catalog.make_spec(metric_id, params)
     field = catalog.build_finsler(spec)
     closed = catalog.closed_form_spray(spec).as_spray_field()
-    phi = catalog.phi_function(spec)
+    eq5 = ab_spray_field(catalog.phi_function(spec), spec.setup)
     for x, y in admissible_points(field, 20, seed=34):
-        got = ab_spray(phi, spec.setup, x, y)
+        got = eq5.values(x, y)
         ref = closed.values(x, y)
         assert np.abs(got - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
 
 
 def test_shen_class_spray_zero_when_f_constant():
     setup = product_setup(f=lambda t: t.space.constant(1.5))
-    g = shen_class_spray(2.0, 1.0, setup, X0, Y111)
+    g = shen_class_spray_field(2.0, 1.0, setup).values(X0, Y111)
     assert np.abs(g).max() == 0.0
 
 
 def test_shen_class_spray_hand_values():
-    g = shen_class_spray(2.0, 0.0, product_setup(), X0, Y111)
+    g = shen_class_spray_field(2.0, 0.0, product_setup()).values(X0, Y111)
     assert g == pytest.approx([0.0, 2.0, 2.0], abs=1e-14)
 
 
 def test_shen_class_spray_parameter_errors():
     setup = product_setup()
-    with pytest.raises(ValueError):
-        shen_class_spray(0.0, 0.5, setup, X0, Y111)
-    with pytest.raises(ValueError):
-        shen_class_spray(1.0, -1.0, setup, X0, Y111)
+    # rejected when the spray is built, before any evaluation
+    with pytest.raises(ValueError, match="c1 must be non-zero"):
+        shen_class_spray_field(0.0, 0.5, setup)
+    with pytest.raises(ValueError, match="1 \\+ c3 must be positive"):
+        shen_class_spray_field(1.0, -1.0, setup)
 
 
 def test_shen_class_spray_agrees_with_profile_route():
     spec = default_spec("shen_eq8")
     field = catalog.build_finsler(spec)
-    phi = catalog.phi_function(spec)
     c1, c3 = spec.params["c1"], spec.params["c3"]
+    shen = shen_class_spray_field(c1, c3, spec.setup)
+    eq5 = ab_spray_field(catalog.phi_function(spec), spec.setup)
     for x, y in admissible_points(field, 10, seed=35):
-        got = shen_class_spray(c1, c3, spec.setup, x, y)
-        ref = ab_spray(phi, spec.setup, x, y)
+        got = shen.values(x, y)
+        ref = eq5.values(x, y)
         assert np.abs(got - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
 
 
@@ -271,8 +216,9 @@ def test_shen_class_spray_reproduces_class1():
     spec = catalog.make_spec("class1", {"a": a})
     field = catalog.build_finsler(spec)
     closed = catalog.closed_form_spray(spec).as_spray_field()
+    shen = shen_class_spray_field(2 * a, a * a - 1.0, spec.setup)
     for x, y in admissible_points(field, 10, seed=36):
-        got = shen_class_spray(2 * a, a * a - 1.0, spec.setup, x, y)
+        got = shen.values(x, y)
         ref = closed.values(x, y)
         assert np.abs(got - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
 

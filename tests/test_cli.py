@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from finslerlab import verify
 from finslerlab.cli import main
 
 
@@ -89,6 +90,9 @@ def test_csv_table(tmp_path):
     ) == 0
     lines = (tmp_path / "rep.json.csv").read_text().splitlines()
     assert lines[0].startswith("index,x1,y1,y2,y3,F,landsberg,berwald")
+    header = lines[0].split(",")
+    for key in verify.RESIDUAL_KEYS:
+        assert key in header
     assert len(lines) == 7
 
 
@@ -129,6 +133,8 @@ def test_oracle_ad_route(tmp_path):
         (["--x-range", "0.5"], "--x-range expects LO,HI, got '0.5'"),
         (["--x-range", "0,bar"], "--x-range entry 2 must be a number, got 'bar'"),
         (["--seed", "-1"], "seed must be non-negative, got -1"),
+        (["--quadratic", "inf,0,0,1"], "c must be finite, got [[inf, 0.0], [0.0, 1.0]]"),
+        (["--quadratic", "nan,0,0,1"], "c must be finite, got [[nan, 0.0], [0.0, 1.0]]"),
     ],
 )
 def test_bad_numbers_named_at_the_boundary(extra, message, capsys):

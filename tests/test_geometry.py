@@ -12,7 +12,6 @@ from finslerlab.geometry import (
     ad_spray_field,
     berwald_tensor,
     euler_residual,
-    geodesic_spray,
     horizontal_differential,
     landsberg_tensor,
     metric_tensor,
@@ -86,19 +85,20 @@ def test_metric_matches_fd_hessian_of_energy():
 def test_spray_vanishes_for_constant_f():
     spec = catalog.make_spec("class1", f=lambda t: t.space.constant(3.0))
     field = catalog.build_finsler(spec)
+    spray = ad_spray_field(field)
     for x, y in admissible_points(field, 5, seed=2):
-        assert np.abs(geodesic_spray(field, x, y)).max() < 1e-13
+        assert np.abs(spray.values(x, y)).max() < 1e-13
 
 
 def test_spray_hand_values_first_worked_example():
     field = catalog.build_finsler(default_spec("example31"))
-    g = geodesic_spray(field, X0, Y111)
+    g = ad_spray_field(field).values(X0, Y111)
     assert g == pytest.approx([0.0, 1.5, 1.5], abs=1e-12)
 
 
 def test_spray_hand_values_class1_a2():
     field = catalog.build_finsler(default_spec("class1"))  # a = 2
-    g = geodesic_spray(field, X0, Y111)
+    g = ad_spray_field(field).values(X0, Y111)
     assert g == pytest.approx([3.0 / 8.0, 1.5, 1.5], abs=1e-12)
 
 
@@ -202,7 +202,7 @@ def test_degenerate_metric_raises_in_spray():
         3, ev, lambda x, y: y[1] * y[2] > 0.05, "rank-deficient"
     )
     with pytest.raises(DegenerateMetricError) as err:
-        geodesic_spray(degenerate, X0, np.array([0.3, 1.0, 0.8]))
+        ad_spray_field(degenerate).values(X0, np.array([0.3, 1.0, 0.8]))
     assert "det(g)" in str(err.value)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -331,6 +331,11 @@ def test_batched_pass_matches_per_sample_bitwise(metric_id, quadratic):
         phi = catalog.phi_function(spec)
         sprays["closed"] = (catalog.closed_form_spray(spec).as_spray_field(), (3,))
         sprays["eq5"] = (alphabeta.ab_spray_field(phi, spec.setup), (0, 3))
+        sprays["riemann"] = (spec.setup.riemann_spray_field(), (0, 3))
+    if metric_id == "shen_eq8":
+        c1, c3 = spec.params["c1"], spec.params["c3"]
+        shen = alphabeta.shen_class_spray_field(c1, c3, spec.setup)
+        sprays["shen_class"] = (shen, (0, 3))
     for name, (spray, orders) in sprays.items():
         for order in orders:
             calls[name, order] = (
