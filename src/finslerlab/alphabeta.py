@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .geometry import SprayField, _degeneracy
+from .geometry import RCOND_MIN, SprayField, rcond
 from .jets import (TaylorValue, branch, compose_series, fiber_arguments,
                    jet_space, raise_if_singular, scalar_map)
 
@@ -63,10 +63,10 @@ class RiemannSetup:
             raise ValueError(f"c must be finite, got {c.tolist()}")
         if c.shape != (n - 1, n - 1):
             raise ValueError(f"c must be {(n - 1, n - 1)}, got {c.shape}")
-        if not np.allclose(c, c.T, rtol=0, atol=1e-12):
+        if np.abs(c - c.T).max() > 1e-12 * np.abs(c).max():
             raise ValueError("c must be symmetric")
-        if _degeneracy(c)[1]:
-            raise ValueError("c must be non-singular")
+        if not (rc := rcond(c)) > RCOND_MIN:
+            raise ValueError(f"c must be non-singular: sigma_min/sigma_max = {rc:.3e}")
         self.n = n
         self.f = f
         self.c = 0.5 * (c + c.T)

@@ -162,13 +162,13 @@ def _csv_table(report):
     n = len(report.samples[0]["y"])
     keys = verify.RESIDUAL_KEYS
     writer.writerow(
-        ["index", "x1", *[f"y{i + 1}" for i in range(n)], "F", *keys, "det_g"]
+        ["index", "x1", *[f"y{i + 1}" for i in range(n)], "F", *keys, "g_rcond"]
     )
     for row in report.samples:
         writer.writerow(
             [row["index"], repr(row["x1"]), *[repr(v) for v in row["y"]],
              repr(row["F"]), *["" if row[k] is None else repr(row[k]) for k in keys],
-             repr(row["det_g"])]
+             repr(row["g_rcond"])]
         )
     return buf.getvalue()
 

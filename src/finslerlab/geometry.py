@@ -11,9 +11,10 @@ Every function taking ``(x, y)`` takes one point, shapes (n,), or a batch
 of N points, shapes (N, n), and then evaluates all of them in one jet pass
 (see the batch contract in :mod:`finslerlab.jets`): results gain a leading
 sample axis and each sample's entries are bit-identical to a one-point
-call.  Reductions whose rounding could change when batched (the
-``np.inner`` that forms L, ``det g``, the degeneracy test) stay per-sample
-loops.  Two spray routes exist:
+call.  The ``np.inner`` that forms L, whose rounding could change when
+batched, stays a per-sample loop; :func:`rcond`, the one degeneracy
+measure, runs on the whole stack, since LAPACK factors each matrix of a
+stack alone.  Two spray routes exist:
 
 * closed-form sprays supplied by the catalog (cheap; fiber order 3 is
   enough for the Berwald tensor), and
@@ -45,10 +46,15 @@ __all__ = [
     "horizontal_differential",
     "euler_residual",
     "point_tensors",
+    "rcond",
 ]
 
-#: |det g| below DET_RTOL times the Frobenius scale of g counts as degenerate.
-DET_RTOL = 1e-10
+#: m is degenerate when ``not rcond(m) > RCOND_MIN`` (nan included): the
+#: reciprocal 2-norm condition number ignores scale (Higham, *Accuracy and
+#: Stability of Numerical Algorithms*, SIAM 2002, ch. 7).  Measured: rcond(g)
+#: >= 5.5e-6 on the benchmark's non-degenerate jobs, <= 1.2e-14 at the
+#: criterion-2 singular point class4 (p, q) = (2, -1).
+RCOND_MIN = 1e-10
 
 #: Coefficients per jet (samples x space size) that one pass of the
 #: variational spray holds at most; larger batches run in chunks of
@@ -59,31 +65,30 @@ AD_CHUNK_COEFFS = 4096
 
 
 class DegenerateMetricError(RuntimeError):
-    """Metric tensor (numerically) singular; carries the determinant."""
-
-    def __init__(self, message, det=None):
-        if det is not None:
-            message = f"{message}: det(g) = {det:.3e}"
-        super().__init__(message)
-        self.det = det
+    """Metric tensor (numerically) singular."""
 
 
 class DegenerateMetricWarning(RuntimeWarning):
     pass
 
 
-def _degeneracy(m):
-    """(det m, whether |det m| < DET_RTOL * s**k for the k x k matrix m),
-    with s the Frobenius norm of m over sqrt(k); arrays of both, one per
-    matrix, for an (N, k, k) stack."""
-    m = np.asarray(m)
-    if m.ndim == 3:
-        dets, flags = zip(*map(_degeneracy, m))
-        return np.array(dets), np.array(flags)
-    k = len(m)
-    scale = np.linalg.norm(m) / max(1, np.sqrt(k))
-    det = float(np.linalg.det(m))
-    return det, abs(det) < DET_RTOL * max(scale, 1e-300) ** k
+def rcond(m):
+    """sigma_min / sigma_max of a k x k matrix (a float), or of each matrix
+    of an (N, k, k) stack (an array): 0 for a zero matrix, nan for one with
+    a non-finite entry, which never reaches LAPACK (it raises on nan)."""
+    m = np.asarray(m, dtype=float)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    sv = np.linalg.svd(np.where(finite[..., None, None], m, 0.0), compute_uv=False)
+    out = np.where(finite, 0.0, np.nan)
+    np.divide(sv[..., -1], sv[..., 0], out=out, where=sv[..., 0] > 0)
+    return out if m.ndim == 3 else float(out)
+
+
+def _first_degenerate(m):
+    """The first rcond not above RCOND_MIN among m's matrices, or None."""
+    ratio = np.atleast_1d(rcond(m))
+    bad = ~(ratio > RCOND_MIN)
+    return float(ratio[np.argmax(bad)]) if bad.any() else None
 
 
 class FinslerField:
@@ -215,19 +220,20 @@ def _swap_rows(a, b, col, piv):
 def _solve_jet_system(a, b, context=""):
     """Solve A X = B for jet entries by Gaussian elimination.
 
-    Pivoting is by the largest constant term, per sample for a batch; a
-    matrix whose constant part is degenerate raises, naming its
-    determinant (the first such sample's).
+    Pivoting is by the largest constant term, per sample for a batch.  A
+    matrix whose constant part is degenerate (:func:`rcond` not above
+    RCOND_MIN) raises, giving the first such sample's sigma_min/sigma_max.
     """
     n = len(b)
     a = [row[:] for row in a]
     b = list(b)
     const = np.array([[entry.value for entry in row] for row in a])
-    batched = const.ndim == 3
-    det, degenerate = _degeneracy(np.moveaxis(const, -1, 0) if batched else const)
-    if np.any(degenerate):
-        first = det[np.argmax(degenerate)] if batched else det
-        raise DegenerateMetricError(f"degenerate metric{context}", det=first)
+    first = _first_degenerate(np.moveaxis(const, -1, 0) if const.ndim == 3 else const)
+    if first is not None:
+        raise DegenerateMetricError(
+            f"degenerate metric{context}: det(g) ~ 0, "
+            f"sigma_min/sigma_max = {first:.3e}"
+        )
     for col in range(n):
         mags = np.abs([a[r][col].value for r in range(col, n)])
         if mags.ndim == 2 and mags.shape[1] > 1:
@@ -307,14 +313,9 @@ def _energy_hessian(f_jet):
 def metric_tensor(field, x, y):
     """Hessian of the energy F^2/2 in the fiber variables."""
     g = _energy_hessian(field.jet(x, y, 0, 2))
-    det, degenerate = _degeneracy(g)
-    if np.any(degenerate):
-        first = det[np.argmax(degenerate)] if g.ndim == 3 else det
-        warnings.warn(
-            f"metric tensor nearly degenerate: det(g) = {first:.3e}",
-            DegenerateMetricWarning,
-            stacklevel=2,
-        )
+    if (first := _first_degenerate(g)) is not None:
+        msg = f"metric tensor nearly degenerate: sigma_min/sigma_max = {first:.3e}"
+        warnings.warn(msg, DegenerateMetricWarning, stacklevel=2)
     return g
 
 
@@ -336,9 +337,10 @@ def horizontal_differential(field, spray, x, y):
     horizontal distribution of the spray, i.e. the first metrizability
     equation holds.
     """
-    return point_tensors(field, spray, x, y).map(
-        lambda pt: pt.dxF - pt.Gij.T @ pt.ell
-    )
+    pt = point_tensors(field, spray, x, y)
+    if pt.batch is None:
+        return pt.dxF - pt.Gij.T @ pt.ell
+    return np.array([pt.dxF[s] - pt.Gij[s].T @ pt.ell[s] for s in range(pt.batch)])
 
 
 def euler_residual(field, x, y):
@@ -393,19 +395,14 @@ class PointTensors:
         parts["F"] = float(parts["F"])
         return PointTensors(**parts)
 
-    def map(self, fn):
-        """``fn`` of the record, or of each sample's record, stacked."""
-        if self.batch is None:
-            return fn(self)
-        return np.array([fn(self[s]) for s in range(self.batch)])
-
     @property
     def g_inv(self):
         return np.linalg.inv(self.g)
 
     @property
-    def det_g(self):
-        return self.map(lambda pt: float(np.linalg.det(pt.g)))
+    def g_rcond(self):
+        """sigma_min / sigma_max of g (see :func:`rcond`)."""
+        return rcond(self.g)
 
 
 def point_tensors(field, spray, x, y):

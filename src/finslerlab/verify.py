@@ -267,6 +267,7 @@ def _classify_rows(field, spray, oracle, x, y):
         for lam in (0.5, 2.0)
     ]
     go = None if oracle is None else oracle.values(x, y)
+    g_rcond = pt.g_rcond
     rows = []
     for s in range(len(x)):
         p = pt[s]
@@ -300,7 +301,7 @@ def _classify_rows(field, spray, oracle, x, y):
             "homogeneity": hres,
             "spray_homogeneity": sres,
             "spray_mismatch": mismatch,
-            "det_g": p.det_g,
+            "g_rcond": float(g_rcond[s]),
             "conformal_rate": float(np.abs(p.dxF).max()) / abs(fval),
         })
     return rows
@@ -331,14 +332,13 @@ def classify(field, spray=None, plan=None, params=None):
         for key in RESIDUAL_KEYS:
             if row[key] is not None:
                 _max_update(maxima, key, row[key], i)
-    det_min = min([math.inf] + [abs(row["det_g"]) for row in rows])
     rate_max = max([0.0] + [row["conformal_rate"] for row in rows])
     floor_eff = tol.berwald_floor * rate_max
     verdict = decide_verdict(
         maxima["landsberg"]["max"], maxima["berwald"]["max"], floor_eff, tol
     )
     residuals = dict(maxima)
-    residuals["det_g_min"] = det_min
+    residuals["g_rcond_min"] = min([math.inf] + [row["g_rcond"] for row in rows])
     residuals["berwald_floor_effective"] = floor_eff
     if derived:
         residuals["spray_mismatch"] = {"max": None, "at_sample": None}

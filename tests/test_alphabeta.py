@@ -33,6 +33,12 @@ def test_setup_validation():
         RiemannSetup(2, catalog.default_f, np.eye(1))
     with pytest.raises(ValueError, match="c must be finite"):
         RiemannSetup(3, catalog.default_f, np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    # symmetry is judged relative to the size of c, not by an absolute 1e-12
+    with pytest.raises(ValueError, match="c must be symmetric"):
+        RiemannSetup(3, catalog.default_f, 1e-13 * np.array([[1.0, 5.0], [0.0, 1.0]]))
+    big = np.array([[1.0, 0.0], [1e-24, 1.0]]) * 1e13
+    big = RiemannSetup(3, catalog.default_f, big)
+    assert big.c[0, 0] == 1e13 and big.c[0, 1] == big.c[1, 0]
 
 
 def test_riemann_spray_constant_f():

@@ -93,6 +93,10 @@ def test_csv_table(tmp_path):
     header = lines[0].split(",")
     for key in verify.RESIDUAL_KEYS:
         assert key in header
+    assert header[-1] == "g_rcond"
+    doc = json.loads(out.read_text())
+    for line, row in zip(lines[1:], doc["samples"]):
+        assert float(line.split(",")[-1]) == row["g_rcond"] > 0.0
     assert len(lines) == 7
 
 
@@ -135,11 +139,37 @@ def test_oracle_ad_route(tmp_path):
         (["--seed", "-1"], "seed must be non-negative, got -1"),
         (["--quadratic", "inf,0,0,1"], "c must be finite, got [[inf, 0.0], [0.0, 1.0]]"),
         (["--quadratic", "nan,0,0,1"], "c must be finite, got [[nan, 0.0], [0.0, 1.0]]"),
+        (["--quadratic", "0,0,0,0"],
+         "c must be non-singular: sigma_min/sigma_max = 0.000e+00"),
+        (["--quadratic", "1e200,0,0,1"],
+         "c must be non-singular: sigma_min/sigma_max = 1.000e-200"),
     ],
 )
 def test_bad_numbers_named_at_the_boundary(extra, message, capsys):
     assert run(["classify", "--metric", "class1", *extra]) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def test_huge_quadratic_refused_by_its_condition_not_by_overflow(capsys):
+    # c = 1e160 I is well conditioned, but g mixes entries of order 1 and
+    # 1e160; its determinant would overflow, its sigma ratio does not
+    argv = ["classify", "--metric", "class1", "--quadratic", "1e160,0,0,1e160",
+            "--points", "5"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "degenerate metric" in err and "sigma_min/sigma_max = " in err
+
+
+@pytest.mark.parametrize("seed", (27, 36))
+def test_well_conditioned_mixed4_samples_accepted(seed, tmp_path):
+    # the scale-dependent det(g) test refused these (det = -3.9e-29 and
+    # -3.3e-24) although sigma_min/sigma_max of g stays above 5e-6
+    out = tmp_path / "r.json"
+    assert run(["classify", "--metric", "class1", "--quadratic", "mixed4",
+                "--seed", str(seed), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "Landsberg, non-Berwald"
+    assert doc["residuals"]["g_rcond_min"] > 1e-6
 
 
 def test_unknown_metric_exit_one(capsys):

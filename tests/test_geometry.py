@@ -210,6 +210,45 @@ def test_degenerate_metric_raises_in_spray():
     assert any(issubclass(w.category, DegenerateMetricWarning) for w in caught)
 
 
+def test_rcond_is_scale_free():
+    m = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 1e-3]])
+    sv = np.linalg.svd(m, compute_uv=False)
+    want = sv[-1] / sv[0]
+    for scale in (1.0, 1e150, 1e-150):
+        assert geometry.rcond(scale * m) == pytest.approx(want, rel=1e-14)
+    assert geometry.rcond(np.eye(2)) == 1.0
+    assert geometry.rcond(np.diag([1.0, 1e-12])) == 1e-12
+
+
+def test_rcond_of_zero_and_non_finite_matrices():
+    assert geometry.rcond(np.zeros((3, 3))) == 0.0
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(2)
+        m[0, 1] = bad
+        assert np.isnan(geometry.rcond(m))
+        stack = geometry.rcond(np.stack([np.eye(2), m, np.zeros((2, 2))]))
+        assert stack[0] == 1.0 and np.isnan(stack[1]) and stack[2] == 0.0
+
+
+def test_rcond_stack_matches_single_calls_bitwise():
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 3, 4):
+        stack = rng.normal(size=(40, k, k)) * 10.0 ** rng.uniform(-8, 8, (40, 1, 1))
+        stack[3] = 0.0
+        got = geometry.rcond(stack)
+        assert got.shape == (40,)
+        assert all(got[s] == geometry.rcond(stack[s]) for s in range(40))
+        assert isinstance(geometry.rcond(stack[0]), float)
+
+
+def test_c_is_judged_by_the_rcond_threshold():
+    assert geometry.RCOND_MIN == 1e-10
+    near = np.diag([1.0, 0.5e-10])
+    with pytest.raises(ValueError, match="sigma_min/sigma_max = 5.000e-11"):
+        alphabeta.RiemannSetup(3, catalog.default_f, near)
+    alphabeta.RiemannSetup(3, catalog.default_f, np.diag([1.0, 2e-10]))
+
+
 # ---------------------------------------------------------------------------
 # pointwise tensor invariants over the whole catalog
 # ---------------------------------------------------------------------------
@@ -363,11 +402,13 @@ def test_batched_pass_matches_per_sample_bitwise(metric_id, quadratic):
 
     spray = sprays.get("closed", sprays["variational"])[0]
     record = point_tensors(field, spray, x, y)
+    g_rcond = record.g_rcond
     for s in range(len(x)):
         one = point_tensors(field, spray, x[s], y[s])
         for f in dataclasses.fields(one):
             assert np.array_equal(getattr(record, f.name)[s], getattr(one, f.name))
             assert np.array_equal(getattr(record[s], f.name), getattr(one, f.name))
+        assert g_rcond[s] == record[s].g_rcond == one.g_rcond
 
 
 def test_class4_batch_across_the_arctan_chart_switch():
