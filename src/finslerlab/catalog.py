@@ -467,8 +467,9 @@ def _profile(spec):
 def build_finsler(spec):
     """FinslerField for a catalog spec, with its admissibility guard.
 
-    F = f(x^1) psi(y^1, sqrt(phi(yhat))); the guard keeps yhat away from
-    the phi(yhat) = 0 cone before the profile's own test.
+    F = f(x^1) psi(y^1, sqrt(phi(yhat))) depends on x^1 alone, declared as
+    ``x_deps=(0,)``; the guard keeps yhat away from the phi(yhat) = 0 cone
+    before the profile's own test.
     """
     if spec.class_id == "shen_r3_eq1":
         return _field_shen_r3_eq1(spec)
@@ -489,7 +490,8 @@ def build_finsler(spec):
             return False
         return prof.admits(y[0], math.sqrt(phi), phi, s2)
 
-    return FinslerField(setup.n, evaluate, guard, spec.label + prof.suffix)
+    return FinslerField(setup.n, evaluate, guard, spec.label + prof.suffix,
+                        x_deps=(0,))
 
 
 def _field_shen_r3_eq1(spec):
@@ -506,7 +508,7 @@ def _field_shen_r3_eq1(spec):
         y = np.asarray(y, float)
         return float(y[1] ** 2 + y[2] ** 2) >= PHI_MARGIN * float(y @ y)
 
-    return FinslerField(3, evaluate, guard, spec.label)
+    return FinslerField(3, evaluate, guard, spec.label, x_deps=(0,))
 
 
 def phi_function(spec):

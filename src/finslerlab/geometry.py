@@ -7,6 +7,14 @@ field jet at caps (1, 2) gives F, d_xF, ell and g, one spray jet at fiber
 order 3 gives G and its fiber derivatives, all read with
 :meth:`TaylorValue.fiber_tensor`; the tensor helpers wrap it.
 
+A field declares the base coordinates F depends on (``x_deps``); the
+pipeline and the variational spray seed only those, so the jet spaces
+they multiply in carry no base direction whose coefficients are all zero.
+Every catalog metric is f(x^1) psi(...) and declares ``(0,)``: its order-5
+space (n, n, 1, 5) shrinks to (1, n, 1, 5), from 630 to 252 coefficients
+for n = 4.  The dropped terms are exact zeros and the remaining products
+keep their order, so the results are bit-identical to full seeding.
+
 Every function taking ``(x, y)`` takes one point, shapes (n,), or a batch
 of N points, shapes (N, n), and then evaluates all of them in one jet pass
 (see the batch contract in :mod:`finslerlab.jets`): results gain a leading
@@ -59,8 +67,11 @@ RCOND_MIN = 1e-10
 #: Coefficients per jet (samples x space size) that one pass of the
 #: variational spray holds at most; larger batches run in chunks of
 #: samples.  Its order-3 pass keeps some fifty jets alive in spaces of up
-#: to 630 coefficients: measured unchunked, a 50-point batch held 5.5 MB,
-#: against 0.6 MB one point at a time.
+#: to 252 coefficients for a catalog field, (1, 4, 1, 5): measured with
+#: tracemalloc on example33, a 50-point batch held 2.1 MB unchunked and
+#: 0.84 MB in chunks, against 0.13 MB one point at a time (5.1, 0.91 and
+#: 0.37 MB in the (4, 4, 1, 5) space of a field that declares all four
+#: coordinates).
 AD_CHUNK_COEFFS = 4096
 
 
@@ -100,15 +111,38 @@ class FinslerField:
     only.  ``domain_guard(x, y)`` is a cheap float-only test for
     admissibility of a sample; the non-regular catalog metrics use it to
     stay away from their singular directions.
+
+    ``x_deps`` declares the base coordinates F depends on, stored as a
+    sorted tuple; the default is all n.  The contract: the x-derivatives
+    of F vanish identically outside ``x_deps``.  :func:`point_tensors` and
+    the variational spray seed only the declared coordinates and give
+    d_xF = 0 for the rest, so a false declaration silently drops terms;
+    the set is never detected from values.  :meth:`jet` still seeds every
+    coordinate, so its layout (and any multi-index read from it) does
+    not depend on the declaration.
     """
 
-    def __init__(self, n, evaluate, domain_guard=None, label=""):
+    def __init__(self, n, evaluate, domain_guard=None, label="", x_deps=None):
         self.n = n
         self._evaluate = evaluate
         self.domain_guard = domain_guard if domain_guard is not None else (
             lambda x, y: bool(np.linalg.norm(y) > 0)
         )
         self.label = label
+        self.x_deps = tuple(range(n)) if x_deps is None else self._checked_deps(x_deps)
+
+    def _checked_deps(self, x_deps):
+        deps = tuple(x_deps)
+        for i in deps:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) \
+                    or not 0 <= i < self.n:
+                raise ValueError(
+                    f"x_deps of field {self.label!r}: {i!r} is not a "
+                    f"coordinate index in range({self.n})"
+                )
+        if len(set(deps)) != len(deps):
+            raise ValueError(f"x_deps of field {self.label!r} repeats an index: {deps}")
+        return tuple(sorted(int(i) for i in deps))
 
     def __repr__(self):
         return f"FinslerField(n={self.n}, label={self.label!r})"
@@ -117,31 +151,43 @@ class FinslerField:
         return self._evaluate(xs, ys)
 
     def jet(self, x, y, x_cap, y_cap):
-        """Evaluate on freshly seeded arguments at the given caps."""
-        xs, ys = seeded_arguments(self.n, x, y, x_cap, y_cap)
+        """Evaluate on freshly seeded arguments at the given caps, with all
+        n x coordinates seeded whatever ``x_deps`` declares."""
+        return self._jet(x, y, x_cap, y_cap, range(self.n))
+
+    def _jet(self, x, y, x_cap, y_cap, x_deps):
+        xs, ys = seeded_arguments(self.n, x, y, x_cap, y_cap, x_deps)
         return _batched_like(self.evaluate(xs, ys), np.asarray(x))
 
     def value(self, x, y):
         return self.jet(x, y, 0, 1).value
 
 
-def seeded_arguments(n, x, y, x_cap, y_cap):
+def seeded_arguments(n, x, y, x_cap, y_cap, x_deps=None):
     """Seed (x, y) coordinates, shapes (n,) or (N, n), into a shared jet
     space.
 
-    With ``x_cap == 0`` the x coordinates enter as constants in a space
-    with no x variables, which keeps fiber-only work cheap.
+    The x coordinates listed in ``x_deps`` (default: all n, in increasing
+    order) become the space's x variables, the k-th listed one x variable
+    k: the space is (len(x_deps), n, x_cap, y_cap).  Every other x
+    coordinate, and all of them when ``x_cap == 0`` or ``x_deps`` is
+    empty, enters as a constant; the space then has no x variables, which
+    keeps fiber-only work cheap.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1:] != (n,) or x.ndim > 2 or y.shape != x.shape:
         raise JetUsageError(f"expected {n} coordinates in each group")
-    if x_cap > 0:
-        space = jet_space(n, n, x_cap, y_cap)
-        xs = [space.seed_x(i, x[..., i]) for i in range(n)]
+    deps = range(n) if x_deps is None else x_deps
+    if x_cap == 0 or not deps:
+        space, var = jet_space(0, n, 0, y_cap), {}
     else:
-        space = jet_space(0, n, 0, y_cap)
-        xs = [space.constant(x[..., i]) for i in range(n)]
+        space = jet_space(len(deps), n, x_cap, y_cap)
+        var = {i: k for k, i in enumerate(deps)}  # coordinate -> x variable
+    xs = [
+        space.seed_x(var[i], x[..., i]) if i in var else space.constant(x[..., i])
+        for i in range(n)
+    ]
     ys = [space.seed_y(i, y[..., i]) for i in range(n)]
     return xs, ys
 
@@ -253,10 +299,15 @@ def _solve_jet_system(a, b, context=""):
 
 
 def _ad_spray_jets(field, x, y, order):
-    """Spray jets from the energy function via the variational formula."""
-    n = field.n
+    """Spray jets from the energy function via the variational formula.
+
+    Only the declared coordinates r of ``field.x_deps`` are seeded, so the
+    sum over y^r d_r and the d_h F^2 term run over them alone (the others
+    are exact zeros); with none declared the right-hand side is zero.
+    """
+    n, deps = field.n, field.x_deps
     x = np.asarray(x, float)
-    step = max(1, AD_CHUNK_COEFFS // jet_space(n, n, 1, order + 2).size)
+    step = max(1, AD_CHUNK_COEFFS // jet_space(len(deps), n, 1, order + 2).size)
     if x.ndim == 2 and len(x) > step:
         parts = [
             _ad_spray_jets(field, x[lo:lo + step], y[lo:lo + step], order)
@@ -266,19 +317,23 @@ def _ad_spray_jets(field, x, y, order):
             TaylorValue(gi[0].space, np.concatenate([g.coeffs for g in gi]))
             for gi in zip(*parts)
         ]
-    xs, ys = seeded_arguments(n, x, y, 1, order + 2)
+    xs, ys = seeded_arguments(n, x, y, 1, order + 2, deps)
     f_jet = field.evaluate(xs, ys)
     f2 = f_jet * f_jet
     ys_mid = [ysi.drop_x().truncate(0, order + 1) for ysi in ys]
     rhs = []
     for h in range(n):
+        if not deps:  # F depends on no x coordinate
+            rhs.append(jet_space(0, n, 0, order).constant(0.0))
+            continue
         ah = f2.dy(h)  # caps (1, order+1)
         t = None
-        for r in range(n):
-            term = ys_mid[r] * ah.dx(r).drop_x()
+        for k, r in enumerate(deps):
+            term = ys_mid[r] * ah.dx(k).drop_x()
             t = term if t is None else t + term
-        ch = f2.dx(h).drop_x().truncate(0, order + 1)
-        rhs.append((t - ch).truncate(0, order))
+        if h in deps:
+            t = t - f2.dx(deps.index(h)).drop_x().truncate(0, order + 1)
+        rhs.append(t.truncate(0, order))
     g = [
         [
             (f2.dy(i).dy(j) * 0.5).drop_x().truncate(0, order)
@@ -407,12 +462,13 @@ class PointTensors:
 
 def point_tensors(field, spray, x, y):
     """The per-sample record: F, d_xF, ell and g from one field jet at
-    caps (1, 2), the spray tensors from one spray jet at order 3.  Raises
-    ValueError, before the spray is evaluated, unless F > 0 (naming the
-    first sample of a batch where it is not)."""
+    caps (1, 2), seeded in the coordinates of ``field.x_deps`` (d_xF is
+    0.0 for the rest), the spray tensors from one spray jet at order 3.
+    Raises ValueError, before the spray is evaluated, unless F > 0 (naming
+    the first sample of a batch where it is not)."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    fj = field.jet(x, y, 1, 2)
+    fj = field._jet(x, y, 1, 2, field.x_deps)
     F = fj.value
     bad = ~(np.asarray(F) > 0.0)
     if bad.any():
@@ -422,6 +478,7 @@ def point_tensors(field, spray, x, y):
             f"{float(np.asarray(F)[s])} at x = {x[s]}, y = {y[s]}"
         )
     batched = fj.batch is not None
+    zero = np.zeros(len(F)) if batched else 0.0
     ell = fj.fiber_tensor(1)
     gj = spray.jets(x, y, 3)
     gijkh = _components([gi.fiber_tensor(3) for gi in gj], batched)
@@ -433,7 +490,10 @@ def point_tensors(field, spray, x, y):
         x=x,
         y=y,
         F=F,
-        dxF=_components([fj.dx(i).value for i in range(field.n)], batched),
+        dxF=_components([
+            fj.dx(field.x_deps.index(i)).value if i in field.x_deps else zero
+            for i in range(field.n)
+        ], batched),
         ell=ell,
         g=_energy_hessian(fj.drop_x()),
         G=_components([gi.value for gi in gj], batched),

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from finslerlab import alphabeta, catalog, geometry, jets
+from finslerlab import alphabeta, catalog, cli, exprlang, geometry, jets
 from finslerlab.geometry import (
     DegenerateMetricError,
     DegenerateMetricWarning,
@@ -429,3 +429,102 @@ def test_class4_batch_across_the_arctan_chart_switch():
     batched = phi.fn(space.seed_y(0, s0))
     for s in range(len(x)):
         assert np.array_equal(batched.coeffs[s], phi.fn(space.seed_y(0, s0[s])).coeffs)
+
+
+# ---------------------------------------------------------------------------
+# declared base dependencies: x_deps
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x_deps", [(5,), (3,), (-1,), (0.0,), ("0",), (True,),
+                                    (0, 0), (2, 0, 2)])
+def test_x_deps_checked_at_the_boundary(x_deps):
+    with pytest.raises(ValueError, match="'euclidean'"):
+        FinslerField(3, euclidean_field().evaluate, label="euclidean", x_deps=x_deps)
+
+
+def test_x_deps_stored_sorted():
+    ev = euclidean_field().evaluate
+    assert FinslerField(3, ev).x_deps == (0, 1, 2)
+    assert FinslerField(3, ev, x_deps=[2, np.int64(0)]).x_deps == (0, 2)
+    assert FinslerField(3, ev, x_deps=()).x_deps == ()
+    assert catalog.build_finsler(default_spec("class1")).x_deps == (0,)
+    assert catalog.build_finsler(default_spec("shen_r3_eq1")).x_deps == (0,)
+
+
+def test_minkowski_field_with_no_x_deps():
+    full = euclidean_field()
+    minkowski = FinslerField(3, full.evaluate, full.domain_guard, "euclidean",
+                             x_deps=())
+    x, y = _plan_arrays(full, 10, seed=44)
+    spray = ad_spray_field(minkowski)
+    for order in (0, 3):
+        for gi in spray.jets(x, y, order) + spray.jets(x[0], y[0], order):
+            assert np.all(gi.coeffs == 0.0)
+    assert np.all(spray.values(x, y) == 0.0)
+    for xs, ys in ((x, y), (x[0], y[0])):
+        got = point_tensors(minkowski, spray, xs, ys)
+        want = point_tensors(full, ad_spray_field(full), xs, ys)
+        for f in dataclasses.fields(got):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+F_EXPRESSIONS = ("exp(x1)", "2+sin(x1)", "exp(-x1)")
+DEPS_CASES = [
+    (metric_id, quadratic, f)
+    for metric_id, quadratic in BATCH_CASES if metric_id != "shen_r3_eq1"
+    for f in F_EXPRESSIONS
+] + [("shen_r3_eq1", None, None)]
+
+
+def _catalog_field(metric_id, quadratic, f):
+    f_fn = None if f is None else exprlang.compile_expr(f)
+    return catalog.build_finsler(catalog.make_spec(metric_id, quadratic=quadratic, f=f_fn))
+
+
+@pytest.mark.parametrize("metric_id, quadratic, f", DEPS_CASES)
+def test_reduced_seeding_matches_full_seeding_bitwise(metric_id, quadratic, f):
+    field = _catalog_field(metric_id, quadratic, f)
+    full = FinslerField(field.n, field.evaluate, field.domain_guard, field.label)
+    assert field.x_deps == (0,) and full.x_deps == tuple(range(field.n))
+    x, y = _plan_arrays(field, 10, seed=45)
+    flat = flat_spray(field.n)
+    got, want = point_tensors(field, flat, x, y), point_tensors(full, flat, x, y)
+    for fld in dataclasses.fields(got):
+        assert np.array_equal(getattr(got, fld.name), getattr(want, fld.name)), fld.name
+    for order in (0, 3):
+        got = _outcome(ad_spray_field(field).jets, x, y, order)
+        want = _outcome(ad_spray_field(full).jets, x, y, order)
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+            continue
+        for g, w in zip(got, want):
+            assert g.space is w.space and np.array_equal(g.coeffs, w.coeffs)
+
+
+@pytest.mark.parametrize("metric_id, quadratic, f", DEPS_CASES)
+def test_declared_x_deps_are_true(metric_id, quadratic, f):
+    field = _catalog_field(metric_id, quadratic, f)
+    x, y = _plan_arrays(field, 10, seed=45)
+    fj = field.jet(x, y, 1, 2)
+    assert fj.space.n_x == field.n  # .jet keeps the full layout
+    for i in range(field.n):
+        if i not in field.x_deps:
+            assert np.all(fj.dx(i).coeffs == 0.0), i
+
+
+def test_oracle_cli_run_seeds_only_declared_coordinates(monkeypatch, tmp_path):
+    seeded = []
+
+    def recording(n_x, n_y, x_cap, y_cap):
+        if x_cap > 0:
+            seeded.append((n_x, n_y, x_cap, y_cap))
+        return jets.jet_space(n_x, n_y, x_cap, y_cap)
+
+    monkeypatch.setattr(geometry, "jet_space", recording)
+    code = cli.main(["classify", "--metric", "class1", "--quadratic", "mixed4",
+                     "--oracle-ad", "--points", "3", "--seed", "0",
+                     "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert (1, 4, 1, 5) in seeded and (1, 4, 1, 2) in seeded
+    assert all(space[0] == 1 for space in seeded), seeded
