@@ -96,6 +96,8 @@ def make_setup(quadratic="product", dim=None, f=None):
             )
         if quadratic == "euclid":
             n = 3 if dim is None else int(dim)
+            if n < 3:
+                raise CatalogError("setup needs dimension n >= 3")
             c = np.eye(n - 1)
         else:
             c = QUADRATIC_PRESETS[quadratic]
@@ -115,7 +117,6 @@ def make_setup(quadratic="product", dim=None, f=None):
 @dataclass(frozen=True)
 class CatalogEntry:
     id: str
-    params: str
     constraints: str
     source: str
     expected_verdict: str
@@ -126,35 +127,34 @@ class CatalogEntry:
 
 CATALOG = {
     "class1": CatalogEntry(
-        "class1", "a", "a ≠ 0", "Theorem 4.1",
+        "class1", "a ≠ 0", "Theorem 4.1",
         "Landsberg non-Berwald", {"a": 2.0}),
     "class2": CatalogEntry(
-        "class2", "a", "a ≠ 0, ±1", "Theorem 4.2",
+        "class2", "a ≠ 0, ±1", "Theorem 4.2",
         "Landsberg non-Berwald", {"a": 2.0}),
     "class3": CatalogEntry(
-        "class3", "a", "a ≠ 0", "Theorem 4.3",
+        "class3", "a ≠ 0", "Theorem 4.3",
         "Landsberg non-Berwald", {"a": 2.0}),
     "class4": CatalogEntry(
-        "class4", "p, q", "p≠0, q≠-1", "Theorem 4.4",
+        "class4", "p≠0, q≠-1", "Theorem 4.4",
         "Landsberg non-Berwald", {"p": 3.0, "q": 1.0}),
     "shen_eq8": CatalogEntry(
-        "shen_eq8", "c1, c3, c4",
-        "c1 ≠ 0, 1+c3 > 0, c4 > 0", "Eq. (8)",
+        "shen_eq8", "c1 ≠ 0, 1+c3 > 0, c4 > 0", "Eq. (8)",
         "Landsberg non-Berwald", {"c1": 1.0, "c3": 0.5, "c4": 1.0}),
     "asanov_eq9": CatalogEntry(
-        "asanov_eq9", "g", "g ≠ 0, |g| < 2", "Eq. (9)",
+        "asanov_eq9", "g ≠ 0, |g| < 2", "Eq. (9)",
         "Landsberg non-Berwald", {"g": 1.0}),
     "example31": CatalogEntry(
-        "example31", "", "—", "Example 3.1",
+        "example31", "—", "Example 3.1",
         "Landsberg non-Berwald", {}, fixed_quadratic="product"),
     "example32": CatalogEntry(
-        "example32", "", "—", "Example 3.2",
+        "example32", "—", "Example 3.2",
         "Landsberg non-Berwald", {}, fixed_quadratic="euclid"),
     "example33": CatalogEntry(
-        "example33", "", "—", "Example 3.3",
+        "example33", "—", "Example 3.3",
         "Landsberg non-Berwald", {}, fixed_quadratic="mixed4"),
     "shen_r3_eq1": CatalogEntry(
-        "shen_r3_eq1", "", "—", "Eq. (1)",
+        "shen_r3_eq1", "—", "Eq. (1)",
         "Landsberg non-Berwald", {}, fixed_quadratic=None,
         has_closed_form=False),
 }

@@ -590,7 +590,7 @@ class TaylorValue:
         u = [1.0 / c0]
         for _ in range(self.space.x_cap + self.space.y_cap):
             u.append(-u[-1] / c0)
-        return _compose_series(u, self._nilpotent())
+        return compose_series(u, self._nilpotent())
 
     # -- helpers ----------------------------------------------------------
 
@@ -640,9 +640,6 @@ def compose_series(u, h):
     return acc
 
 
-_compose_series = compose_series
-
-
 def _series_order(space):
     # h^m vanishes identically beyond total degree x_cap + y_cap.
     return space.x_cap + space.y_cap
@@ -670,7 +667,7 @@ def _series(a, coefficients):
     a univariate function at one constant term, with a's nilpotent part."""
     m = _series_order(a.space)
     u = scalar_map(lambda a0: coefficients(a0, m), _constant_term(a))
-    return _compose_series(u, a._nilpotent())
+    return compose_series(u, a._nilpotent())
 
 
 def sqrt(a):
@@ -682,7 +679,7 @@ def sqrt(a):
 def exp(a):
     e0 = scalar_map(math.exp, _constant_term(a))
     u = [e0 / math.factorial(k) for k in range(_series_order(a.space) + 1)]
-    return _compose_series(u, a._nilpotent())
+    return compose_series(u, a._nilpotent())
 
 
 def _ln_coefficients(a0, m):
@@ -726,7 +723,7 @@ def _real_power(a, r):
     u = [scalar_map(lambda v: v**r, a0)]
     for k in range(1, _series_order(a.space) + 1):
         u.append(u[-1] * (r - k + 1) / (k * a0))
-    return _compose_series(u, a._nilpotent())
+    return compose_series(u, a._nilpotent())
 
 
 def _signed_int_power(a, n):

@@ -1,19 +1,21 @@
 """Sampling-based classification of Finsler metrics.
 
 Each entry point (:func:`classify`, :func:`check_metrizability`,
-:func:`landsberg_via_p`, :func:`compare_sprays`) draws admissible samples
-and reduces the :func:`~finslerlab.geometry.point_tensors` record (or the
-spray values) of each to residual maxima.
-
-The samples of a plan are evaluated together: a fixed number of batched
-calls per plan (see the batch contract in :mod:`finslerlab.jets`), then a
-per-sample loop over the record for every reduction, so the reports are
-byte-identical to evaluating one point at a time.  If the batched pass
-raises a domain or arithmetic error (``SingularPointError``, an
-``OverflowError`` of a sample's series code, ``DegenerateMetricError``,
-``SpecialFormError`` or the ``F > 0`` ``ValueError``), the plan is re-run
-one sample at a time through the same code, so the exception that
-escapes is exactly the one the per-sample order meets first.
+:func:`landsberg_via_p`, :func:`compare_sprays`) keeps only its domain
+guard and its per-sample formulas; one driver, ``_run_plan``, does the
+rest.  It refuses fields and sprays of different dimensions, draws the
+plan's admissible samples and runs the entry point's ``rows_of(x, y)``
+once on the whole batch (see the batch contract in :mod:`finslerlab.jets`),
+so reports are byte-identical to evaluating one point at a time.  If the
+batched pass raises a domain or arithmetic error (``SingularPointError``,
+an ``OverflowError`` of a sample's series code, ``DegenerateMetricError``,
+``SpecialFormError`` or the ``F > 0`` ``ValueError``), it re-runs the
+samples one at a time through the same code, so the exception that
+escapes is exactly the one the per-sample order meets first.  It then
+reduces each residual to ``{"max", "at_sample"}``: starting from
+``0.0``/``None``, skipping ``None`` and updating only on a strict ``>``,
+so the first sample that reaches the maximum wins and a NaN never
+replaces a value.
 
 "Vanishes identically" is operationalized as: the residual, normalized by
 max(1, |F|, ||G||) at the sample, stays below a tolerance at every drawn
@@ -115,6 +117,10 @@ class SamplePlan:
     tolerances: TolProfile = field(default_factory=TolProfile)
 
     def __post_init__(self):
+        if np.ndim(self.x_range) != 1 or len(self.x_range) != 2:
+            raise ValueError(
+                f"x_range must have exactly two entries (lo, hi), got {self.x_range!r}"
+            )
         if not all(map(math.isfinite, (*self.x_range, self.exclusion_angle))):
             raise ValueError(
                 f"x_range {tuple(self.x_range)} and exclusion angle "
@@ -164,12 +170,6 @@ def draw_samples(domain_guard, n, plan):
     return points
 
 
-def _sample_arrays(domain_guard, n, plan):
-    """The plan's admissible samples as (N, n) arrays of x and of y."""
-    pts = draw_samples(domain_guard, n, plan)
-    return np.array([x for x, _ in pts]), np.array([y for _, y in pts])
-
-
 #: What a batched pass may raise where the per-sample order would meet a
 #: different error first: SingularPointError, and the OverflowError or
 #: ZeroDivisionError of a sample's scalar series code, are
@@ -178,21 +178,34 @@ def _sample_arrays(domain_guard, n, plan):
 _SAMPLE_ERRORS = (ArithmeticError, DegenerateMetricError, ValueError)
 
 
-def _per_sample(rows_of, x, y):
-    """``rows_of(x, y)``, one result per sample, for the whole batch; if
-    that raises, the samples again one at a time, so the exception raised
-    is the first one in per-sample order."""
+def _run_plan(guard, parts, plan, rows_of, keys):
+    """The rows of the plan's samples and the ``{"max", "at_sample"}`` of
+    each of ``keys`` over them, as the module docstring describes.
+    ``parts`` are the fields and sprays involved; ``rows_of(x, y)`` maps
+    (N, n) arrays to one dict per sample, keyed by residual name."""
+    if len({part.n for part in parts}) > 1:
+        raise ValueError("different dimensions: " + ", ".join(
+            f"{part.label!r} has n = {part.n}" for part in parts))
+    pts = draw_samples(guard, parts[0].n, plan)
+    x = np.array([p for p, _ in pts])
+    y = np.array([q for _, q in pts])
     try:
-        return rows_of(x, y)
+        rows = rows_of(x, y)
     except _SAMPLE_ERRORS:
-        return [row for s in range(len(x)) for row in rows_of(x[s:s + 1], y[s:s + 1])]
+        rows = [row for s in range(len(x)) for row in rows_of(x[s:s + 1], y[s:s + 1])]
+    maxima = {key: {"max": 0.0, "at_sample": None} for key in keys}
+    for i, row in enumerate(rows):
+        for key in keys:
+            if row[key] is not None and row[key] > maxima[key]["max"]:
+                maxima[key] = {"max": row[key], "at_sample": i}
+    return rows, maxima
 
 
-def _max_update(store, key, value, index):
-    entry = store[key]
-    if value > entry["max"]:
-        entry["max"] = value
-        entry["at_sample"] = index
+def _deviation(a, b):
+    """Relative deviation of two spray values, max|a - b| / max(1, |a|, |b|)."""
+    return float(np.abs(a - b).max()) / max(
+        1.0, float(np.abs(a).max()), float(np.abs(b).max())
+    )
 
 
 def _metrizability_residuals(pt):
@@ -202,14 +215,6 @@ def _metrizability_residuals(pt):
     horiz = float(np.abs(pt.dxF - pt.Gij.T @ pt.ell).max()) / scale
     euler = abs(float(pt.y @ pt.ell) - pt.F) / scale
     return scale, horiz, euler
-
-
-_VERDICT_RANK = {
-    "Berwald": 0,
-    "Landsberg, non-Berwald": 1,
-    "indeterminate": 2,
-    "non-Landsberg": 3,
-}
 
 
 def decide_verdict(landsberg_max, berwald_max, berwald_floor_effective, tol):
@@ -283,11 +288,6 @@ def _classify_rows(field, spray, oracle, x, y):
                 float(np.abs(gl[s] - lam**2 * gvals).max())
                 / max(1.0, lam**2 * float(np.abs(gvals).max())),
             )
-        mismatch = None
-        if go is not None:
-            mismatch = float(np.abs(go[s] - gvals).max()) / max(
-                1.0, float(np.abs(gvals).max()), float(np.abs(go[s]).max())
-            )
         rows.append({
             "index": None,
             "x1": float(p.x[0]),
@@ -300,7 +300,7 @@ def _classify_rows(field, spray, oracle, x, y):
             "euler": eres,
             "homogeneity": hres,
             "spray_homogeneity": sres,
-            "spray_mismatch": mismatch,
+            "spray_mismatch": None if go is None else _deviation(go[s], gvals),
             "g_rcond": float(g_rcond[s]),
             "conformal_rate": float(np.abs(p.dxF).max()) / abs(fval),
         })
@@ -322,16 +322,12 @@ def classify(field, spray=None, plan=None, params=None):
     if derived:
         spray = ad_spray_field(field)
     oracle = None if derived else ad_spray_field(field)
-    x, y = _sample_arrays(field.domain_guard, field.n, plan)
-    maxima = {k: {"max": 0.0, "at_sample": None} for k in RESIDUAL_KEYS}
-    rows = _per_sample(
-        lambda x, y: _classify_rows(field, spray, oracle, x, y), x, y
+    rows, maxima = _run_plan(
+        field.domain_guard, (field, spray), plan,
+        lambda x, y: _classify_rows(field, spray, oracle, x, y), RESIDUAL_KEYS,
     )
     for i, row in enumerate(rows):
         row["index"] = i
-        for key in RESIDUAL_KEYS:
-            if row[key] is not None:
-                _max_update(maxima, key, row[key], i)
     rate_max = max([0.0] + [row["conformal_rate"] for row in rows])
     floor_eff = tol.berwald_floor * rate_max
     verdict = decide_verdict(
@@ -356,18 +352,18 @@ def classify(field, spray=None, plan=None, params=None):
 
 def check_metrizability(field, spray, plan=None):
     """Maxima of the horizontal differential of F and its Euler defect."""
-    plan = plan or SamplePlan()
-    x, y = _sample_arrays(field.domain_guard, field.n, plan)
-    out = {k: {"max": 0.0, "at_sample": None} for k in ("metrizability", "euler")}
+    keys = ("metrizability", "euler")
 
     def rows_of(x, y):
         pt = point_tensors(field, spray, x, y)
-        return [_metrizability_residuals(pt[s])[1:] for s in range(len(x))]
+        return [
+            dict(zip(keys, _metrizability_residuals(pt[s])[1:]))
+            for s in range(len(x))
+        ]
 
-    for i, (mres, eres) in enumerate(_per_sample(rows_of, x, y)):
-        _max_update(out, "metrizability", mres, i)
-        _max_update(out, "euler", eres, i)
-    return out
+    return _run_plan(
+        field.domain_guard, (field, spray), plan or SamplePlan(), rows_of, keys
+    )[1]
 
 
 def landsberg_via_p(cfs, field, plan=None):
@@ -383,14 +379,7 @@ def landsberg_via_p(cfs, field, plan=None):
     evaluation, of the general-definition tensor, and of their
     disagreement, over the sample plan.
     """
-    plan = plan or SamplePlan()
     n = cfs.n
-    guard = cfs.domain_guard or field.domain_guard
-    x, y = _sample_arrays(guard, n, plan)
-    out = {
-        k: {"max": 0.0, "at_sample": None}
-        for k in ("via_p", "general", "agreement")
-    }
     spray = cfs.as_spray_field()
 
     def rows_of(x, y):
@@ -420,17 +409,17 @@ def landsberg_via_p(cfs, field, plan=None):
             )
             l_gen = p.L  # the general definition, from the same spray
             scale = max(1.0, abs(fval))
-            rows.append((
-                float(np.abs(l_via).max()) / scale,
-                float(np.abs(l_gen).max()) / scale,
-                float(np.abs(l_via - l_gen).max()) / scale,
-            ))
+            rows.append({
+                "via_p": float(np.abs(l_via).max()) / scale,
+                "general": float(np.abs(l_gen).max()) / scale,
+                "agreement": float(np.abs(l_via - l_gen).max()) / scale,
+            })
         return rows
 
-    for i, row in enumerate(_per_sample(rows_of, x, y)):
-        for key, value in zip(("via_p", "general", "agreement"), row):
-            _max_update(out, key, value, i)
-    return out
+    return _run_plan(
+        cfs.domain_guard or field.domain_guard, (cfs, field), plan or SamplePlan(),
+        rows_of, ("via_p", "general", "agreement"),
+    )[1]
 
 
 def perturbed_projective_factor(cfs, eps):
@@ -453,9 +442,6 @@ def perturbed_projective_factor(cfs, eps):
 
 def compare_sprays(spray_a, spray_b, plan=None):
     """Max over samples and components of the relative spray deviation."""
-    if spray_a.n != spray_b.n:
-        raise ValueError("sprays have different dimensions")
-    plan = plan or SamplePlan()
 
     def guard(x, y):
         return spray_a.domain_guard(x, y) and spray_b.domain_guard(x, y)
@@ -463,13 +449,8 @@ def compare_sprays(spray_a, spray_b, plan=None):
     def rows_of(x, y):
         ga = spray_a.values(x, y)
         gb = spray_b.values(x, y)
-        return [
-            float(np.abs(ga[s] - gb[s]).max())
-            / max(1.0, float(np.abs(ga[s]).max()), float(np.abs(gb[s]).max()))
-            for s in range(len(x))
-        ]
+        return [{"deviation": _deviation(ga[s], gb[s])} for s in range(len(x))]
 
-    worst = 0.0
-    for deviation in _per_sample(rows_of, *_sample_arrays(guard, spray_a.n, plan)):
-        worst = max(worst, deviation)
-    return worst
+    return _run_plan(
+        guard, (spray_a, spray_b), plan or SamplePlan(), rows_of, ("deviation",)
+    )[1]["deviation"]["max"]

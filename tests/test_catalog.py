@@ -313,3 +313,56 @@ def test_phi_admissible_wherever_field_is_sampled(case):
     phi = catalog.phi_function(spec)
     for x, y in admissible_points(build_finsler(spec), 50, seed=47):
         assert phi.admissible(_beta_over_alpha(spec, y)[0])
+
+
+# Metrizability of the catalog spray with constants (kappa, c = 1 + c3)
+# by F = f(x^1) v h(y^1 / v), v = sqrt(phi(yhat)), is one linear ODE in the
+# profile h(t) = psi(t, 1) (Z. Shen, Canad. J. Math. 61 (2009) 1357-1374):
+#     (c t^2 + 2 c kappa t + 1) h'(t) = (c t + 2 c kappa) h(t),
+# linear in (c, c kappa).  Solving it at two admissible t derives the
+# constants from psi alone, so Profile.spray() is a checked output.
+ODE_CASES = [
+    (metric_id, {}) for metric_id in (
+        "class1", "class2", "class3", "class4", "shen_eq8", "asanov_eq9",
+        "example31", "example32", "example33",
+    )
+] + [
+    ("class1", {"a": -0.5}),
+    ("class2", {"a": -3.0}),
+    ("class3", {"a": -0.5}),
+    ("class4", {"p": 1.0, "q": 0.0}),
+    ("class4", {"p": -2.0, "q": 3.0}),
+    ("class4", {"p": 2.0, "q": 0.0}),  # d = 0: delegates to class1
+    ("asanov_eq9", {"g": -1.0}),
+]
+
+
+def _profile_and_slope(prof, t):
+    """h(t) = psi(t, 1) and h'(t), from an order-1 jet in t."""
+    hj = prof.psi(1.0, jet_space(0, 1, 0, 1).seed_y(0, t), 1.0, 1.0)
+    return hj.value, hj.dy(0).value
+
+
+@pytest.mark.parametrize(
+    "metric_id,params", ODE_CASES, ids=[make_spec(*c).label for c in ODE_CASES]
+)
+def test_spray_constants_derived_from_psi(metric_id, params):
+    prof = catalog._profile(make_spec(metric_id, params))
+    grid = [
+        t for t in np.linspace(-3.0, 3.0, 121)
+        if prof.admits(t, 1.0, 1.0, 1.0 + t * t)
+    ]
+    system, rhs = [], []
+    for t in (grid[len(grid) // 3], grid[2 * len(grid) // 3]):
+        h, dh = _profile_and_slope(prof, t)
+        system.append([t * t * dh - t * h, 2.0 * (t * dh - h)])
+        rhs.append(-dh)
+    c, c_kappa = np.linalg.solve(system, rhs)
+    kappa0, c0 = prof.spray()
+    assert c == pytest.approx(c0, rel=1e-10)
+    assert c_kappa / c == pytest.approx(kappa0, rel=1e-10)
+    for t in grid:
+        h, dh = _profile_and_slope(prof, t)
+        lhs = (c0 * t * t + 2.0 * c0 * kappa0 * t + 1.0) * dh
+        rhs_t = (c0 * t + 2.0 * c0 * kappa0) * h
+        assert abs(lhs - rhs_t) <= 1e-12 * max(1.0, abs(lhs), abs(rhs_t))

@@ -143,6 +143,8 @@ def test_oracle_ad_route(tmp_path):
          "c must be non-singular: sigma_min/sigma_max = 0.000e+00"),
         (["--quadratic", "1e200,0,0,1"],
          "c must be non-singular: sigma_min/sigma_max = 1.000e-200"),
+        (["--quadratic", "euclid", "--dim", "0"], "setup needs dimension n >= 3"),
+        (["--quadratic", "euclid", "--dim", "-1"], "setup needs dimension n >= 3"),
     ],
 )
 def test_bad_numbers_named_at_the_boundary(extra, message, capsys):

@@ -62,6 +62,9 @@ def test_plan_validation():
     ):
         with pytest.raises(ValueError, match="finite"):
             SamplePlan(**bad)
+    for bad in ((0.0,), (0.0, 0.1, 5.0), 0.5):
+        with pytest.raises(ValueError, match="x_range"):
+            SamplePlan(x_range=bad)
 
 
 def test_sampler_determinism_and_exclusion():
@@ -331,3 +334,104 @@ def test_batched_overflow_falls_back_to_the_per_sample_error():
     with pytest.raises(OverflowError):
         geometry.point_tensors(field, cfs.as_spray_field(), x, y)
     _assert_entry_points_raise_per_sample_error(field, cfs, plan, x, y)
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    ["classify", "check_metrizability", "landsberg_via_p", "compare_sprays"],
+)
+def test_entry_points_refuse_parts_of_different_dimensions(entry_point, monkeypatch):
+    # a class1 field on product (n = 3) against class1's spray on mixed4
+    # (n = 4): refused before a single sample is drawn
+    spec3 = default_spec("class1")
+    field3 = catalog.build_finsler(spec3)
+    spray3 = catalog.closed_form_spray(spec3).as_spray_field()
+    cfs4 = catalog.closed_form_spray(catalog.make_spec("class1", quadratic="mixed4"))
+    spray4 = cfs4.as_spray_field()
+    call = {
+        "classify": lambda: classify(field3, spray4, PLAN),
+        "check_metrizability": lambda: check_metrizability(field3, spray4, PLAN),
+        "landsberg_via_p": lambda: landsberg_via_p(cfs4, field3, PLAN),
+        "compare_sprays": lambda: compare_sprays(spray3, spray4, PLAN),
+    }[entry_point]
+
+    def no_sampling(*args):
+        raise AssertionError("samples drawn before the dimension check")
+
+    monkeypatch.setattr(verify, "draw_samples", no_sampling)
+    with pytest.raises(ValueError, match="different dimensions") as err:
+        call()
+    assert "n = 3" in str(err.value) and "n = 4" in str(err.value)
+
+
+def _hand_reduction(rows, key):
+    """The first index whose value reaches the maximum, None skipped; a
+    maximum of 0.0 names no sample."""
+    values = [(i, row[key]) for i, row in enumerate(rows) if row[key] is not None]
+    top = max([0.0] + [v for _, v in values])
+    at = next((i for i, v in values if v == top), None) if top > 0.0 else None
+    return {"max": top, "at_sample": at}
+
+
+@pytest.mark.parametrize("oracle_ad", [False, True], ids=["closed", "derived"])
+def test_report_maxima_name_their_first_worst_sample(oracle_ad):
+    spec = default_spec("class3")
+    field = catalog.build_finsler(spec)
+    spray = None if oracle_ad else catalog.closed_form_spray(spec).as_spray_field()
+    report = classify(field, spray, PLAN)
+    assert [row["index"] for row in report.samples] == list(range(PLAN.n_points))
+    for key in verify.RESIDUAL_KEYS:
+        if oracle_ad and key == "spray_mismatch":
+            assert report.residuals[key] == {"max": None, "at_sample": None}
+            continue
+        assert report.residuals[key] == _hand_reduction(report.samples, key)
+    assert report.residuals["berwald"]["at_sample"] is not None
+
+
+@pytest.mark.parametrize("spray_id", ["class2", "class3"], ids=["own", "foreign"])
+def test_check_metrizability_equals_the_classify_entries(spray_id):
+    # same guard, same samples, same formulas: equal to the last bit
+    field = catalog.build_finsler(default_spec("class2"))
+    spray = catalog.closed_form_spray(default_spec(spray_id)).as_spray_field()
+    report = classify(field, spray, PLAN)
+    out = check_metrizability(field, spray, PLAN)
+    assert out == {k: report.residuals[k] for k in ("metrizability", "euler")}
+
+
+def test_reduction_keeps_the_first_maximum_and_ignores_nan():
+    values = [1.0, math.nan, 2.0, None, 2.0, 0.5]
+    part = geometry.SprayField(3, None, label="fake")
+    rows, maxima = verify._run_plan(
+        lambda x, y: True, (part,), SamplePlan(n_points=len(values)),
+        lambda x, y: [{"r": v, "zero": 0.0} for v in values[:len(x)]],
+        ("r", "zero"),
+    )
+    assert len(rows) == len(values)
+    assert maxima == {
+        "r": {"max": 2.0, "at_sample": 2},
+        "zero": {"max": 0.0, "at_sample": None},
+    }
+
+
+def test_compare_sprays_falls_back_to_the_per_sample_error():
+    # spray_a divides by a zero constant term at sample 8, spray_b takes
+    # the ln of one at sample 3: the batched pass meets the division
+    # first, the per-sample order the ln
+    plan, x, y, base, cfs = _spray_singular_at_sample_3()
+    c_a = y[8, 0]
+
+    def p(x, y_jets):
+        d = y_jets[0] - c_a
+        return y_jets[0] * 0.1 + (d * d).reciprocal() * 0.0
+
+    from finslerlab.catalog import ClosedFormSpray
+
+    spray_a = ClosedFormSpray(3, cfs.g1, p, "divides-at-8", base.domain_guard)
+    spray_a = spray_a.as_spray_field()
+    spray_b = cfs.as_spray_field()
+    with pytest.raises(jets.SingularPointError) as batched:
+        spray_a.values(x, y)
+    assert "division" in str(batched.value)
+    with pytest.raises(jets.SingularPointError) as err:
+        compare_sprays(spray_a, spray_b, plan)
+    assert str(err.value).startswith("ln of non-positive constant term")
