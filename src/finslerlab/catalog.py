@@ -22,21 +22,24 @@ route.  Its F is the examples' psi with the warped r.
 
 The four parametric classes, F / f(x^1) = psi(b, r):
 
-    class1  (a b + r) exp(a b / (a b + r)),               a != 0
-    class2  ((a+1)b + r)^{(1+a)/2} ((a-1)b + r)^{(1-a)/2}, a != 0, +-1
-    class3  a b + (r^2) / (a b + 2 r),                    a != 0
-    class4  sqrt(b^2 + r^2 + p b r + q b^2) exp(...arctanh/arctan...),
-            p != 0, q != -1
+    class1  (a b + r) exp(a b / (a b + r))
+    class2  ((a+1)b + r)^{(1+a)/2} ((a-1)b + r)^{(1-a)/2}
+    class3  a b + (r^2) / (a b + 2 r)
+    class4  sqrt(b^2 + r^2 + p b r + q b^2) exp(...arctanh/arctan...)
 
 class4 dispatches on the discriminant p^2 - 4q - 4: positive uses the
 real arctanh branch, negative the real arctan form, zero reduces to
 class1 with a = p/2.
+
+Each :class:`CatalogEntry` is the one definition of its entry: source,
+defaults, profile, parameter rules and any setup it fixes;
+``finslerlab list`` prints the rules.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -50,6 +53,7 @@ __all__ = [
     "MetricClassSpec",
     "ClosedFormSpray",
     "CATALOG",
+    "EXPECTED_VERDICT",
     "make_setup",
     "make_spec",
     "build_finsler",
@@ -115,52 +119,6 @@ def make_setup(quadratic="product", dim=None, f=None):
 
 
 @dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    constraints: str
-    source: str
-    expected_verdict: str
-    defaults: dict = dc_field(default_factory=dict)
-    fixed_quadratic: str | None = None
-    has_closed_form: bool = True
-
-
-CATALOG = {
-    "class1": CatalogEntry(
-        "class1", "a ≠ 0", "Theorem 4.1",
-        "Landsberg non-Berwald", {"a": 2.0}),
-    "class2": CatalogEntry(
-        "class2", "a ≠ 0, ±1", "Theorem 4.2",
-        "Landsberg non-Berwald", {"a": 2.0}),
-    "class3": CatalogEntry(
-        "class3", "a ≠ 0", "Theorem 4.3",
-        "Landsberg non-Berwald", {"a": 2.0}),
-    "class4": CatalogEntry(
-        "class4", "p≠0, q≠-1", "Theorem 4.4",
-        "Landsberg non-Berwald", {"p": 3.0, "q": 1.0}),
-    "shen_eq8": CatalogEntry(
-        "shen_eq8", "c1 ≠ 0, 1+c3 > 0, c4 > 0", "Eq. (8)",
-        "Landsberg non-Berwald", {"c1": 1.0, "c3": 0.5, "c4": 1.0}),
-    "asanov_eq9": CatalogEntry(
-        "asanov_eq9", "g ≠ 0, |g| < 2", "Eq. (9)",
-        "Landsberg non-Berwald", {"g": 1.0}),
-    "example31": CatalogEntry(
-        "example31", "—", "Example 3.1",
-        "Landsberg non-Berwald", {}, fixed_quadratic="product"),
-    "example32": CatalogEntry(
-        "example32", "—", "Example 3.2",
-        "Landsberg non-Berwald", {}, fixed_quadratic="euclid"),
-    "example33": CatalogEntry(
-        "example33", "—", "Example 3.3",
-        "Landsberg non-Berwald", {}, fixed_quadratic="mixed4"),
-    "shen_r3_eq1": CatalogEntry(
-        "shen_r3_eq1", "—", "Eq. (1)",
-        "Landsberg non-Berwald", {}, fixed_quadratic=None,
-        has_closed_form=False),
-}
-
-
-@dataclass(frozen=True)
 class MetricClassSpec:
     """One catalog entry bound to concrete parameters and a setup."""
 
@@ -176,95 +134,6 @@ class MetricClassSpec:
     def label(self):
         ps = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
         return f"{self.class_id}({ps})" if ps else self.class_id
-
-
-def _validate_params(class_id, params):
-    for key, val in sorted(params.items()):
-        if not math.isfinite(val):
-            raise CatalogError(
-                f"{class_id} parameter {key} must be finite, got {val}"
-            )
-    if class_id == "class1":
-        if params["a"] == 0.0:
-            raise CatalogError("class1 requires a != 0")
-    elif class_id == "class2":
-        a = params["a"]
-        if a == 0.0:
-            raise CatalogError("class2 requires a != 0")
-        if abs(a) == 1.0:
-            raise DegenerateMetricError(
-                "class2 metric is singular at a = ±1: det(g) = 0"
-            )
-    elif class_id == "class3":
-        if params["a"] == 0.0:
-            raise DegenerateMetricError(
-                "class3 metric is singular at a = 0: det(g) = 0"
-            )
-    elif class_id == "class4":
-        if params["p"] == 0.0:
-            raise CatalogError("class4 requires p != 0")
-        if params["q"] == -1.0:
-            raise DegenerateMetricError(
-                "class4 metric is singular at q = -1: det(g) = 0 "
-                "(the 1+q denominators of Theta, G^1 and P vanish)"
-            )
-    elif class_id == "shen_eq8":
-        c1, c3, c4 = params["c1"], params["c3"], params["c4"]
-        if c1 == 0.0:
-            raise CatalogError("shen_eq8 requires c1 != 0")
-        if 1.0 + c3 <= 0.0:
-            raise CatalogError("shen_eq8 requires 1 + c3 > 0")
-        if c4 <= 0.0:
-            raise CatalogError("shen_eq8 requires c4 > 0")
-        if (2.0 + c3) ** 2 - c1**2 - c3**2 <= 0.0:
-            raise CatalogError(
-                "shen_eq8 requires (2+c3)^2 - (c1^2+c3^2) > 0 "
-                "for a real exponent"
-            )
-    elif class_id == "asanov_eq9":
-        g = params["g"]
-        if g == 0.0 or abs(g) >= 2.0:
-            raise CatalogError("asanov_eq9 requires g != 0 and |g| < 2")
-
-
-def make_spec(metric_id, params=None, quadratic=None, dim=None, f=None,
-              setup=None):
-    """Resolve an entry id plus overrides into a MetricClassSpec."""
-    entry = CATALOG.get(metric_id)
-    if entry is None:
-        raise CatalogError(
-            f"unknown metric id {metric_id!r}; see the catalog listing"
-        )
-    merged = dict(entry.defaults)
-    if params:
-        unknown = set(params) - set(merged)
-        if unknown:
-            raise CatalogError(
-                f"{metric_id} does not take parameters {sorted(unknown)}"
-            )
-        merged.update({k: float(v) for k, v in params.items()})
-    _validate_params(metric_id, merged)
-    if metric_id == "shen_r3_eq1":
-        if quadratic is not None or dim not in (None, 3) or setup is not None \
-                or f is not None:
-            raise CatalogError("shen_r3_eq1 fixes its own Riemannian data")
-        return MetricClassSpec(metric_id, merged, None)
-    if entry.fixed_quadratic is not None:
-        if quadratic is not None and quadratic != entry.fixed_quadratic:
-            raise CatalogError(
-                f"{metric_id} fixes the quadratic form "
-                f"{entry.fixed_quadratic!r}"
-            )
-        quadratic = entry.fixed_quadratic
-        fixed_dim = 4 if metric_id == "example33" else 3
-        if dim not in (None, fixed_dim):
-            raise CatalogError(f"{metric_id} fixes dimension {fixed_dim}")
-        dim = fixed_dim
-    if setup is None:
-        if quadratic is None:
-            quadratic = "product"
-        setup = make_setup(quadratic, dim=dim, f=f)
-    return MetricClassSpec(metric_id, merged, setup)
 
 
 # ---------------------------------------------------------------------------
@@ -437,27 +306,137 @@ def _example3x():
     return Profile(psi, lambda b, r, r2, s2: True, lambda: (0.5, 1.0))
 
 
-_PROFILES = {
-    "class1": _class1,
-    "class2": _class2,
-    "class3": _class3,
-    "class4": _class4,
-    "shen_eq8": _shen_eq8,
-    "asanov_eq9": _asanov_eq9,
-    "example31": _example3x,
-    "example32": _example3x,
-    "example33": _example3x,
+# ---------------------------------------------------------------------------
+# catalog entries: one record each
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One catalog entry, defined once.
+
+    ``profile`` makes the entry's :class:`Profile` from its parameters; it
+    is None for an entry that fixes its own Riemannian data and has no
+    closed form.  A rule is ``(text, holds(params), error)``, ``error``
+    making the exception from its message; ``fixed`` is (preset, n).
+    """
+
+    source: str
+    defaults: dict
+    profile: Callable | None
+    rules: tuple = ()
+    fixed: tuple | None = None
+
+    @property
+    def constraints(self):
+        return ", ".join(text for text, _, _ in self.rules) or "—"
+
+    @property
+    def has_closed_form(self):
+        return self.profile is not None
+
+
+def _singular(message):
+    """The error of a rule whose excluded parameters make g degenerate."""
+    return DegenerateMetricError(
+        f"{message}: the metric is singular otherwise, det(g) = 0"
+    )
+
+
+#: The verdict the paper proves for every entry.
+EXPECTED_VERDICT = "Landsberg non-Berwald"
+
+CATALOG = {
+    "class1": CatalogEntry("Theorem 4.1", {"a": 2.0}, _class1, (
+        ("a ≠ 0", lambda p: p["a"] != 0.0, CatalogError),)),
+    "class2": CatalogEntry("Theorem 4.2", {"a": 2.0}, _class2, (
+        ("a ≠ 0", lambda p: p["a"] != 0.0, CatalogError),
+        ("a ≠ ±1", lambda p: abs(p["a"]) != 1.0, _singular))),
+    "class3": CatalogEntry("Theorem 4.3", {"a": 2.0}, _class3, (
+        ("a ≠ 0", lambda p: p["a"] != 0.0, _singular),)),
+    "class4": CatalogEntry("Theorem 4.4", {"p": 3.0, "q": 1.0}, _class4, (
+        ("p≠0", lambda p: p["p"] != 0.0, CatalogError),
+        ("q≠-1", lambda p: p["q"] != -1.0, _singular))),
+    "shen_eq8": CatalogEntry(
+        "Eq. (8)", {"c1": 1.0, "c3": 0.5, "c4": 1.0}, _shen_eq8, (
+            ("c1 ≠ 0", lambda p: p["c1"] != 0.0, CatalogError),
+            ("1+c3 > 0", lambda p: 1.0 + p["c3"] > 0.0, CatalogError),
+            ("c4 > 0", lambda p: p["c4"] > 0.0, CatalogError),
+            ("(2+c3)² > c1² + c3²",  # a real exponent
+             lambda p: (2.0 + p["c3"]) ** 2 - p["c1"] ** 2 - p["c3"] ** 2 > 0.0,
+             CatalogError))),
+    "asanov_eq9": CatalogEntry("Eq. (9)", {"g": 1.0}, _asanov_eq9, (
+        ("g ≠ 0", lambda p: p["g"] != 0.0, CatalogError),
+        ("|g| < 2", lambda p: abs(p["g"]) < 2.0, CatalogError))),
+    "example31": CatalogEntry(
+        "Example 3.1", {}, _example3x, fixed=("product", 3)),
+    "example32": CatalogEntry(
+        "Example 3.2", {}, _example3x, fixed=("euclid", 3)),
+    "example33": CatalogEntry(
+        "Example 3.3", {}, _example3x, fixed=("mixed4", 4)),
+    "shen_r3_eq1": CatalogEntry("Eq. (1)", {}, None),
 }
 
 
+def _validate_params(class_id, params):
+    for key, val in sorted(params.items()):
+        if not math.isfinite(val):
+            raise CatalogError(
+                f"{class_id} parameter {key} must be finite, got {val}"
+            )
+    for text, holds, error in CATALOG[class_id].rules:
+        if not holds(params):
+            raise error(f"{class_id} requires {text}")
+
+
+def make_spec(metric_id, params=None, quadratic=None, dim=None, f=None,
+              setup=None):
+    """Resolve an entry id plus overrides into a MetricClassSpec; ``setup``
+    stands for ``quadratic``, ``dim`` and ``f``."""
+    entry = CATALOG.get(metric_id)
+    if entry is None:
+        raise CatalogError(
+            f"unknown metric id {metric_id!r}; see the catalog listing"
+        )
+    merged = dict(entry.defaults)
+    if params:
+        unknown = set(params) - set(merged)
+        if unknown:
+            raise CatalogError(
+                f"{metric_id} does not take parameters {sorted(unknown)}"
+            )
+        merged.update({k: float(v) for k, v in params.items()})
+    _validate_params(metric_id, merged)
+    if setup is not None:
+        if entry.profile is None or entry.fixed:
+            raise CatalogError(f"{metric_id} fixes its own setup")
+        given = [k for k, v in (("quadratic", quadratic), ("dim", dim), ("f", f))
+                 if v is not None]
+        if given:
+            raise CatalogError(f"setup already fixes {', '.join(given)}")
+        return MetricClassSpec(metric_id, merged, setup)
+    if entry.profile is None:
+        if quadratic is not None or dim not in (None, 3) or f is not None:
+            raise CatalogError(f"{metric_id} fixes its own Riemannian data")
+        return MetricClassSpec(metric_id, merged, None)
+    if entry.fixed:
+        preset, n = entry.fixed
+        if isinstance(quadratic, np.ndarray) or quadratic not in (None, preset):
+            raise CatalogError(f"{metric_id} fixes the quadratic form {preset!r}")
+        if dim not in (None, n):
+            raise CatalogError(f"{metric_id} fixes dimension {n}")
+        quadratic, dim = preset, n
+    setup = make_setup("product" if quadratic is None else quadratic, dim, f)
+    return MetricClassSpec(metric_id, merged, setup)
+
+
 def _profile(spec):
-    make_profile = _PROFILES.get(spec.class_id)
+    make_profile = spec.entry.profile
     if make_profile is None:
         raise CatalogError(
             f"no block-setup (alpha, beta) profile for {spec.class_id!r}"
         )
     return make_profile(**spec.params)
-
 
 # ---------------------------------------------------------------------------
 # Finsler functions
@@ -471,7 +450,7 @@ def build_finsler(spec):
     ``x_deps=(0,)``; the guard keeps yhat away from the phi(yhat) = 0 cone
     before the profile's own test.
     """
-    if spec.class_id == "shen_r3_eq1":
+    if spec.entry.profile is None:
         return _field_shen_r3_eq1(spec)
     prof = _profile(spec)
     setup = spec.setup

@@ -6,8 +6,8 @@
 
 Exit codes: 0 when the run succeeds and the verdict matches the expected
 one (from --expect, falling back to the catalog's declared verdict),
-2 on a verdict mismatch, 1 on any error (invalid configuration,
-non-positive f on the sampled range, singular metric, sampler
+2 on a verdict mismatch, 1 on any error (invalid configuration, f not
+finite and positive on the sampled range, singular metric, sampler
 starvation).
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import catalog, exprlang, verify
 from .geometry import DegenerateMetricError
-from .jets import SingularPointError, jet_space
+from .jets import jet_space
 from .verify import SamplePlan, TOL_PROFILES, verdict_slug
 
 __all__ = ["main", "run_classify", "list_catalog"]
@@ -84,10 +84,9 @@ def build_parser():
 
 def list_catalog():
     rows = [("id", "parameters", "source", "expected verdict")]
-    for entry in catalog.CATALOG.values():
-        rows.append(
-            (entry.id, entry.constraints, entry.source, entry.expected_verdict)
-        )
+    for entry_id, entry in catalog.CATALOG.items():
+        rows.append((entry_id, entry.constraints, entry.source,
+                     catalog.EXPECTED_VERDICT))
     widths = [max(len(r[c]) for r in rows) for c in range(4)]
     lines = [
         " | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
@@ -146,14 +145,19 @@ def _parse_x_range(text):
 
 
 def _check_f_positive(f_ast, x_range):
-    space = jet_space(1, 0, 1, 0)
-    for x1 in np.linspace(x_range[0], x_range[1], 33):
-        val = exprlang.evaluate(f_ast, space.seed_x(0, float(x1))).value
-        if not val > 0.0:
-            raise ValueError(
-                f"f(x1) must be positive on the sampled range; "
-                f"f({x1:g}) = {val:g}"
-            )
+    grid = np.linspace(x_range[0], x_range[1], 33)
+    try:
+        f = exprlang.evaluate(f_ast, jet_space(1, 0, 1, 0).seed_x(0, grid))
+    except OverflowError:
+        raise ValueError("f(x1) overflows on the sampled range") from None
+    vals = np.broadcast_to(f.value, grid.shape)  # a constant f is unbatched
+    bad = ~(np.isfinite(vals) & (vals > 0.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"f(x1) must be finite and positive on the sampled range; "
+            f"f({grid[k]:g}) = {vals[k]:g}"
+        )
 
 
 def _csv_table(report):
@@ -208,7 +212,7 @@ def run_classify(args):
         sys.stdout.write(doc)
         if args.csv:
             sys.stdout.write(_csv_table(report))
-    expected = args.expect or spec.entry.expected_verdict
+    expected = args.expect or catalog.EXPECTED_VERDICT
     got = verdict_slug(report.verdict)
     want = verdict_slug(expected)
     summary = (
@@ -225,12 +229,10 @@ def main(argv=None):
     try:
         return args.func(args)
     except (
-        catalog.CatalogError,
         DegenerateMetricError,
         verify.SamplerStarvationError,
-        exprlang.ExprSyntaxError,
-        SingularPointError,
-        ValueError,
+        ArithmeticError,
+        ValueError,  # CatalogError and ExprSyntaxError among them
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ symbolic differentiation).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -99,7 +100,13 @@ def _tokenize(src):
             off = len(src) - len(rest)
             raise ExprSyntaxError(f"unexpected character {rest[0]!r}", off)
         if m.group("num") is not None:
-            tokens.append(("num", float(m.group(0)), m.start("num")))
+            val = float(m.group(0))
+            if not math.isfinite(val):
+                raise ExprSyntaxError(
+                    f"number {m.group(0).strip()!r} is not finite",
+                    m.start("num"),
+                )
+            tokens.append(("num", val, m.start("num")))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name"), m.start("name")))
         else:

@@ -366,3 +366,29 @@ def test_spray_constants_derived_from_psi(metric_id, params):
         lhs = (c0 * t * t + 2.0 * c0 * kappa0 * t + 1.0) * dh
         rhs_t = (c0 * t + 2.0 * c0 * kappa0) * h
         assert abs(lhs - rhs_t) <= 1e-12 * max(1.0, abs(lhs), abs(rhs_t))
+
+
+@pytest.mark.parametrize(
+    "metric_id,params",
+    [("class2", {"a": 1.0}), ("class2", {"a": -1.0}), ("class3", {"a": 0.0}),
+     ("class4", {"p": 2.0, "q": -1.0})],
+)
+def test_singular_parameters_name_det_g(metric_id, params):
+    # the DegenerateMetricError cases of test_parameter_validation
+    with pytest.raises(DegenerateMetricError, match=r"det\(g\)"):
+        make_spec(metric_id, params)
+
+
+def test_make_spec_refuses_setup_conflicts():
+    euclid5 = make_setup("euclid", dim=5)
+    for metric_id in ("example31", "example33", "shen_r3_eq1"):
+        with pytest.raises(CatalogError, match="fixes its own setup"):
+            make_spec(metric_id, setup=euclid5)
+    with pytest.raises(CatalogError, match="quadratic, f"):
+        make_spec("class1", quadratic="mixed4", f=lambda t: t, setup=euclid5)
+    with pytest.raises(CatalogError, match="dim"):
+        make_spec("class1", dim=5, setup=euclid5)
+    assert make_spec("class1", setup=euclid5).setup is euclid5
+    # a matrix for an entry with a fixed preset
+    with pytest.raises(CatalogError, match="fixes the quadratic form 'product'"):
+        make_spec("example31", quadratic=np.array([[0.0, 0.5], [0.5, 0.0]]))

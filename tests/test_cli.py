@@ -145,6 +145,10 @@ def test_oracle_ad_route(tmp_path):
          "c must be non-singular: sigma_min/sigma_max = 1.000e-200"),
         (["--quadratic", "euclid", "--dim", "0"], "setup needs dimension n >= 3"),
         (["--quadratic", "euclid", "--dim", "-1"], "setup needs dimension n >= 3"),
+        (["--f", "1e400"], "number '1e400' is not finite at offset 1"),
+        (["--f", "exp(1000)"], "f(x1) overflows on the sampled range"),
+        (["--f", "0.1-x1"], "f(x1) must be finite and positive on the sampled "
+                            "range; f(0.125) = -0.025"),
     ],
 )
 def test_bad_numbers_named_at_the_boundary(extra, message, capsys):
@@ -189,3 +193,22 @@ def test_exit_contract_every_entry_default_plan(metric_id, tmp_path):
     out = tmp_path / "r.json"
     assert run(["classify", "--metric", metric_id, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["verdict"] == "Landsberg, non-Berwald"
+
+
+def test_list_names_every_shen_eq8_rule(capsys):
+    assert run(["list"]) == 0
+    out = capsys.readouterr().out
+    row = next(ln for ln in out.splitlines() if ln.startswith("shen_eq8"))
+    for cell in ("c1 ≠ 0", "1+c3 > 0", "c4 > 0", "(2+c3)² > c1² + c3²"):
+        assert cell in row
+
+
+def test_overflowing_constant_f_refused(capsys):
+    with pytest.warns(RuntimeWarning):
+        code = run(["classify", "--metric", "class1", "--f", "1e308*10",
+                    "--points", "3"])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: f(x1) must be finite and positive on the sampled range; "
+        "f(-0.5) = inf"
+    )

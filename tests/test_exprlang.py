@@ -140,3 +140,12 @@ def test_derivative_matches_central_difference():
             continue
         checked += 1
         assert abs(got - ref) <= 1e-8 * max(1.0, abs(got), abs(ref))
+
+
+@pytest.mark.parametrize(
+    "src, offset", [("1e400", 1), ("x1^1e400", 4), ("2 + 1e309", 5)]
+)
+def test_non_finite_literal_is_a_syntax_error(src, offset):
+    with pytest.raises(ExprSyntaxError, match="not finite") as err:
+        parse_expr(src)
+    assert err.value.offset == offset
