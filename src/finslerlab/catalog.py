@@ -385,7 +385,14 @@ def _validate_params(class_id, params):
                 f"{class_id} parameter {key} must be finite, got {val}"
             )
     for text, holds, error in CATALOG[class_id].rules:
-        if not holds(params):
+        try:
+            ok = holds(params)
+        except OverflowError:  # float ** raises where * gives inf
+            values = ", ".join(f"{k}={v:g}" for k, v in params.items())
+            raise CatalogError(
+                f"{class_id} requires {text}, which overflows at {values}"
+            ) from None
+        if not ok:
             raise error(f"{class_id} requires {text}")
 
 

@@ -96,10 +96,16 @@ def rcond(m):
 
 
 def _first_degenerate(m):
-    """The first rcond not above RCOND_MIN among m's matrices, or None."""
+    """What is wrong with the first of m's matrices whose rcond is not
+    above RCOND_MIN, or None: a nan rcond means non-finite entries."""
     ratio = np.atleast_1d(rcond(m))
     bad = ~(ratio > RCOND_MIN)
-    return float(ratio[np.argmax(bad)]) if bad.any() else None
+    if not bad.any():
+        return None
+    first = ratio[np.argmax(bad)]
+    if np.isnan(first):
+        return "g has non-finite entries (overflow)"
+    return f"det(g) ~ 0, sigma_min/sigma_max = {first:.3e}"
 
 
 class FinslerField:
@@ -268,7 +274,8 @@ def _solve_jet_system(a, b, context=""):
 
     Pivoting is by the largest constant term, per sample for a batch.  A
     matrix whose constant part is degenerate (:func:`rcond` not above
-    RCOND_MIN) raises, giving the first such sample's sigma_min/sigma_max.
+    RCOND_MIN) raises, giving the first such sample's sigma_min/sigma_max,
+    or saying that its g has non-finite entries.
     """
     n = len(b)
     a = [row[:] for row in a]
@@ -276,10 +283,7 @@ def _solve_jet_system(a, b, context=""):
     const = np.array([[entry.value for entry in row] for row in a])
     first = _first_degenerate(np.moveaxis(const, -1, 0) if const.ndim == 3 else const)
     if first is not None:
-        raise DegenerateMetricError(
-            f"degenerate metric{context}: det(g) ~ 0, "
-            f"sigma_min/sigma_max = {first:.3e}"
-        )
+        raise DegenerateMetricError(f"degenerate metric{context}: {first}")
     for col in range(n):
         mags = np.abs([a[r][col].value for r in range(col, n)])
         if mags.ndim == 2 and mags.shape[1] > 1:
@@ -369,8 +373,8 @@ def metric_tensor(field, x, y):
     """Hessian of the energy F^2/2 in the fiber variables."""
     g = _energy_hessian(field.jet(x, y, 0, 2))
     if (first := _first_degenerate(g)) is not None:
-        msg = f"metric tensor nearly degenerate: sigma_min/sigma_max = {first:.3e}"
-        warnings.warn(msg, DegenerateMetricWarning, stacklevel=2)
+        warnings.warn(f"degenerate metric tensor: {first}", DegenerateMetricWarning,
+                      stacklevel=2)
     return g
 
 

@@ -51,6 +51,22 @@ there for why), and accumulates them with one ``bincount`` over keys
 offset by ``sample * size``.  Pairs stay in sample-major, (i, j)-sorted
 order, so each coefficient accumulates exactly the per-sample sequence.
 
+Series composition
+------------------
+:func:`compose_series` evaluates ``sum u[k] * h^k`` by Horner for a
+nilpotent h (zero constant term).  A step that leaves k more steps to go
+feeds coefficients of total degree d only into degrees >= d + k, and
+every degree above ``x_cap + y_cap`` lies outside the caps; so the step
+keeps only the product pairs whose output has total degree <=
+``x_cap + y_cap - k``, and of those only the pairs with h index j != 0,
+since h's constant term is 0.  The kept pairs come from
+:attr:`JetSpace.series_table`, a stable sort of ``mul_table`` by output
+degree, so each kept coefficient still sums the same pairs in the same
+order, and each dropped pair either feeds a coefficient that a later
+truncation discards or adds a zero product, which leaves a ``bincount``
+sum unchanged.  With finite coefficients the result is bit-identical to
+a Horner loop of full products.
+
 All values are immutable after construction and every operation is pure.
 """
 
@@ -188,6 +204,7 @@ class JetSpace:
         facts = np.array([math.factorial(e) for e in range(max(x_cap, y_cap) + 1)])
         self.factorial = np.prod(facts[self.exponents], axis=1)
         self._mul_table = None
+        self._series_table = None
         self._diff_tables = {}
         self._truncate_tables = {}
         self._drop_x_table = None
@@ -224,6 +241,21 @@ class JetSpace:
             K = xs[xi, xj] * n_ym + ys[yi, yj]
             self._mul_table = (I, J, K)
         return self._mul_table
+
+    @property
+    def series_table(self):
+        """(I, J, K, ends): the ``mul_table`` pairs with j != 0, stably
+        sorted by the total degree of their output monomial K; the pairs
+        whose output has degree <= d are the first ``ends[d]``."""
+        if self._series_table is None:
+            I, J, K = self.mul_table
+            keep = J != 0
+            degree = self.exponents.sum(axis=1)[K[keep]]
+            order = np.argsort(degree, kind="stable")
+            ends = np.searchsorted(degree[order], np.arange(_series_order(self) + 1),
+                                   side="right")
+            self._series_table = (I[keep][order], J[keep][order], K[keep][order], ends)
+        return self._series_table
 
     def diff_table(self, group, index):
         """(target_space, src_positions, multipliers) for one d/dv."""
@@ -445,9 +477,12 @@ def _each_sample(fn, *values):
     return TaylorValue(parts[0].space, np.stack([p.coeffs for p in parts]))
 
 
-def _product(space, a, b):
-    """Coefficients of the truncated product of coefficient arrays a, b."""
-    I, J, K = space.mul_table
+def _product(space, a, b, table=None):
+    """Coefficients of the truncated product of coefficient arrays a, b,
+    summed over the (I, J, K) pairs of ``table`` (default: ``mul_table``)."""
+    I, J, K = space.mul_table if table is None else table
+    if not len(K):  # bincount of no weights would return integer zeros
+        return np.zeros(np.broadcast_shapes(a.shape, b.shape))
     if a.ndim == 1 and b.ndim == 1:
         return np.bincount(K, weights=a[I] * b[J], minlength=space.size)
     n = len(a) if a.ndim == 2 else len(b)
@@ -457,7 +492,7 @@ def _product(space, a, b):
     step = max(1, MUL_CHUNK_ELEMENTS // len(K))
     if n > step:
         return np.concatenate([
-            _product(space, _rows(a, lo, step), _rows(b, lo, step))
+            _product(space, _rows(a, lo, step), _rows(b, lo, step), (I, J, K))
             for lo in range(0, n, step)
         ])
     w = a.take(I, axis=-1) * b.take(J, axis=-1)
@@ -588,7 +623,7 @@ class TaylorValue:
             abs(c0) <= SINGULAR_TOL, "division by (near-)zero constant term", c0
         )
         u = [1.0 / c0]
-        for _ in range(self.space.x_cap + self.space.y_cap):
+        for _ in range(_series_order(self.space)):
             u.append(-u[-1] / c0)
         return compose_series(u, self._nilpotent())
 
@@ -628,16 +663,30 @@ def compose_series(u, h):
     sample, or a list of the m+1 terms, each a float or one per sample.
     Used both internally (elementary functions) and by callers that
     re-expand a univariate function of an intermediate variable into a
-    multivariate jet of that variable.
+    multivariate jet of that variable.  The zero constant term is
+    enforced: :class:`JetUsageError` names the first sample of h that has
+    another one.  Each step multiplies only the pairs it needs (see
+    "Series composition" in the module docstring).
     """
+    c0 = np.atleast_1d(h.coeffs[..., 0])
+    bad = np.flatnonzero(c0 != 0.0)
+    if len(bad):
+        raise JetUsageError(
+            f"compose_series needs h with zero constant term; "
+            f"sample {bad[0]} has {float(c0[bad[0]])!r}"
+        )
     if isinstance(u, np.ndarray):
         u = list(u.T) if u.ndim == 2 else u.tolist()
-    c = np.zeros(h.coeffs.shape)
-    c[..., 0] = u[-1]
-    acc = TaylorValue(h.space, c)
-    for term in reversed(u[:-1]):
-        acc = acc * h + term
-    return acc
+    space = h.space
+    I, J, K, ends = space.series_table
+    top = _series_order(space)
+    acc = np.zeros(h.coeffs.shape)
+    acc[..., 0] = u[-1]
+    for k in range(len(u) - 2, -1, -1):
+        # k steps follow this one; each raises the degree by at least 1.
+        n = ends[max(top - k, 0)]
+        acc = _shift(_product(space, acc, h.coeffs, (I[:n], J[:n], K[:n])), u[k])
+    return TaylorValue(space, acc)
 
 
 def _series_order(space):

@@ -149,6 +149,12 @@ def test_oracle_ad_route(tmp_path):
         (["--f", "exp(1000)"], "f(x1) overflows on the sampled range"),
         (["--f", "0.1-x1"], "f(x1) must be finite and positive on the sampled "
                             "range; f(0.125) = -0.025"),
+        (["--metric", "shen_eq8", "--param", "c3=1e200"],
+         "shen_eq8 requires (2+c3)² > c1² + c3², which overflows at "
+         "c1=1, c3=1e+200, c4=1"),
+        (["--metric", "shen_eq8", "--param", "c1=1e200"],
+         "shen_eq8 requires (2+c3)² > c1² + c3², which overflows at "
+         "c1=1e+200, c3=0.5, c4=1"),
     ],
 )
 def test_bad_numbers_named_at_the_boundary(extra, message, capsys):
@@ -164,6 +170,20 @@ def test_huge_quadratic_refused_by_its_condition_not_by_overflow(capsys):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert "degenerate metric" in err and "sigma_min/sigma_max = " in err
+
+
+@pytest.mark.parametrize(
+    "params",
+    [["class1", "--param", "a=1e300"],
+     ["shen_eq8", "--param", "c4=1e308"],
+     ["class4", "--param", "p=1e200", "--param", "q=1e200"]],
+)
+def test_non_finite_metric_named_as_overflow(params, capsys):
+    with pytest.warns(RuntimeWarning):  # numpy's overflow warnings
+        assert run(["classify", "--metric", *params, "--points", "5"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith("error: degenerate metric for ")
+    assert err.endswith(": g has non-finite entries (overflow)")
 
 
 @pytest.mark.parametrize("seed", (27, 36))

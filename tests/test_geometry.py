@@ -210,6 +210,24 @@ def test_degenerate_metric_raises_in_spray():
     assert any(issubclass(w.category, DegenerateMetricWarning) for w in caught)
 
 
+def test_non_finite_metric_not_called_a_small_det():
+    sp = jets.jet_space(0, 1, 0, 1)
+    one, zero = sp.constant(1.0), sp.constant(0.0)
+    with pytest.raises(DegenerateMetricError) as err:
+        geometry._solve_jet_system([[sp.constant(np.inf), zero], [zero, one]],
+                                   [one, one], context=" for m")
+    assert str(err.value) == "degenerate metric for m: g has non-finite entries (overflow)"
+    huge = FinslerField(3, lambda xs, ys: jets.sqrt(ys[0] * ys[0] + ys[1] * ys[1]
+                                                    + ys[2] * ys[2]) * 1e300,
+                        lambda x, y: True, "huge")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        metric_tensor(huge, X0, np.array([0.3, 1.0, 0.8]))
+    degenerate = [str(w.message) for w in caught
+                  if issubclass(w.category, DegenerateMetricWarning)]
+    assert degenerate == ["degenerate metric tensor: g has non-finite entries (overflow)"]
+
+
 def test_rcond_is_scale_free():
     m = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 1e-3]])
     sv = np.linalg.svd(m, compute_uv=False)

@@ -461,3 +461,91 @@ def test_batch_size_mismatch_rejected():
             op(one, four)
         with pytest.raises(JetUsageError):
             op(four, one)
+
+
+# ---------------------------------------------------------------------------
+# series composition: graded Horner against full products
+# ---------------------------------------------------------------------------
+
+SERIES_SIGNATURES = [(1, 3, 1, 5), (1, 4, 1, 5), (0, 4, 0, 3), (0, 1, 0, 2), (1, 0, 1, 0)]
+
+
+def _full_horner(u, h):
+    """sum u[k] h^k by Horner with plain TaylorValue products."""
+    if isinstance(u, np.ndarray):
+        u = list(u.T) if u.ndim == 2 else u.tolist()
+    c = np.zeros(h.coeffs.shape)
+    c[..., 0] = u[-1]
+    acc = jets.TaylorValue(h.space, c)
+    for term in reversed(u[:-1]):
+        acc = acc * h + term
+    return acc
+
+
+@pytest.mark.parametrize("signature", SERIES_SIGNATURES)
+@pytest.mark.parametrize("batch", [None, 1, 2, 50])
+def test_compose_series_matches_full_horner_bitwise(signature, batch):
+    sp = jet_space(*signature)
+    top = sp.x_cap + sp.y_cap
+    rng = np.random.default_rng(31)
+    shape = (sp.size,) if batch is None else (batch, sp.size)
+    c = rng.normal(size=shape)
+    c[..., 0] = 0.0
+    h = jets.TaylorValue(sp, c)
+    # top + 3 terms: the first three steps keep no pair at all
+    for terms in (1, 2, top + 1, top + 3):
+        series = [rng.normal(size=terms)]
+        if batch is not None:
+            series.append(rng.normal(size=(batch, terms)))  # one per sample
+            series.append([rng.normal(size=batch) for _ in range(terms)])
+        for u in series:
+            got = jets.compose_series(u, h)
+            want = _full_horner(u, h)
+            assert got.space is sp and got.coeffs.shape == want.coeffs.shape
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_compose_series_requires_zero_constant_term():
+    sp = jet_space(1, 3, 1, 5)
+    c = np.random.default_rng(3).normal(size=(4, sp.size))
+    c[:, 0] = 0.0
+    c[2, 0] = 1e-300
+    with pytest.raises(JetUsageError, match="sample 2 has 1e-300"):
+        jets.compose_series([1.0, 2.0, 3.0], jets.TaylorValue(sp, c))
+    with pytest.raises(JetUsageError, match="zero constant term"):
+        jets.compose_series([1.0, 2.0], sp.seed_y(0, 0.5))
+
+
+def _loop_series_pairs(sp, terms):
+    """Pairs a graded Horner pass over ``terms`` coefficients multiplies:
+    (i, j) within the caps, j not the constant monomial, and the output
+    of total degree at most x_cap + y_cap minus the steps still to come."""
+    nx = sp.n_x
+    degrees = []
+    for mi in sp.monomials:
+        for mj in sp.monomials[1:]:
+            s = tuple(a + b for a, b in zip(mi, mj))
+            if sum(s[:nx]) <= sp.x_cap and sum(s[nx:]) <= sp.y_cap:
+                degrees.append(sum(s))
+    top = sp.x_cap + sp.y_cap
+    return sum(d <= top - k for k in range(terms - 1) for d in degrees)
+
+
+@pytest.mark.parametrize("signature", [(1, 3, 1, 5), (1, 4, 1, 5), (0, 4, 0, 3)])
+def test_compose_series_work_budget(signature, monkeypatch):
+    sp = jet_space(*signature)
+    top = sp.x_cap + sp.y_cap
+    counted = []
+    product = jets._product
+
+    def counting(space, a, b, table=None):
+        counted.append(len((space.mul_table if table is None else table)[2]))
+        return product(space, a, b, table)
+
+    monkeypatch.setattr(jets, "_product", counting)
+    c = np.random.default_rng(4).normal(size=sp.size)
+    c[0] = 0.0
+    jets.compose_series(np.ones(top + 1), jets.TaylorValue(sp, c))
+    assert len(counted) == top
+    assert sum(counted) == _loop_series_pairs(sp, top + 1)
+    assert sum(counted) < top * len(sp.mul_table[0])
