@@ -186,12 +186,13 @@ def run_classify(args):
     )
     f_ast = exprlang.parse_expr(args.f)
     _check_f_positive(f_ast, plan.x_range)
+    entry = catalog.CATALOG.get(args.metric)  # None: make_spec names the id
     spec = catalog.make_spec(
         args.metric,
         params=_parse_params(args.param),
         quadratic=_parse_quadratic(args.quadratic),
         dim=args.dim,
-        f=None if args.metric == "shen_r3_eq1" else (
+        f=None if entry is not None and entry.profile is None else (
             lambda t: exprlang.evaluate(f_ast, t)
         ),
     )
@@ -203,11 +204,17 @@ def run_classify(args):
     report = verify.classify(field, spray, plan, params=spec.params)
     doc = verify.report_to_json(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc)
+        outputs = {args.out: doc}
         if args.csv:
-            with open(args.out + ".csv", "w") as fh:
-                fh.write(_csv_table(report))
+            outputs[args.out + ".csv"] = _csv_table(report)
+        try:
+            for path, text in outputs.items():
+                with open(path, "w") as fh:
+                    fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report to {exc.filename!r}: "
+                  f"{exc.strerror}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(doc)
         if args.csv:

@@ -15,25 +15,32 @@ space (n, n, 1, 5) shrinks to (1, n, 1, 5), from 630 to 252 coefficients
 for n = 4.  The dropped terms are exact zeros and the remaining products
 keep their order, so the results are bit-identical to full seeding.
 
-Every function taking ``(x, y)`` takes one point, shapes (n,), or a batch
-of N points, shapes (N, n), and then evaluates all of them in one jet pass
-(see the batch contract in :mod:`finslerlab.jets`): results gain a leading
-sample axis and each sample's entries are bit-identical to a one-point
-call.  The ``np.inner`` that forms L, whose rounding could change when
-batched, stays a per-sample loop; :func:`rcond`, the one degeneracy
-measure, runs on the whole stack, since LAPACK factors each matrix of a
-stack alone.  Two spray routes exist:
+The spray and tensor functions taking ``(x, y)`` compute on a batch of N
+points, shapes (N, n), in one jet pass; results carry a leading sample
+axis.  A call with one point, shapes (n,), runs as a batch of one and
+returns sample 0 (a float, an array without the sample axis, the
+one-sample :class:`PointTensors` record, or unbatched jets), which the
+batch contract of :mod:`finslerlab.jets` makes bit-identical to row k of
+any batch holding that point at k.  :meth:`FinslerField.jet`,
+:meth:`FinslerField.value` and :func:`metric_tensor` take either shape
+through that contract directly.  The ``np.inner`` that forms L, whose
+rounding could change when batched, stays a per-sample loop;
+:func:`rcond`, the one degeneracy measure, runs on the whole stack, since
+LAPACK factors each matrix of a stack alone.  Two spray routes exist:
 
 * closed-form sprays supplied by the catalog (cheap; fiber order 3 is
   enough for the Berwald tensor), and
 * the variational route, which derives the spray from the field itself,
   ``G^i = 1/4 g^{ih} (y^r d_r dot_h F^2 - d_h F^2)``, needing fiber
   order 5 and base order 1.  This is the oracle the closed forms are
-  checked against.
+  checked against.  It runs on the whole batch at once; the only
+  chunking is that of the batched jet product (``MUL_CHUNK_ELEMENTS``).
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import warnings
 from dataclasses import dataclass, fields
 
@@ -63,16 +70,6 @@ __all__ = [
 #: >= 5.5e-6 on the benchmark's non-degenerate jobs, <= 1.2e-14 at the
 #: criterion-2 singular point class4 (p, q) = (2, -1).
 RCOND_MIN = 1e-10
-
-#: Coefficients per jet (samples x space size) that one pass of the
-#: variational spray holds at most; larger batches run in chunks of
-#: samples.  Its order-3 pass keeps some fifty jets alive in spaces of up
-#: to 252 coefficients for a catalog field, (1, 4, 1, 5): measured with
-#: tracemalloc on example33, a 50-point batch held 2.1 MB unchunked and
-#: 0.84 MB in chunks, against 0.13 MB one point at a time (5.1, 0.91 and
-#: 0.37 MB in the (4, 4, 1, 5) space of a field that declares all four
-#: coordinates).
-AD_CHUNK_COEFFS = 4096
 
 
 class DegenerateMetricError(RuntimeError):
@@ -207,17 +204,37 @@ def _batched_like(value, x):
     return value
 
 
-def _components(parts, batched):
-    """Stack per-component values or arrays behind the sample axis, if any."""
-    return np.stack(parts, axis=1) if batched else np.array(parts)
+def _on_batches(fn):
+    """Let ``fn``, written for ``x`` and ``y`` as float arrays of shapes
+    (N, n), take one point too: shapes (n,) run as a batch of one, and the
+    call returns sample 0 of the result (row 0 of an array, a float for a
+    1-d one; the one-sample record of a PointTensors; an unbatched jet for
+    each jet of a list)."""
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        x, y = (np.asarray(bound.arguments[k], float) for k in "xy")
+        one = x.ndim == 1
+        bound.arguments.update(x=x[None] if one else x, y=y[None] if one else y)
+        out = fn(*bound.args, **bound.kwargs)
+        if not one:
+            return out
+        if isinstance(out, list):
+            return [TaylorValue(v.space, v.coeffs[0]) for v in out]
+        return float(out[0]) if isinstance(out, np.ndarray) and out.ndim == 1 else out[0]
+
+    return call
 
 
 class SprayField:
     """Spray coefficients G^i evaluable as fiber jets.
 
     ``jets_fn(x, y, order)`` returns the n coefficients as TaylorValues
-    in the pure-y space (0, n, 0, order); x and y have shape (n,), or
-    (N, n) for a batch.  The optional ``domain_guard``
+    in the pure-y space (0, n, 0, order) for a batch of points, x and y of
+    shape (N, n); a one-point call of :meth:`jets` or :meth:`values`
+    hands it a batch of one.  The optional ``domain_guard``
     is inherited from whatever field or setup produced the spray so
     sampling can respect the same admissible cone.
     """
@@ -233,17 +250,14 @@ class SprayField:
     def __repr__(self):
         return f"SprayField(n={self.n}, label={self.label!r})"
 
+    @_on_batches
     def jets(self, x, y, order):
-        x = np.asarray(x, float)
-        return [
-            _batched_like(g, x)
-            for g in self._jets_fn(x, np.asarray(y, float), order)
-        ]
+        return [_batched_like(g, x) for g in self._jets_fn(x, y, order)]
 
+    @_on_batches
     def values(self, x, y):
-        """G^i at (x, y): shape (n,), or (N, n) for a batch."""
-        gj = self.jets(x, y, 0)
-        return _components([g.value for g in gj], gj[0].batch is not None)
+        """G^i at (x, y): shape (N, n), or (n,) for one point."""
+        return np.stack([g.value for g in self.jets(x, y, 0)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +272,11 @@ def _select(hit, p, q):
 def _swap_rows(a, b, col, piv):
     """Exchange rows ``col`` and ``piv[s]`` of every sample s, in place:
     the per-sample row permutation of one pivot step."""
-    for r in np.unique(piv):
-        if r == col:
-            continue
+    # Not np.unique(piv): its first call imports numpy.ma (about 1 MB).
+    for r in range(col + 1, len(b)):
         hit = (piv == r)[:, None]
+        if not hit.any():
+            continue
         for c in range(len(b)):
             a[col][c], a[r][c] = (
                 _select(hit, a[r][c], a[col][c]), _select(hit, a[col][c], a[r][c])
@@ -272,8 +287,9 @@ def _swap_rows(a, b, col, piv):
 def _solve_jet_system(a, b, context=""):
     """Solve A X = B for jet entries by Gaussian elimination.
 
-    Pivoting is by the largest constant term, per sample for a batch.  A
-    matrix whose constant part is degenerate (:func:`rcond` not above
+    The matrix entries are batched jets.  Pivoting is by the largest
+    constant term of each sample, so samples may exchange different rows.
+    A matrix whose constant part is degenerate (:func:`rcond` not above
     RCOND_MIN) raises, giving the first such sample's sigma_min/sigma_max,
     or saying that its g has non-finite entries.
     """
@@ -281,16 +297,12 @@ def _solve_jet_system(a, b, context=""):
     a = [row[:] for row in a]
     b = list(b)
     const = np.array([[entry.value for entry in row] for row in a])
-    first = _first_degenerate(np.moveaxis(const, -1, 0) if const.ndim == 3 else const)
+    first = _first_degenerate(np.moveaxis(const, -1, 0))
     if first is not None:
         raise DegenerateMetricError(f"degenerate metric{context}: {first}")
     for col in range(n):
         mags = np.abs([a[r][col].value for r in range(col, n)])
-        if mags.ndim == 2 and mags.shape[1] > 1:
-            _swap_rows(a, b, col, col + np.argmax(mags, axis=0))
-        elif (piv := col + int(np.argmax(mags))) != col:  # one sample
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
+        _swap_rows(a, b, col, col + np.argmax(mags, axis=0))
         inv = a[col][col].reciprocal()
         for r in range(n):
             if r == col:
@@ -310,17 +322,6 @@ def _ad_spray_jets(field, x, y, order):
     are exact zeros); with none declared the right-hand side is zero.
     """
     n, deps = field.n, field.x_deps
-    x = np.asarray(x, float)
-    step = max(1, AD_CHUNK_COEFFS // jet_space(len(deps), n, 1, order + 2).size)
-    if x.ndim == 2 and len(x) > step:
-        parts = [
-            _ad_spray_jets(field, x[lo:lo + step], y[lo:lo + step], order)
-            for lo in range(0, len(x), step)
-        ]
-        return [
-            TaylorValue(gi[0].space, np.concatenate([g.coeffs for g in gi]))
-            for gi in zip(*parts)
-        ]
     xs, ys = seeded_arguments(n, x, y, 1, order + 2, deps)
     f_jet = field.evaluate(xs, ys)
     f2 = f_jet * f_jet
@@ -378,10 +379,10 @@ def metric_tensor(field, x, y):
     return g
 
 
+@_on_batches
 def berwald_tensor(spray, x, y):
     """Third fiber derivatives of the spray coefficients."""
-    gj = spray.jets(x, y, 3)
-    return _components([gi.fiber_tensor(3) for gi in gj], gj[0].batch is not None)
+    return np.stack([gi.fiber_tensor(3) for gi in spray.jets(x, y, 3)], axis=1)
 
 
 def landsberg_tensor(field, spray, x, y):
@@ -389,6 +390,7 @@ def landsberg_tensor(field, spray, x, y):
     return point_tensors(field, spray, x, y).L
 
 
+@_on_batches
 def horizontal_differential(field, spray, x, y):
     """Components of dF along the horizontal lifts, d_iF - G^j_i dot_jF.
 
@@ -397,21 +399,15 @@ def horizontal_differential(field, spray, x, y):
     equation holds.
     """
     pt = point_tensors(field, spray, x, y)
-    if pt.batch is None:
-        return pt.dxF - pt.Gij.T @ pt.ell
-    return np.array([pt.dxF[s] - pt.Gij[s].T @ pt.ell[s] for s in range(pt.batch)])
+    return np.array([pt.dxF[s] - pt.Gij[s].T @ pt.ell[s] for s in range(len(x))])
 
 
+@_on_batches
 def euler_residual(field, x, y):
     """|y^i dot_iF - F|; zero for 1-homogeneous F by Euler's theorem."""
     fj = field.jet(x, y, 0, 1)
-    y = np.asarray(y, float)
     ell, F = fj.fiber_tensor(1), fj.value
-    if fj.batch is None:
-        return abs(float(np.dot(y, ell)) - F)
-    return np.array(
-        [abs(float(np.dot(y[k], ell[k])) - F[k]) for k in range(fj.batch)]
-    )
+    return np.array([abs(float(np.dot(y[k], ell[k])) - F[k]) for k in range(len(x))])
 
 
 def _landsberg(F, ell, gijkh):
@@ -439,11 +435,6 @@ class PointTensors:
     Gijkh: np.ndarray
     L: np.ndarray
 
-    @property
-    def batch(self):
-        """Number of samples, or None for a one-sample record."""
-        return None if self.x.ndim == 1 else len(self.x)
-
     def __getitem__(self, s):
         # C-ordered copies: BLAS may round a product of a strided slice
         # differently from one of a contiguous array.
@@ -464,45 +455,33 @@ class PointTensors:
         return rcond(self.g)
 
 
+@_on_batches
 def point_tensors(field, spray, x, y):
     """The per-sample record: F, d_xF, ell and g from one field jet at
     caps (1, 2), seeded in the coordinates of ``field.x_deps`` (d_xF is
     0.0 for the rest), the spray tensors from one spray jet at order 3.
     Raises ValueError, before the spray is evaluated, unless F > 0 (naming
-    the first sample of a batch where it is not)."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
+    the first sample where it is not)."""
     fj = field._jet(x, y, 1, 2, field.x_deps)
     F = fj.value
-    bad = ~(np.asarray(F) > 0.0)
+    bad = ~(F > 0.0)
     if bad.any():
-        s = np.argmax(bad) if bad.ndim else ...
+        s = np.argmax(bad)
         raise ValueError(
             f"F must be strictly positive on admissible samples; got "
-            f"{float(np.asarray(F)[s])} at x = {x[s]}, y = {y[s]}"
+            f"{float(F[s])} at x = {x[s]}, y = {y[s]}"
         )
-    batched = fj.batch is not None
-    zero = np.zeros(len(F)) if batched else 0.0
     ell = fj.fiber_tensor(1)
     gj = spray.jets(x, y, 3)
-    gijkh = _components([gi.fiber_tensor(3) for gi in gj], batched)
-    if batched:
-        L = np.array([_landsberg(F[s], ell[s], gijkh[s]) for s in range(len(F))])
-    else:
-        L = _landsberg(F, ell, gijkh)
+    Gij, Gijk, Gijkh = (
+        np.stack([gi.fiber_tensor(k) for gi in gj], axis=1) for k in (1, 2, 3)
+    )
     return PointTensors(
-        x=x,
-        y=y,
-        F=F,
-        dxF=_components([
-            fj.dx(field.x_deps.index(i)).value if i in field.x_deps else zero
+        x=x, y=y, F=F, ell=ell, g=_energy_hessian(fj.drop_x()),
+        dxF=np.stack([
+            fj.dx(field.x_deps.index(i)).value if i in field.x_deps else np.zeros(len(x))
             for i in range(field.n)
-        ], batched),
-        ell=ell,
-        g=_energy_hessian(fj.drop_x()),
-        G=_components([gi.value for gi in gj], batched),
-        Gij=_components([gi.fiber_tensor(1) for gi in gj], batched),
-        Gijk=_components([gi.fiber_tensor(2) for gi in gj], batched),
-        Gijkh=gijkh,
-        L=L,
+        ], axis=1),
+        G=np.stack([gi.value for gi in gj], axis=1), Gij=Gij, Gijk=Gijk, Gijkh=Gijkh,
+        L=np.array([_landsberg(F[s], ell[s], Gijkh[s]) for s in range(len(x))]),
     )

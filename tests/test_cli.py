@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,3 +236,23 @@ def test_overflowing_constant_f_refused(capsys):
         "error: f(x1) must be finite and positive on the sampled range; "
         "f(-0.5) = inf"
     )
+
+
+@pytest.mark.parametrize("target, csv", [
+    ("missing/r.json", False),  # parent directory does not exist
+    (".", False),               # the path is a directory
+    ("r.json", True),           # the JSON is written, its .csv is a directory
+])
+def test_unwritable_out_is_an_error_not_a_traceback(target, csv, tmp_path):
+    (tmp_path / "r.json.csv").mkdir()
+    out = tmp_path / target
+    argv = ["classify", "--metric", "class1", "--points", "3", "--out", str(out)]
+    src = Path(verify.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "finslerlab.cli", *argv, *(["--csv"] if csv else [])],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    path = str(out) + ".csv" if csv else str(out)
+    assert proc.stderr.startswith(f"error: cannot write report to {path!r}: ")

@@ -546,3 +546,68 @@ def test_oracle_cli_run_seeds_only_declared_coordinates(monkeypatch, tmp_path):
     assert code == 0
     assert (1, 4, 1, 5) in seeded and (1, 4, 1, 2) in seeded
     assert all(space[0] == 1 for space in seeded), seeded
+
+
+# ---------------------------------------------------------------------------
+# one point is a batch of one
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("metric_id", ["class1", "class3", "shen_eq8"])
+@pytest.mark.parametrize("quadratic", ["product", "mixed4"])
+def test_one_point_call_is_row_of_batched_call(metric_id, quadratic):
+    spec = catalog.make_spec(metric_id, quadratic=quadratic)
+    field = catalog.build_finsler(spec)
+    closed = catalog.closed_form_spray(spec).as_spray_field()
+    n = field.n
+    calls = {
+        "berwald_tensor": (lambda x, y: berwald_tensor(closed, x, y), (n,) * 4),
+        "landsberg_tensor": (
+            lambda x, y: landsberg_tensor(field, closed, x, y), (n,) * 3),
+        "horizontal_differential": (
+            lambda x, y: horizontal_differential(field, closed, x, y), (n,)),
+        "euler_residual": (lambda x, y: euler_residual(field, x, y), ()),
+        "metric_tensor": (lambda x, y: metric_tensor(field, x, y), (n, n)),
+        "closed values": (closed.values, (n,)),
+        "variational values": (ad_spray_field(field).values, (n,)),
+        "FinslerField.value": (field.value, ()),
+    }
+    x, y = _plan_arrays(field, 7, seed=46)
+    for name, (fn, shape) in calls.items():
+        batched = fn(x, y)
+        assert batched.shape == (len(x), *shape), name
+        for s in range(len(x)):
+            one = fn(x[s], y[s])
+            assert np.shape(one) == shape, name
+            assert np.array_equal(one, batched[s]), (name, s)
+    assert type(euler_residual(field, x[0], y[0])) is float
+
+
+def test_jet_solve_pivots_each_sample_as_a_batch_of_one():
+    from scipy.linalg import lu_factor
+
+    space = jets.jet_space(0, 1, 0, 1)  # constant + linear term
+    const = np.array([
+        [[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]],    # no exchange
+        [[1.0, 2.0, 10.0], [10.0, 1.0, 2.0], [2.0, 10.0, 1.0]],  # two
+        [[1.0, 10.0, 2.0], [10.0, 1.0, 2.0], [2.0, 2.0, 10.0]],  # one
+    ])
+    pivots = [lu_factor(m)[1].tolist() for m in const]
+    assert pivots == [[0, 1, 2], [1, 2, 2], [1, 1, 2]]
+    rng = np.random.default_rng(47)
+    linear = rng.normal(size=const.shape)
+    rhs = rng.normal(size=(3, 3, 2))  # sample, row, (constant, linear)
+    a = [[jets.TaylorValue(space, np.stack([const[:, r, c], linear[:, r, c]], axis=1))
+          for c in range(3)] for r in range(3)]
+    b = [jets.TaylorValue(space, rhs[:, r]) for r in range(3)]
+    sol = geometry._solve_jet_system(a, b)
+    for s in range(3):
+        one = geometry._solve_jet_system(
+            [[jets.TaylorValue(space, v.coeffs[s:s + 1]) for v in row] for row in a],
+            [jets.TaylorValue(space, v.coeffs[s:s + 1]) for v in b],
+        )
+        for got, want in zip(sol, one):
+            assert want.batch == 1 and np.array_equal(got.coeffs[s], want.coeffs[0])
+        ref = np.linalg.solve(const[s], rhs[s, :, 0])
+        got = np.array([v.value[s] for v in sol])
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
