@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 
 import numpy as np
@@ -177,6 +178,24 @@ def _csv_table(report):
     return buf.getvalue()
 
 
+def _write_error(exc):
+    return f"error: cannot write report to {exc.filename!r}: {exc.strerror}"
+
+
+def _check_writable(paths):
+    """Raise the OSError that writing the first unwritable path would.
+
+    Each path is opened for appending, which neither truncates an existing
+    file nor changes it; a file the check itself created is removed, so a
+    run that fails later leaves nothing behind.
+    """
+    for path in paths:
+        existed = os.path.lexists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
+
+
 def run_classify(args):
     plan = SamplePlan(
         n_points=args.points,
@@ -201,24 +220,26 @@ def run_classify(args):
         spray = None  # classify derives the variational spray
     else:
         spray = catalog.closed_form_spray(spec).as_spray_field()
+    paths = [args.out, args.out + ".csv"][: 1 + bool(args.csv)] if args.out else []
+    try:
+        _check_writable(paths)  # before the plan, which may run for minutes
+    except OSError as exc:
+        print(_write_error(exc), file=sys.stderr)
+        return 1
     report = verify.classify(field, spray, plan, params=spec.params)
-    doc = verify.report_to_json(report)
+    texts = [verify.report_to_json(report)]
+    if args.csv:
+        texts.append(_csv_table(report))
     if args.out:
-        outputs = {args.out: doc}
-        if args.csv:
-            outputs[args.out + ".csv"] = _csv_table(report)
         try:
-            for path, text in outputs.items():
+            for path, text in zip(paths, texts):
                 with open(path, "w") as fh:
                     fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write report to {exc.filename!r}: "
-                  f"{exc.strerror}", file=sys.stderr)
+            print(_write_error(exc), file=sys.stderr)
             return 1
     else:
-        sys.stdout.write(doc)
-        if args.csv:
-            sys.stdout.write(_csv_table(report))
+        sys.stdout.write("".join(texts))
     expected = args.expect or catalog.EXPECTED_VERDICT
     got = verdict_slug(report.verdict)
     want = verdict_slug(expected)

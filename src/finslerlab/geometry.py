@@ -10,6 +10,11 @@ order 3 gives G and its fiber derivatives, all read with
 A field declares the base coordinates F depends on (``x_deps``); the
 pipeline and the variational spray seed only those, so the jet spaces
 they multiply in carry no base direction whose coefficients are all zero.
+The arguments are seeded into the two faces of the full space (x into the
+base face, y into the fiber face), so the x-only part of F, f(x^1), and
+its y-only part, psi, each run in their own small space and only their
+product is formed in the full one (see "Faces" in
+:mod:`finslerlab.jets`).
 Every catalog metric is f(x^1) psi(...) and declares ``(0,)``: its order-5
 space (n, n, 1, 5) shrinks to (1, n, 1, 5), from 630 to 252 coefficients
 for n = 4.  The dropped terms are exact zeros and the remaining products
@@ -46,7 +51,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .jets import JetUsageError, TaylorValue, jet_space
+from .jets import JetUsageError, TaylorValue, jet_space, joint_space
 
 __all__ = [
     "FinslerField",
@@ -110,10 +115,14 @@ class FinslerField:
 
     ``evaluate(xs, ys)`` receives one TaylorValue per coordinate (the x
     entries may be constant jets; all are batched for a batch of points)
-    and must return a TaylorValue in the same space, using jet arithmetic
-    only.  ``domain_guard(x, y)`` is a cheap float-only test for
-    admissibility of a sample; the non-regular catalog metrics use it to
-    stay away from their singular directions.
+    and must return a TaylorValue, using jet arithmetic only.  The x
+    arguments live in the base face of the full space and the y arguments
+    in its fiber face (:func:`seeded_arguments`), so the program may
+    return a value of either face or of the full space; :meth:`evaluate`
+    embeds it into the full space, which every caller and layout reads.
+    ``domain_guard(x, y)`` is a cheap float-only test for admissibility
+    of a sample; the non-regular catalog metrics use it to stay away from
+    their singular directions.
 
     ``x_deps`` declares the base coordinates F depends on, stored as a
     sorted tuple; the default is all n.  The contract: the x-derivatives
@@ -151,7 +160,11 @@ class FinslerField:
         return f"FinslerField(n={self.n}, label={self.label!r})"
 
     def evaluate(self, xs, ys):
-        return self._evaluate(xs, ys)
+        """F on jet arguments, embedded in the joint space of all of them
+        (the full space of :func:`seeded_arguments`), whatever smaller
+        space the program's result lives in."""
+        full = joint_space(*(v.space for v in (*xs, *ys)))
+        return self._evaluate(xs, ys).embed(full)
 
     def jet(self, x, y, x_cap, y_cap):
         """Evaluate on freshly seeded arguments at the given caps, with all
@@ -167,15 +180,19 @@ class FinslerField:
 
 
 def seeded_arguments(n, x, y, x_cap, y_cap, x_deps=None):
-    """Seed (x, y) coordinates, shapes (n,) or (N, n), into a shared jet
-    space.
+    """Seed (x, y) coordinates, shapes (n,) or (N, n), into the two faces
+    of one full jet space.
 
     The x coordinates listed in ``x_deps`` (default: all n, in increasing
-    order) become the space's x variables, the k-th listed one x variable
-    k: the space is (len(x_deps), n, x_cap, y_cap).  Every other x
-    coordinate, and all of them when ``x_cap == 0`` or ``x_deps`` is
-    empty, enters as a constant; the space then has no x variables, which
-    keeps fiber-only work cheap.
+    order) become the full space's x variables, the k-th listed one x
+    variable k: the full space is (len(x_deps), n, x_cap, y_cap).  Every
+    other x coordinate, and all of them when ``x_cap == 0`` or ``x_deps``
+    is empty, enters as a constant; the full space then has no x
+    variables.  The x arguments live in its base face (len(x_deps), 0,
+    x_cap, 0) and the y arguments in its fiber face (0, n, 0, y_cap), so
+    the x-only and y-only parts of a program run in those small spaces,
+    and only a value that combines both groups is lifted into the full
+    space (see "Faces" in :mod:`finslerlab.jets`).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -187,11 +204,12 @@ def seeded_arguments(n, x, y, x_cap, y_cap, x_deps=None):
     else:
         space = jet_space(len(deps), n, x_cap, y_cap)
         var = {i: k for k, i in enumerate(deps)}  # coordinate -> x variable
+    base, fiber = space.base_face, space.fiber_face
     xs = [
-        space.seed_x(var[i], x[..., i]) if i in var else space.constant(x[..., i])
+        base.seed_x(var[i], x[..., i]) if i in var else base.constant(x[..., i])
         for i in range(n)
     ]
-    ys = [space.seed_y(i, y[..., i]) for i in range(n)]
+    ys = [fiber.seed_y(i, y[..., i]) for i in range(n)]
     return xs, ys
 
 

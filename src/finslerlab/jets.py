@@ -67,6 +67,33 @@ truncation discards or adds a zero product, which leaves a ``bincount``
 sum unchanged.  With finite coefficients the result is bit-identical to
 a Horner loop of full products.
 
+Faces
+-----
+A space (n_x, n_y, x_cap, y_cap) has two faces: its base face (n_x, 0,
+x_cap, 0) and its fiber face (0, n_y, 0, y_cap).  A group is absent from
+a space whose size and cap for it are both 0.  A value that depends on
+one group only lives in that group's face, so an x-free program runs on
+the pure-y monomials alone: in (1, 4, 1, 5) a product of two x-free
+values multiplies 1287 pairs in the fiber face instead of 3861.
+``+ - * /`` between values of two spaces run in their
+:func:`joint_space`, the smallest space holding the groups of both, and
+first lay each operand out there (:meth:`JetSpace.embed_table`, one
+cached position table per pair of spaces), giving the monomials of the
+other group exact zero coefficients; :func:`branch` merges its parts the
+same way.  Spaces that both have a group but disagree on its size or cap
+raise :class:`JetUsageError`.
+
+A face computes what the joint space would compute on the embedded
+operands.  Within the face's monomials a face product sums the same
+pairs in the same (i, j) order; every pair it leaves out either has a
+zero factor or feeds a monomial outside the face, which on embedded
+operands only ever receives zero products.  A series needs fewer terms
+in a face (its order is ``x_cap + y_cap``), but ``u[k]`` does not depend
+on the order, and the extra Horner steps of the joint space only feed
+degrees beyond the face's caps (see "Series composition").  With finite
+coefficients, the embedded face result is bit-identical to the result on
+embedded operands, up to the sign of a zero coefficient.
+
 All values are immutable after construction and every operation is pure.
 """
 
@@ -83,6 +110,7 @@ __all__ = [
     "JetUsageError",
     "SingularPointError",
     "jet_space",
+    "joint_space",
     "seed_variable",
     "scalar_map",
     "raise_if_singular",
@@ -209,6 +237,7 @@ class JetSpace:
         self._truncate_tables = {}
         self._drop_x_table = None
         self._fiber_tables = {}
+        self._embed_tables = {}
 
     def __repr__(self):
         return (
@@ -295,10 +324,10 @@ class JetSpace:
 
     @property
     def drop_x_table(self):
-        """Project onto the pure-y subspace (x exponents all zero)."""
+        """Project onto the fiber face (x exponents all zero)."""
         if self._drop_x_table is None:
-            target = jet_space(0, self.n_y, 0, self.y_cap)
-            self._drop_x_table = (target, self._pure_y_positions(target.exponents))
+            face = self.fiber_face
+            self._drop_x_table = (face, face.embed_table(self)[1])
         return self._drop_x_table
 
     def _pure_y_positions(self, y_exps):
@@ -318,6 +347,28 @@ class JetSpace:
             pos = self._pure_y_positions(counts).reshape(shape)
             tab = (pos, self.factorial[pos])
             self._fiber_tables[k] = tab
+        return tab
+
+    @property
+    def base_face(self):
+        """The space of this space's x group alone: (n_x, 0, x_cap, 0)."""
+        return jet_space(self.n_x, 0, self.x_cap, 0)
+
+    @property
+    def fiber_face(self):
+        """The space of this space's y group alone: (0, n_y, 0, y_cap)."""
+        return jet_space(0, self.n_y, 0, self.y_cap)
+
+    def embed_table(self, target):
+        """(target, positions): where each monomial of this space sits in
+        ``target``, a space holding every variable group of this one."""
+        tab = self._embed_tables.get(target)
+        if tab is None:
+            exps = np.zeros((self.size, target.n_x + target.n_y), dtype=np.intp)
+            exps[:, : self.n_x] = self.exponents[:, : self.n_x]
+            exps[:, target.n_x: target.n_x + self.n_y] = self.exponents[:, self.n_x:]
+            tab = (target, target._positions(exps))
+            self._embed_tables[target] = tab
         return tab
 
     # -- constructors ----------------------------------------------------
@@ -380,15 +431,48 @@ def fiber_arguments(n, y, order):
     return space, ys
 
 
-def _check_same_space(a, b):
-    if a.space is not b.space:
-        raise JetUsageError(
-            f"operands live in different jet spaces: {a.space} vs {b.space}"
-        )
+def joint_space(*spaces):
+    """The smallest space holding every variable group of ``spaces``.
+
+    A group is absent from a space whose size and cap for it are both 0;
+    spaces that both have a group must agree on its size and cap, else
+    :class:`JetUsageError`.
+    """
+    head = spaces[0]
+    if all(s is head for s in spaces):
+        return head
+    groups = []
+    for present in ({(s.n_x, s.x_cap) for s in spaces},
+                    {(s.n_y, s.y_cap) for s in spaces}):
+        present.discard((0, 0))
+        if len(present) > 1:
+            raise JetUsageError(
+                f"operands live in incompatible jet spaces: "
+                f"{', '.join(map(str, spaces))}"
+            )
+        groups.append(present.pop() if present else (0, 0))
+    (n_x, x_cap), (n_y, y_cap) = groups
+    return jet_space(n_x, n_y, x_cap, y_cap)
+
+
+def _embedded(value, space):
+    """``value``'s coefficients laid out in ``space``, a joint space of
+    ``value.space``: the other group's monomials get exact zeros."""
+    if value.space is space:
+        return value.coeffs
+    _, pos = value.space.embed_table(space)
+    c = np.zeros(value.coeffs.shape[:-1] + (space.size,))
+    c[..., pos] = value.coeffs
+    return c
+
+
+def _operand_space(a, b):
+    """The joint space of two operands whose batches match."""
     if a.batch is not None and b.batch is not None and a.batch != b.batch:
         raise JetUsageError(
             f"operands have batches of {a.batch} and {b.batch} samples"
         )
+    return a.space if a.space is b.space else joint_space(a.space, b.space)
 
 
 def _scalar(other):
@@ -462,10 +546,10 @@ def branch(mask, if_true, if_false, *values):
     for fn, index in ((if_true, np.flatnonzero(mask)),
                       (if_false, np.flatnonzero(~mask))):
         parts.append((index, fn(*(_take(v, index) for v in values))))
-    space = parts[0][1].space
+    space = joint_space(*(part.space for _, part in parts))
     out = np.empty((len(mask), space.size))
     for index, part in parts:
-        out[index] = part.coeffs
+        out[index] = _embedded(part, space)
     return TaylorValue(space, out)
 
 
@@ -474,7 +558,8 @@ def _each_sample(fn, *values):
     programs whose shape depends on a sample's value."""
     n = max(v.batch or 0 for v in values)
     parts = [fn(*(_take(v, k) for v in values)) for k in range(n)]
-    return TaylorValue(parts[0].space, np.stack([p.coeffs for p in parts]))
+    space = joint_space(*(p.space for p in parts))
+    return TaylorValue(space, np.stack([_embedded(p, space) for p in parts]))
 
 
 def _product(space, a, b, table=None):
@@ -577,8 +662,8 @@ class TaylorValue:
 
     def __add__(self, other):
         if isinstance(other, TaylorValue):
-            _check_same_space(self, other)
-            return TaylorValue(self.space, self.coeffs + other.coeffs)
+            space = _operand_space(self, other)
+            return TaylorValue(space, _embedded(self, space) + _embedded(other, space))
         return TaylorValue(self.space, _shift(self.coeffs, other))
 
     __radd__ = __add__
@@ -588,8 +673,8 @@ class TaylorValue:
 
     def __sub__(self, other):
         if isinstance(other, TaylorValue):
-            _check_same_space(self, other)
-            return TaylorValue(self.space, self.coeffs - other.coeffs)
+            space = _operand_space(self, other)
+            return TaylorValue(space, _embedded(self, space) - _embedded(other, space))
         return TaylorValue(self.space, _shift(self.coeffs, -np.asarray(other, float)))
 
     def __rsub__(self, other):
@@ -597,9 +682,9 @@ class TaylorValue:
 
     def __mul__(self, other):
         if isinstance(other, TaylorValue):
-            _check_same_space(self, other)
+            space = _operand_space(self, other)
             return TaylorValue(
-                self.space, _product(self.space, self.coeffs, other.coeffs)
+                space, _product(space, _embedded(self, space), _embedded(other, space))
             )
         return TaylorValue(self.space, self.coeffs * _scalar(other))
 
@@ -607,7 +692,7 @@ class TaylorValue:
 
     def __truediv__(self, other):
         if isinstance(other, TaylorValue):
-            _check_same_space(self, other)
+            _operand_space(self, other)
             return self * other.reciprocal()
         return TaylorValue(self.space, self.coeffs / _scalar(other))
 
@@ -634,6 +719,14 @@ class TaylorValue:
         c = self.coeffs.copy()
         c[..., 0] = 0.0
         return TaylorValue(self.space, c)
+
+    def embed(self, space):
+        """This value in ``space``, which must hold each of its variable
+        groups with the same size and cap; the coefficients of monomials
+        that involve a group this value lacks are exact zeros."""
+        if joint_space(self.space, space) is not space:
+            raise JetUsageError(f"{self.space} does not embed in {space}")
+        return TaylorValue(space, _embedded(self, space))
 
     def truncate(self, x_cap, y_cap):
         """Retain only coefficients within smaller caps."""
@@ -666,7 +759,9 @@ def compose_series(u, h):
     multivariate jet of that variable.  The zero constant term is
     enforced: :class:`JetUsageError` names the first sample of h that has
     another one.  Each step multiplies only the pairs it needs (see
-    "Series composition" in the module docstring).
+    "Series composition" in the module docstring).  The series runs in
+    h's own space, a face for an x-only or y-only h, and so has order
+    ``x_cap + y_cap`` of that space (see "Faces").
     """
     c0 = np.atleast_1d(h.coeffs[..., 0])
     bad = np.flatnonzero(c0 != 0.0)

@@ -256,3 +256,45 @@ def test_unwritable_out_is_an_error_not_a_traceback(target, csv, tmp_path):
     assert "Traceback" not in proc.stderr
     path = str(out) + ".csv" if csv else str(out)
     assert proc.stderr.startswith(f"error: cannot write report to {path!r}: ")
+
+
+def _never_classify(*args, **kwargs):
+    raise AssertionError("the plan ran although --out cannot be written")
+
+
+@pytest.mark.parametrize("target, csv", [
+    ("missing/r.json", False),
+    (".", False),
+    ("r.json", True),
+])
+def test_unwritable_out_is_refused_before_the_plan(target, csv, tmp_path,
+                                                   monkeypatch, capsys):
+    monkeypatch.setattr(verify, "classify", _never_classify)
+    (tmp_path / "r.json.csv").mkdir()
+    out = tmp_path / target
+    argv = ["classify", "--metric", "class1", "--points", "3", "--out", str(out)]
+    assert run(argv + (["--csv"] if csv else [])) == 1
+    path = str(out) + ".csv" if csv else str(out)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write report to {path!r}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json.csv"]
+
+
+def test_out_check_neither_truncates_nor_leaves_a_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(verify, "classify", _never_classify)
+    (tmp_path / "r.json.csv").mkdir()
+    old = tmp_path / "r.json"
+    old.write_text("previous report\n")
+    argv = ["classify", "--metric", "class1", "--points", "3", "--out", str(old)]
+    assert run(argv + ["--csv"]) == 1
+    assert old.read_text() == "previous report\n"
+
+    def failing(*args, **kwargs):
+        raise ValueError("the plan failed")
+
+    monkeypatch.setattr(verify, "classify", failing)
+    new = tmp_path / "new.json"
+    assert run(["classify", "--metric", "class1", "--points", "3",
+                "--out", str(new), "--csv"]) == 1
+    assert capsys.readouterr().err.endswith("error: the plan failed\n")
+    assert not new.exists() and not (tmp_path / "new.json.csv").exists()

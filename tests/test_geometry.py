@@ -611,3 +611,61 @@ def test_jet_solve_pivots_each_sample_as_a_batch_of_one():
         ref = np.linalg.solve(const[s], rhs[s, :, 0])
         got = np.array([v.value[s] for v in sol])
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# faces: x in the base face, y in the fiber face
+# ---------------------------------------------------------------------------
+
+
+def _embedded_arguments(xs, ys):
+    full = jets.joint_space(*(v.space for v in (*xs, *ys)))
+    return [v.embed(full) for v in xs], [v.embed(full) for v in ys]
+
+
+@pytest.mark.parametrize("metric_id, quadratic", BATCH_CASES)
+@pytest.mark.parametrize("caps", [(1, 2), (1, 5)])
+def test_face_seeds_match_embedded_seeds_bitwise(metric_id, quadratic, caps):
+    field = catalog.build_finsler(catalog.make_spec(metric_id, quadratic=quadratic))
+    x, y = _plan_arrays(field, 8, seed=48)
+    xs, ys = geometry.seeded_arguments(field.n, x, y, *caps, field.x_deps)
+    full = jets.jet_space(len(field.x_deps), field.n, *caps)
+    assert {v.space for v in xs} == {full.base_face}
+    assert {v.space for v in ys} == {full.fiber_face}
+    got = _outcome(field.evaluate, xs, ys)
+    want = _outcome(field.evaluate, *_embedded_arguments(xs, ys))
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert got.space is full and want.space is full
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def _mixed_pairs(field, xs, ys, monkeypatch):
+    """Pairs multiplied in spaces with both variable groups while
+    ``field`` is evaluated on (xs, ys)."""
+    counted = []
+    product = jets._product
+
+    def counting(space, a, b, table=None):
+        if space.n_x and space.n_y:
+            counted.append(len((space.mul_table if table is None else table)[2]))
+        return product(space, a, b, table)
+
+    monkeypatch.setattr(jets, "_product", counting)
+    field.evaluate(xs, ys)
+    monkeypatch.setattr(jets, "_product", product)
+    return sum(counted)
+
+
+def test_field_evaluation_work_budget(monkeypatch):
+    field = catalog.build_finsler(catalog.make_spec("class3", quadratic="mixed4"))
+    x, y = _plan_arrays(field, 1, seed=49)  # one sample: no product chunks
+    xs, ys = geometry.seeded_arguments(field.n, x, y, 1, 5, field.x_deps)
+    full = jets.jet_space(1, 4, 1, 5)
+    # F = f(x^1) psi(y): only the final product combines the two groups.
+    budget = len(full.mul_table[0])
+    assert _mixed_pairs(field, xs, ys, monkeypatch) == budget
+    # y seeded into the mixed space multiplies all of psi there.
+    ys_mixed = [v.embed(full) for v in ys]
+    assert _mixed_pairs(field, xs, ys_mixed, monkeypatch) > 5 * budget

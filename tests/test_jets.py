@@ -549,3 +549,108 @@ def test_compose_series_work_budget(signature, monkeypatch):
     assert len(counted) == top
     assert sum(counted) == _loop_series_pairs(sp, top + 1)
     assert sum(counted) < top * len(sp.mul_table[0])
+
+
+# ---------------------------------------------------------------------------
+# faces: y-only and x-only values in their own small spaces
+# ---------------------------------------------------------------------------
+
+FACE_UNARY = {
+    "reciprocal": lambda a: a.reciprocal(),
+    "sqrt": jets.sqrt,
+    "exp": jets.exp,
+    "ln": jets.ln,
+    "real power": lambda a: jets.power(a, -1.5),
+    "integer power": lambda a: jets.power(a, 3),
+    "negative integer power": lambda a: jets.power(a, -2),
+    "large integer power": lambda a: jets.power(a, 7),
+    "arctan": jets.arctan,
+    "arctanh": lambda a: jets.arctanh(a - 1.0),  # |constant term| < 1
+    "sin": jets.sin,
+    "cos": jets.cos,
+}
+FACE_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+}
+
+
+def _face_operands(face, batch, seed):
+    """Two dense values of ``face`` with constant terms in (0.5, 1.5)."""
+    rng = np.random.default_rng(seed)
+    shape = (face.size,) if batch is None else (batch, face.size)
+    out = []
+    for _ in range(2):
+        c = rng.normal(scale=0.3, size=shape)
+        c[..., 0] = rng.uniform(0.5, 1.5, size=shape[:-1])
+        out.append(jets.TaylorValue(face, c))
+    return out
+
+
+@pytest.mark.parametrize("full", [(1, 3, 1, 5), (1, 4, 1, 2), (2, 3, 1, 3)])
+@pytest.mark.parametrize("group", ["fiber", "base"])
+@pytest.mark.parametrize("batch", [None, 1, 16])
+def test_face_operations_match_embedded_operands_bitwise(full, group, batch):
+    full = jet_space(*full)
+    face = full.fiber_face if group == "fiber" else full.base_face
+    a, b = _face_operands(face, batch, seed=53)
+    ops = {**FACE_UNARY, **FACE_BINARY}
+    mask = a.value > 1.0
+    assert batch != 16 or 0 < mask.sum() < batch  # both sides taken
+    ops["branch"] = lambda a, b: jets.branch(
+        mask, lambda u, v: jets.sqrt(u) * v, lambda u, v: jets.arctan(u - v), a, b
+    )
+    for name, fn in ops.items():
+        operands = (a,) if name in FACE_UNARY else (a, b)
+        got = fn(*operands)
+        assert got.space is face, name
+        want = fn(*(v.embed(full) for v in operands))
+        assert want.space is full, name
+        assert got.embed(full).coeffs.tobytes() == want.coeffs.tobytes(), name
+
+
+@pytest.mark.parametrize("batch", [None, 1, 16])
+def test_operations_across_faces_embed_into_the_joint_space(batch):
+    full = jet_space(1, 3, 1, 5)
+    x, _ = _face_operands(full.base_face, batch, seed=59)
+    y, _ = _face_operands(full.fiber_face, batch, seed=61)
+    mixed = x * y + y
+    for name, fn in FACE_BINARY.items():
+        for a, b in ((x, y), (y, x), (mixed, y), (x, mixed), (y, full.constant(2.0))):
+            got = fn(a, b)
+            assert got.space is full, name
+            want = fn(a.embed(full), b.embed(full))
+            assert got.coeffs.tobytes() == want.coeffs.tobytes(), name
+
+
+def test_incompatible_spaces_are_rejected():
+    mixed = jet_space(1, 3, 1, 5).seed_y(0, 1.0)
+    incompatible = [
+        jet_space(0, 3, 0, 4).seed_y(0, 1.0),  # another y cap
+        jet_space(0, 2, 0, 5).seed_y(0, 1.0),  # another n_y
+        jet_space(2, 0, 1, 0).seed_x(0, 1.0),  # a base face of another n_x
+        jet_space(1, 0, 2, 0).seed_x(0, 1.0),  # a base face of another x cap
+    ]
+    for other in incompatible:
+        for op in FACE_BINARY.values():
+            with pytest.raises(JetUsageError, match="incompatible jet spaces"):
+                op(mixed, other)
+            with pytest.raises(JetUsageError, match="incompatible jet spaces"):
+                op(other, mixed)
+        with pytest.raises(JetUsageError):
+            other.embed(mixed.space)
+    with pytest.raises(JetUsageError):
+        mixed.embed(jet_space(0, 3, 0, 5))  # a face cannot hold a mixed value
+    assert mixed.space.fiber_face.seed_y(0, 1.0).embed(mixed.space).space is mixed.space
+
+
+def test_branch_merges_parts_from_different_spaces():
+    full = jet_space(1, 2, 1, 3)
+    y = full.fiber_face.seed_y(0, np.array([0.5, -2.0, 3.0]))
+    x = full.base_face.seed_x(0, np.array([1.0, 2.0, 3.0]))
+    out = jets.branch(y.value > 0, lambda y, x: y * 2.0, lambda y, x: y * x, y, x)
+    assert out.space is full
+    for s, sign in enumerate(y.value > 0):
+        ys = jets.TaylorValue(y.space, y.coeffs[s])
+        xs = jets.TaylorValue(x.space, x.coeffs[s])
+        ref = (ys * 2.0).embed(full) if sign else ys * xs
+        assert np.array_equal(out.coeffs[s], ref.coeffs)
