@@ -28,8 +28,11 @@ one-sample :class:`PointTensors` record, or unbatched jets), which the
 batch contract of :mod:`finslerlab.jets` makes bit-identical to row k of
 any batch holding that point at k.  :meth:`FinslerField.jet`,
 :meth:`FinslerField.value` and :func:`metric_tensor` take either shape
-through that contract directly.  The ``np.inner`` that forms L, whose
-rounding could change when batched, stays a per-sample loop;
+through that contract directly.  The BLAS contractions whose rounding
+could change when batched stay per-sample loops on contiguous rows: the
+``np.inner`` that forms L (over one contiguous copy of the whole batch),
+and G^j_i ell_j and y^i ell_i in the horizontal differential and the
+Euler defect, which :mod:`finslerlab.verify` shares;
 :func:`rcond`, the one degeneracy measure, runs on the whole stack, since
 LAPACK factors each matrix of a stack alone.  Two spray routes exist:
 
@@ -417,21 +420,39 @@ def horizontal_differential(field, spray, x, y):
     equation holds.
     """
     pt = point_tensors(field, spray, x, y)
-    return np.array([pt.dxF[s] - pt.Gij[s].T @ pt.ell[s] for s in range(len(x))])
+    return _horizontal(pt.dxF, pt.Gij, pt.ell)
 
 
 @_on_batches
 def euler_residual(field, x, y):
     """|y^i dot_iF - F|; zero for 1-homogeneous F by Euler's theorem."""
     fj = field.jet(x, y, 0, 1)
-    ell, F = fj.fiber_tensor(1), fj.value
-    return np.array([abs(float(np.dot(y[k], ell[k])) - F[k]) for k in range(len(x))])
+    return np.array(_euler_defects(y, fj.fiber_tensor(1), fj.value))
+
+
+# The batch helpers below contract each sample's rows in its own BLAS call
+# on contiguous rows: a batched contraction, or one over strided rows, may
+# round differently, and the reports keep the bits of one-point evaluation.
+
+
+def _horizontal(dxF, Gij, ell):
+    """d_iF - G^j_i dot_jF of each sample, shape (N, n)."""
+    return np.array([dxF[s] - Gij[s].T @ ell[s] for s in range(len(ell))])
+
+
+def _euler_defects(y, ell, F):
+    """|y^i dot_iF - F| of each sample, as a list of floats."""
+    return [abs(float(y[s] @ ell[s]) - f) for s, f in enumerate(F.tolist())]
 
 
 def _landsberg(F, ell, gijkh):
-    # One dot product per (j, k, h) over a contiguous axis, so every
-    # component rounds exactly as ell @ G[:, j, k, h] does.
-    return -0.5 * F * np.inner(np.ascontiguousarray(np.moveaxis(gijkh, 0, -1)), ell)
+    """L_jkh = -1/2 F ell_i G^i_jkh of each sample, shape (N, n, n, n):
+    one contiguous copy of the batch with the component axis last, then
+    one dot product per (s, j, k, h)."""
+    gt = np.ascontiguousarray(np.moveaxis(gijkh, 1, -1))
+    return -0.5 * F[:, None, None, None] * np.array(
+        [np.inner(gt[s], ell[s]) for s in range(len(F))]
+    )
 
 
 @dataclass(frozen=True)
@@ -501,5 +522,5 @@ def point_tensors(field, spray, x, y):
             for i in range(field.n)
         ], axis=1),
         G=np.stack([gi.value for gi in gj], axis=1), Gij=Gij, Gijk=Gijk, Gijkh=Gijkh,
-        L=np.array([_landsberg(F[s], ell[s], Gijkh[s]) for s in range(len(x))]),
+        L=_landsberg(F, ell, Gijkh),
     )

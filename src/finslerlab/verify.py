@@ -11,11 +11,27 @@ batched pass raises a domain or arithmetic error (``SingularPointError``,
 an ``OverflowError`` of a sample's series code, ``DegenerateMetricError``,
 ``SpecialFormError`` or the ``F > 0`` ``ValueError``), it re-runs the
 samples one at a time through the same code, so the exception that
-escapes is exactly the one the per-sample order meets first.  It then
-reduces each residual to ``{"max", "at_sample"}``: starting from
+escapes is exactly the one the per-sample order meets first; the fallback
+logs one DEBUG record on the ``finslerlab`` logger (silent by default).
+It then reduces each residual to ``{"max", "at_sample"}``: starting from
 ``0.0``/``None``, skipping ``None`` and updating only on a strict ``>``,
 so the first sample that reaches the maximum wins and a NaN never
 replaces a value.
+
+The formulas work on the batched (N, ...) arrays of
+:func:`~finslerlab.geometry.point_tensors`: each max|.| is one reduction
+over the sample's axes, and the element-wise differences and products are
+formed for the whole batch.  What stays per sample: the BLAS contractions
+G^j_i ell_j, y^i ell_i and the Landsberg tensor's (whose rounding could
+change if batched), and the scalar tail of each residual, in Python
+floats.  There ``max(1, |F|, ||G||)``, the homogeneity maxima and the
+spray deviation's ``max(1, |a|, |b|)`` are Python's ``max``: the first
+argument wins and a NaN never replaces a value (``np.maximum`` would
+propagate it), and inf / inf gives NaN without a RuntimeWarning.  Each
+result is therefore the one a one-point call gives, bit for bit.
+:func:`classify` checks homogeneity at y -> 0.5 y and 2 y with one
+stacked (2N, n) batch: one ``field.value`` call, then one
+``spray.values`` call.
 
 "Vanishes identically" is operationalized as: the residual, normalized by
 max(1, |F|, ||G||) at the sample, stays below a tolerance at every drawn
@@ -34,6 +50,7 @@ or other volatile data.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import numbers
 import time
@@ -43,8 +60,16 @@ import numpy as np
 
 from . import jets
 from .catalog import ClosedFormSpray
-from .geometry import DegenerateMetricError, ad_spray_field, point_tensors
+from .geometry import (
+    DegenerateMetricError,
+    _euler_defects,
+    _horizontal,
+    ad_spray_field,
+    point_tensors,
+)
 from .jets import fiber_arguments
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "TolProfile",
@@ -191,7 +216,12 @@ def _run_plan(guard, parts, plan, rows_of, keys):
     y = np.array([q for _, q in pts])
     try:
         rows = rows_of(x, y)
-    except _SAMPLE_ERRORS:
+    except _SAMPLE_ERRORS as exc:
+        logger.debug(
+            "%s: the batched pass over %d samples raised %s: %s; "
+            "evaluating them one at a time",
+            rows_of.__qualname__.partition(".")[0], len(x), type(exc).__name__, exc,
+        )
         rows = [row for s in range(len(x)) for row in rows_of(x[s:s + 1], y[s:s + 1])]
     maxima = {key: {"max": 0.0, "at_sample": None} for key in keys}
     for i, row in enumerate(rows):
@@ -201,20 +231,30 @@ def _run_plan(guard, parts, plan, rows_of, keys):
     return rows, maxima
 
 
+def _max_abs(a):
+    """max |a[s]| of each sample of a batch, as a list of floats."""
+    return np.abs(a).reshape(len(a), -1).max(axis=1).tolist()
+
+
 def _deviation(a, b):
-    """Relative deviation of two spray values, max|a - b| / max(1, |a|, |b|)."""
-    return float(np.abs(a - b).max()) / max(
-        1.0, float(np.abs(a).max()), float(np.abs(b).max())
-    )
+    """Relative deviation of two batches of spray values, for each sample
+    max|a - b| / max(1, |a|, |b|)."""
+    return [
+        d / max(1.0, p, q) for d, p, q in zip(_max_abs(a - b), _max_abs(a), _max_abs(b))
+    ]
 
 
 def _metrizability_residuals(pt):
-    """(scale, metrizability, euler) of one record; both residuals are
-    normalized by scale = max(1, |F|, ||G||)."""
-    scale = max(1.0, abs(pt.F), float(np.abs(pt.G).max()))
-    horiz = float(np.abs(pt.dxF - pt.Gij.T @ pt.ell).max()) / scale
-    euler = abs(float(pt.y @ pt.ell) - pt.F) / scale
-    return scale, horiz, euler
+    """Lists (scale, metrizability, euler) over the samples of a batched
+    record; both residuals are normalized by scale = max(1, |F|, ||G||)."""
+    scale = [max(1.0, abs(f), g) for f, g in zip(pt.F.tolist(), _max_abs(pt.G))]
+    horiz = _max_abs(_horizontal(pt.dxF, pt.Gij, pt.ell))
+    euler = _euler_defects(pt.y, pt.ell, pt.F)
+    return (
+        scale,
+        [h / c for h, c in zip(horiz, scale)],
+        [e / c for e, c in zip(euler, scale)],
+    )
 
 
 def decide_verdict(landsberg_max, berwald_max, berwald_floor_effective, tol):
@@ -263,48 +303,54 @@ def report_to_json(report):
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+#: The scalings y -> lam y of the homogeneity checks.
+_SCALINGS = (0.5, 2.0)
+
+
 def _classify_rows(field, spray, oracle, x, y):
     """The report rows (without their index) of a batch of samples."""
     pt = point_tensors(field, spray, x, y)
-    # homogeneity of F and of the spray
-    scaled = [
-        (lam, field.value(x, lam * y).tolist(), spray.values(x, lam * y))
-        for lam in (0.5, 2.0)
+    N = len(x)
+    # F and G at every scaling as one stacked batch, F first
+    x_scaled = np.concatenate([x] * len(_SCALINGS))
+    y_scaled = np.concatenate([lam * y for lam in _SCALINGS])
+    f_scaled = field.value(x_scaled, y_scaled).tolist()
+    g_scaled = spray.values(x_scaled, y_scaled)
+    F = pt.F.tolist()
+    g_max = _max_abs(pt.G)
+    homogeneity, spray_homogeneity = [0.0] * N, [0.0] * N
+    for k, lam in enumerate(_SCALINGS):
+        f_lam = f_scaled[k * N:(k + 1) * N]
+        g_dev = _max_abs(g_scaled[k * N:(k + 1) * N] - lam**2 * pt.G)
+        homogeneity = [
+            max(h, abs(fl - lam * f) / (lam * abs(f)))
+            for h, fl, f in zip(homogeneity, f_lam, F)
+        ]
+        spray_homogeneity = [
+            max(h, d / max(1.0, lam**2 * g))
+            for h, d, g in zip(spray_homogeneity, g_dev, g_max)
+        ]
+    mismatch = [None] * N if oracle is None else _deviation(oracle.values(x, y), pt.G)
+    scale, metrizability, euler = _metrizability_residuals(pt)
+    columns = {
+        "x1": x[:, 0].tolist(),
+        "y": y.tolist(),
+        "F": F,
+        "G": pt.G.tolist(),
+        "landsberg": [v / c for v, c in zip(_max_abs(pt.L), scale)],
+        "berwald": [v / c for v, c in zip(_max_abs(pt.Gijkh), scale)],
+        "metrizability": metrizability,
+        "euler": euler,
+        "homogeneity": homogeneity,
+        "spray_homogeneity": spray_homogeneity,
+        "spray_mismatch": mismatch,
+        "g_rcond": pt.g_rcond.tolist(),
+        "conformal_rate": [v / abs(f) for v, f in zip(_max_abs(pt.dxF), F)],
+    }
+    return [
+        {"index": None, **{key: col[s] for key, col in columns.items()}}
+        for s in range(N)
     ]
-    go = None if oracle is None else oracle.values(x, y)
-    g_rcond = pt.g_rcond
-    rows = []
-    for s in range(len(x)):
-        p = pt[s]
-        fval = p.F
-        gvals = p.G
-        scale, mres, eres = _metrizability_residuals(p)
-        hres = 0.0
-        sres = 0.0
-        for lam, fl, gl in scaled:
-            hres = max(hres, abs(fl[s] - lam * fval) / (lam * abs(fval)))
-            sres = max(
-                sres,
-                float(np.abs(gl[s] - lam**2 * gvals).max())
-                / max(1.0, lam**2 * float(np.abs(gvals).max())),
-            )
-        rows.append({
-            "index": None,
-            "x1": float(p.x[0]),
-            "y": [float(v) for v in p.y],
-            "F": fval,
-            "G": [float(v) for v in gvals],
-            "landsberg": float(np.abs(p.L).max()) / scale,
-            "berwald": float(np.abs(p.Gijkh).max()) / scale,
-            "metrizability": mres,
-            "euler": eres,
-            "homogeneity": hres,
-            "spray_homogeneity": sres,
-            "spray_mismatch": None if go is None else _deviation(go[s], gvals),
-            "g_rcond": float(g_rcond[s]),
-            "conformal_rate": float(np.abs(p.dxF).max()) / abs(fval),
-        })
-    return rows
 
 
 def classify(field, spray=None, plan=None, params=None):
@@ -355,11 +401,8 @@ def check_metrizability(field, spray, plan=None):
     keys = ("metrizability", "euler")
 
     def rows_of(x, y):
-        pt = point_tensors(field, spray, x, y)
-        return [
-            dict(zip(keys, _metrizability_residuals(pt[s])[1:]))
-            for s in range(len(x))
-        ]
+        _, horiz, euler = _metrizability_residuals(point_tensors(field, spray, x, y))
+        return [dict(zip(keys, pair)) for pair in zip(horiz, euler)]
 
     return _run_plan(
         field.domain_guard, (field, spray), plan or SamplePlan(), rows_of, keys
@@ -385,36 +428,36 @@ def landsberg_via_p(cfs, field, plan=None):
     def rows_of(x, y):
         pt = point_tensors(field, spray, x, y)
         # special-form check: G^1 must be quadratic in the fiber
-        for s in range(len(x)):
-            if np.abs(pt.Gijkh[s, 0]).max() > 1e-9 * max(1.0, abs(pt.G[s, 0])):
-                raise SpecialFormError(
-                    "G^1 is not quadratic in y; the projective "
-                    "shortcut does not apply"
-                )
-        pj = cfs.p(x, fiber_arguments(n, y, 3)[1])
-        p2s, p3s = pj.fiber_tensor(2), pj.fiber_tensor(3)
-        rows = []
-        for s in range(len(x)):
-            p = pt[s]
-            p2 = p2s[s, 1:, 1:]
-            p3 = p3s[s, 1:, 1:, 1:]
-            fval = p.F
-            ell_mu = p.ell[1:]
-            l_via = np.zeros((n, n, n))
-            l_via[1:, 1:, 1:] = -0.5 * fval * (
-                p3 * float(ell_mu @ p.y[1:])
-                + p2[:, :, None] * ell_mu[None, None, :]
-                + p2[None, :, :] * ell_mu[:, None, None]
-                + p2.T[:, None, :] * ell_mu[None, :, None]
+        g1, g1_cubic = pt.G[:, 0].tolist(), _max_abs(pt.Gijkh[:, 0])
+        if any(c > 1e-9 * max(1.0, abs(g)) for c, g in zip(g1_cubic, g1)):
+            raise SpecialFormError(
+                "G^1 is not quadratic in y; the projective "
+                "shortcut does not apply"
             )
-            l_gen = p.L  # the general definition, from the same spray
-            scale = max(1.0, abs(fval))
-            rows.append({
-                "via_p": float(np.abs(l_via).max()) / scale,
-                "general": float(np.abs(l_gen).max()) / scale,
-                "agreement": float(np.abs(l_via - l_gen).max()) / scale,
-            })
-        return rows
+        pj = cfs.p(x, fiber_arguments(n, y, 3)[1])
+        p2 = pj.fiber_tensor(2)[:, 1:, 1:]
+        p3 = pj.fiber_tensor(3)[:, 1:, 1:, 1:]
+        ell_mu = pt.ell[:, 1:]
+        # ell_mu y^mu: one BLAS dot per sample, as in geometry's batch helpers
+        ell_y = np.array([ell_mu[s] @ pt.y[s, 1:] for s in range(len(x))])
+        l_via = np.zeros((len(x), n, n, n))
+        l_via[:, 1:, 1:, 1:] = -0.5 * pt.F[:, None, None, None] * (
+            p3 * ell_y[:, None, None, None]
+            + p2[:, :, :, None] * ell_mu[:, None, None, :]
+            + p2[:, None, :, :] * ell_mu[:, :, None, None]
+            + p2.transpose(0, 2, 1)[:, :, None, :] * ell_mu[:, None, :, None]
+        )
+        l_gen = pt.L  # the general definition, from the same spray
+        columns = {
+            "via_p": _max_abs(l_via),
+            "general": _max_abs(l_gen),
+            "agreement": _max_abs(l_via - l_gen),
+        }
+        scale = [max(1.0, abs(f)) for f in pt.F.tolist()]
+        return [
+            {key: col[s] / scale[s] for key, col in columns.items()}
+            for s in range(len(x))
+        ]
 
     return _run_plan(
         cfs.domain_guard or field.domain_guard, (cfs, field), plan or SamplePlan(),
@@ -447,9 +490,8 @@ def compare_sprays(spray_a, spray_b, plan=None):
         return spray_a.domain_guard(x, y) and spray_b.domain_guard(x, y)
 
     def rows_of(x, y):
-        ga = spray_a.values(x, y)
-        gb = spray_b.values(x, y)
-        return [{"deviation": _deviation(ga[s], gb[s])} for s in range(len(x))]
+        deviation = _deviation(spray_a.values(x, y), spray_b.values(x, y))
+        return [{"deviation": d} for d in deviation]
 
     return _run_plan(
         guard, (spray_a, spray_b), plan or SamplePlan(), rows_of, ("deviation",)

@@ -1,4 +1,6 @@
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -435,3 +437,185 @@ def test_compare_sprays_falls_back_to_the_per_sample_error():
     with pytest.raises(jets.SingularPointError) as err:
         compare_sprays(spray_a, spray_b, plan)
     assert str(err.value).startswith("ln of non-positive constant term")
+
+
+# ---------------------------------------------------------------------------
+# batched residuals: one pass over the plan equals one pass per sample
+# ---------------------------------------------------------------------------
+
+
+def _plan_passes(monkeypatch, *calls):
+    """(guard, n, plan, rows_of) of every plan the entry point calls hand
+    to the plan driver."""
+    passes = []
+    run_plan = verify._run_plan
+
+    def recording(guard, parts, plan, rows_of, keys):
+        passes.append((guard, parts[0].n, plan, rows_of))
+        return run_plan(guard, parts, plan, rows_of, keys)
+
+    monkeypatch.setattr(verify, "_run_plan", recording)
+    for call in calls:
+        call()
+    monkeypatch.setattr(verify, "_run_plan", run_plan)
+    return passes
+
+
+def _assert_batch_equals_samples(passes):
+    """rows_of on the whole plan gives the rows of its one-sample calls,
+    float for float (repr tells -0.0, nan and the last bit apart)."""
+    for guard, n, plan, rows_of in passes:
+        pts = verify.draw_samples(guard, n, plan)
+        x = np.array([p for p, _ in pts])
+        y = np.array([q for _, q in pts])
+        batched = rows_of(x, y)
+        one_by_one = [
+            row for s in range(len(x)) for row in rows_of(x[s:s + 1], y[s:s + 1])
+        ]
+        assert repr(batched) == repr(one_by_one)
+
+
+BATCH_PLAN = SamplePlan(n_points=6, seed=11)
+
+
+@pytest.mark.parametrize(
+    "metric_id, quadratic",
+    [(m, q) for m in ("class1", "class3", "shen_eq8") for q in ("product", "mixed4")]
+    + [("example33", None)],
+)
+def test_batched_rows_equal_per_sample_rows(metric_id, quadratic, monkeypatch):
+    spec = catalog.make_spec(metric_id, quadratic=quadratic)
+    field = catalog.build_finsler(spec)
+    cfs = catalog.closed_form_spray(spec)
+    closed = cfs.as_spray_field()
+    variational = geometry.ad_spray_field(field)
+    passes = _plan_passes(
+        monkeypatch,
+        lambda: classify(field, closed, BATCH_PLAN),
+        lambda: classify(field, None, BATCH_PLAN),
+        lambda: check_metrizability(field, closed, BATCH_PLAN),
+        lambda: check_metrizability(field, variational, BATCH_PLAN),
+        lambda: landsberg_via_p(cfs, field, BATCH_PLAN),
+        lambda: compare_sprays(closed, variational, BATCH_PLAN),
+    )
+    assert len(passes) == 6
+    _assert_batch_equals_samples(passes)
+
+
+def _key(x, y):
+    return (*x.tolist(), *y.tolist())
+
+
+def _stub_parts():
+    """class1 on product, with a spray whose G^2 is nan, +inf, -inf or
+    -0.0 at samples 0-3 of the plan, and a field whose F(0.5 y) is nan at
+    sample 4 and whose F(2 y) is +inf at sample 5; elsewhere both are the
+    catalog's.  The special values depend on the point, not on its place
+    in a batch."""
+    spec = default_spec("class1")
+    base = catalog.build_finsler(spec)
+    closed = catalog.closed_form_spray(spec).as_spray_field()
+    pts = verify.draw_samples(base.domain_guard, base.n, BATCH_PLAN)
+    g_special = {_key(*pts[s]): v for s, v in enumerate(
+        (math.nan, math.inf, -math.inf, -0.0))}
+    f_special = {
+        _key(pts[4][0], 0.5 * pts[4][1]): math.nan,
+        _key(pts[5][0], 2.0 * pts[5][1]): math.inf,
+    }
+
+    def spray_jets(x, y, order):
+        out = closed.jets(x, y, order)
+        coeffs = out[1].coeffs.copy()
+        for r in range(len(x)):
+            coeffs[r, 0] = g_special.get(_key(x[r], y[r]), coeffs[r, 0])
+        out[1] = jets.TaylorValue(out[1].space, coeffs)
+        return out
+
+    class StubField(geometry.FinslerField):
+        def value(self, x, y):
+            values = super().value(x, y).copy()
+            for r in range(len(x)):
+                values[r] = f_special.get(_key(x[r], y[r]), values[r])
+            return values
+
+    field = StubField(base.n, base.evaluate, base.domain_guard, "stub", base.x_deps)
+    spray = geometry.SprayField(base.n, spray_jets, "stub", base.domain_guard)
+    return field, spray
+
+
+def test_batched_rows_keep_python_max_semantics_on_non_finite_values(monkeypatch):
+    field, spray = _stub_parts()
+    oracle = geometry.ad_spray_field(field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no new RuntimeWarning
+        passes = _plan_passes(
+            monkeypatch,
+            lambda: classify(field, spray, BATCH_PLAN),
+            lambda: check_metrizability(field, spray, BATCH_PLAN),
+            lambda: compare_sprays(spray, oracle, BATCH_PLAN),
+        )
+        _assert_batch_equals_samples(passes)
+        rows = classify(field, spray, BATCH_PLAN).samples
+    nan_g, inf_g, minus_inf_g, zero_g, nan_f, inf_f = rows[:6]
+    # max(1, |F|, ||G||) starts from 1.0 and a nan never replaces a value
+    assert math.isfinite(nan_g["metrizability"]) and math.isfinite(nan_g["euler"])
+    for row in (inf_g, minus_inf_g):
+        assert row["metrizability"] == row["euler"] == row["berwald"] == 0.0
+        # inf / inf in _deviation and in the spray homogeneity: nan, silently
+        assert math.isnan(row["spray_mismatch"])
+        assert row["spray_homogeneity"] == 0.0
+    assert math.isnan(nan_g["spray_mismatch"]) and nan_g["spray_homogeneity"] == 0.0
+    assert math.copysign(1.0, zero_g["G"][1]) == -1.0
+    # the homogeneity maximum skips the nan at lam = 0.5 and keeps lam = 2
+    x, y = np.zeros(3), np.array(nan_f["y"])
+    x[0] = nan_f["x1"]
+    f2 = float(field.value(x[None], 2.0 * y[None])[0])
+    assert nan_f["homogeneity"] == abs(f2 - 2.0 * nan_f["F"]) / (2.0 * nan_f["F"])
+    assert inf_f["homogeneity"] == math.inf
+
+
+@pytest.mark.parametrize("oracle_ad", [False, True], ids=["closed", "derived"])
+def test_classify_evaluates_both_scalings_in_one_batch(oracle_ad, monkeypatch):
+    # one FinslerField.value call and one order-0 spray call for the
+    # scaled points, each on 2N rows; the closed route adds the oracle's
+    # order-0 call on the N plan points
+    spec = default_spec("class3")
+    field = catalog.build_finsler(spec)
+    spray = None if oracle_ad else catalog.closed_form_spray(spec).as_spray_field()
+    calls = []
+    value, spray_jets = geometry.FinslerField.value, geometry.SprayField.jets
+
+    def counting_value(self, x, y):
+        calls.append(("value", np.shape(x)))
+        return value(self, x, y)
+
+    def counting_jets(self, x, y, order):
+        if order == 0:
+            calls.append((self.label, np.shape(x)))
+        return spray_jets(self, x, y, order)
+
+    monkeypatch.setattr(geometry.FinslerField, "value", counting_value)
+    monkeypatch.setattr(geometry.SprayField, "jets", counting_jets)
+    report = classify(field, spray, PLAN)
+    n, N = field.n, PLAN.n_points
+    want = [("value", (2 * N, n)), (report.spray_label, (2 * N, n))]
+    if not oracle_ad:
+        want.append((f"ad:{field.label}", (N, n)))
+    assert calls == want
+
+
+def test_fallback_to_per_sample_evaluation_logs_one_debug_record(caplog):
+    assert any(isinstance(h, logging.NullHandler)
+               for h in logging.getLogger("finslerlab").handlers)
+    plan, x, y, base, cfs = _spray_singular_at_sample_3()
+    spray = catalog.closed_form_spray(default_spec("class1")).as_spray_field()
+    with caplog.at_level(logging.DEBUG, logger="finslerlab"):
+        check_metrizability(base, spray, plan)  # no fallback, no record
+        assert caplog.records == []
+        with pytest.raises(jets.SingularPointError):
+            check_metrizability(base, cfs.as_spray_field(), plan)
+    [record] = caplog.records
+    assert (record.name, record.levelno) == ("finslerlab.verify", logging.DEBUG)
+    message = record.getMessage()
+    assert message.startswith("check_metrizability: ")
+    assert f"over {plan.n_points} samples raised SingularPointError: " in message
