@@ -79,7 +79,9 @@ def build_parser():
         "--tol-profile", default="default", choices=sorted(TOL_PROFILES),
         dest="tol_profile", help="tolerance profile",
     )
-    cls.set_defaults(func=run_classify)
+    # looked up when called, like list_catalog above, so that a replaced
+    # cli.run_classify is the one the shared parser runs
+    cls.set_defaults(func=lambda args: run_classify(args))
     return parser
 
 
@@ -251,9 +253,13 @@ def run_classify(args):
     return 0 if got == want else 2
 
 
+#: Built once per process: every in-process caller of :func:`main` (a
+#: scripted sweep, say) would otherwise pay for it on every run.
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (

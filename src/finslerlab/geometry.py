@@ -179,7 +179,9 @@ class FinslerField:
         return _batched_like(self.evaluate(xs, ys), np.asarray(x))
 
     def value(self, x, y):
-        return self.jet(x, y, 0, 1).value
+        """F at (x, y): shape (N,), or a float for one point.  Evaluated
+        at caps (0, 0), where every argument is a constant jet."""
+        return self.jet(x, y, 0, 0).value
 
 
 def seeded_arguments(n, x, y, x_cap, y_cap, x_deps=None):
@@ -191,7 +193,9 @@ def seeded_arguments(n, x, y, x_cap, y_cap, x_deps=None):
     variable k: the full space is (len(x_deps), n, x_cap, y_cap).  Every
     other x coordinate, and all of them when ``x_cap == 0`` or ``x_deps``
     is empty, enters as a constant; the full space then has no x
-    variables.  The x arguments live in its base face (len(x_deps), 0,
+    variables.  Likewise the y coordinates enter as constants when
+    ``y_cap == 0``, as in :func:`~finslerlab.jets.fiber_arguments` at
+    order 0.  The x arguments live in its base face (len(x_deps), 0,
     x_cap, 0) and the y arguments in its fiber face (0, n, 0, y_cap), so
     the x-only and y-only parts of a program run in those small spaces,
     and only a value that combines both groups is lifted into the full
@@ -212,7 +216,10 @@ def seeded_arguments(n, x, y, x_cap, y_cap, x_deps=None):
         base.seed_x(var[i], x[..., i]) if i in var else base.constant(x[..., i])
         for i in range(n)
     ]
-    ys = [fiber.seed_y(i, y[..., i]) for i in range(n)]
+    if y_cap == 0:
+        ys = [fiber.constant(y[..., i]) for i in range(n)]
+    else:
+        ys = [fiber.seed_y(i, y[..., i]) for i in range(n)]
     return xs, ys
 
 

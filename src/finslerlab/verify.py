@@ -44,7 +44,9 @@ not flap.
 Reproducibility: each sample index gets its own generator stream derived
 from (seed, index), so reports are bit-identical for a fixed plan and
 independent of evaluation order; serialized reports contain no wall-time
-or other volatile data.
+or other volatile data.  :func:`report_to_json` writes the bytes of
+``json.dumps(sort_keys=True, indent=2)``; only the per-sample rows are
+formatted column by column.
 """
 
 from __future__ import annotations
@@ -165,27 +167,45 @@ class SamplePlan:
             raise ValueError("exclusion angle must lie in (0, pi/2)")
         if not self.x_range[0] <= self.x_range[1]:
             raise ValueError("x_range must be ordered")
+        lo, hi = map(float, self.x_range)
+        if not math.isfinite(hi - lo):
+            raise ValueError(
+                f"x_range {tuple(self.x_range)} is too wide: hi - lo "
+                f"overflows to {hi - lo}"
+            )
 
 
 def draw_samples(domain_guard, n, plan):
     """Admissible (x, y) pairs; y uniform on the sphere, rejected near
-    the singular axis (+-1, 0, ..., 0) and wherever the guard fails."""
+    the singular axis (+-1, 0, ..., 0) and wherever the guard fails.
+
+    Sample ``index`` draws from its own stream ``default_rng([seed,
+    index])``: per attempt x^1 = lo + (hi - lo) * random() and y from
+    ``normal(size=n)``, normalized by sqrt(y . y).  These are the formulas
+    of ``Generator.uniform`` and ``np.linalg.norm``, without their
+    per-call overhead, so the samples are theirs bit for bit;
+    :class:`SamplePlan` has already refused a range whose width
+    overflows, which ``uniform`` would have checked.
+    """
     cos_excl = math.cos(plan.exclusion_angle)
+    lo, hi = map(float, plan.x_range)
+    span = hi - lo
     points = []
     attempts = 0
     for index in range(plan.n_points):
         rng = np.random.default_rng([int(plan.seed), index])
         for _ in range(plan.guard_retries):
             attempts += 1
-            x = np.zeros(n)
-            x[0] = rng.uniform(plan.x_range[0], plan.x_range[1])
+            x1 = lo + span * rng.random()
             y = rng.normal(size=n)
-            norm = np.linalg.norm(y)
+            norm = math.sqrt(y.dot(y))
             if norm == 0.0:
                 continue
             y /= norm
             if abs(y[0]) > cos_excl:
                 continue
+            x = np.zeros(n)
+            x[0] = x1
             if not domain_guard(x, y):
                 continue
             points.append((x, y))
@@ -300,7 +320,89 @@ class ClassificationReport:
 
 
 def report_to_json(report):
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    """``json.dumps(report.to_dict(), sort_keys=True, indent=2)`` plus a
+    newline, byte for byte; the ``samples`` rows are written column by
+    column when they share one shape (see :func:`_rows_json`)."""
+    doc = report.to_dict()
+    rows = _rows_json(doc["samples"])
+    if rows is None:
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    doc["samples"] = []
+    # only a top-level key sits on a line of its own after exactly two spaces
+    head, _, tail = json.dumps(doc, sort_keys=True, indent=2).partition(
+        '\n  "samples": []'
+    )
+    return head + '\n  "samples": ' + rows + tail + "\n"
+
+
+#: ``json``'s spelling of the non-finite floats, keyed by their repr.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalars(values):
+    """Each of ``values`` as ``json.dumps`` writes it, or None when one is
+    not a None, bool, int or float."""
+    if set(map(type, values)) == {float}:
+        text = list(map(float.__repr__, values))
+        if math.isfinite(sum(values)):  # all finite (or a sum that overflowed)
+            return text
+        return [_JSON_NONFINITE.get(r, r) for r in text]
+    out = []
+    for v in values:
+        if v is None:
+            out.append("null")
+        elif isinstance(v, bool):
+            out.append("true" if v else "false")
+        elif isinstance(v, int):
+            out.append(int.__repr__(v))
+        elif isinstance(v, float):
+            r = float.__repr__(v)
+            out.append(_JSON_NONFINITE.get(r, r))
+        else:
+            return None
+    return out
+
+
+def _rows_json(rows):
+    """The ``samples`` list as ``json.dumps(..., sort_keys=True, indent=2)``
+    writes it at the top level of a report, or None unless the rows share
+    one shape: dicts with the same string keys, each value a scalar or a
+    flat list of one length in every row.  One row template is built from
+    the first row, and each column (a key, or one entry of a list) is
+    formatted once for all rows."""
+    if not rows or any(type(row) is not dict for row in rows):
+        return None
+    keys = sorted(rows[0]) if all(type(k) is str for k in rows[0]) else None
+    if not keys or any(row.keys() != rows[0].keys() for row in rows):
+        return None
+    fields, columns = [], []
+    for key in keys:
+        name = json.dumps(key).replace("%", "%%")
+        values = [row[key] for row in rows]
+        if type(values[0]) is not list:
+            fields.append(f'      {name}: %s')
+            columns.append(values)
+            continue
+        length = len(values[0])
+        if any(type(v) is not list or len(v) != length for v in values):
+            return None
+        if length == 0:
+            fields.append(f'      {name}: []')
+            continue
+        fields.append(
+            f'      {name}: [\n' + ",\n".join(["        %s"] * length) + "\n      ]"
+        )
+        columns.extend(zip(*values))
+    if not columns:  # nothing varies: no template slot to fill per row
+        return None
+    texts = []
+    for column in columns:
+        text = _json_scalars(column)
+        if text is None:
+            return None
+        texts.append(text)
+    template = "    {\n" + ",\n".join(fields) + "\n    }"
+    return "[\n" + ",\n".join(template % row for row in zip(*texts)) + "\n  ]"
 
 
 #: The scalings y -> lam y of the homogeneity checks.

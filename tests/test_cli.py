@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from finslerlab import verify
+from finslerlab import cli, verify
 from finslerlab.cli import main
 
 
@@ -298,3 +299,53 @@ def test_out_check_neither_truncates_nor_leaves_a_file(tmp_path, monkeypatch, ca
                 "--out", str(new), "--csv"]) == 1
     assert capsys.readouterr().err.endswith("error: the plan failed\n")
     assert not new.exists() and not (tmp_path / "new.json.csv").exists()
+
+
+def test_main_reuses_one_parser_and_writes_what_fresh_parsers_write(
+        tmp_path, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    parser = cli._PARSER
+    argvs = [
+        ["classify", "--metric", "class4", "--quadratic", "mixed4", "--points", "6",
+         "--seed", "2", "--param", "p=2", "--param", "q=3", "--csv"],
+        ["classify", "--metric", "example31", "--points", "5", "--f", "2+sin(x1)"],
+    ]
+    for argv in argvs:
+        shared, fresh = tmp_path / "shared.json", tmp_path / "fresh.json"
+        assert main(argv + ["--out", str(shared)]) == 0
+        args = build().parse_args(argv + ["--out", str(fresh)])
+        assert args.func(args) == 0
+        for suffix in ("", ".csv")[: 1 + ("--csv" in argv)]:
+            assert (Path(str(shared) + suffix).read_bytes()
+                    == Path(str(fresh) + suffix).read_bytes())
+    assert builds == [] and cli._PARSER is parser
+    # the default --param list is not shared between runs
+    assert parser.parse_args(["classify", "--metric", "class1"]).param == []
+
+
+def test_help_names_the_program_whatever_argv0_is(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["/some/where/else.py"])
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: finslerlab ")
+
+
+def test_x_range_whose_width_overflows_refused_at_the_boundary(capsys):
+    argv = ["classify", "--metric", "class1", "--points", "3",
+            "--x-range=-1e308,1e308"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from linspace
+        assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: x_range (-1e+308, 1e+308) is too wide: hi - lo ")
+    assert "overflows" in err and "f(x1)" not in err
+    src = Path(verify.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "finslerlab.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == err

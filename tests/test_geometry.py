@@ -17,6 +17,7 @@ from finslerlab.geometry import (
     metric_tensor,
     point_tensors,
 )
+from finslerlab.verify import SamplePlan, draw_samples
 
 from conftest import DEFAULT_IDS, admissible_points, default_spec
 from oracles import richardson_partial
@@ -669,3 +670,43 @@ def test_field_evaluation_work_budget(monkeypatch):
     # y seeded into the mixed space multiplies all of psi there.
     ys_mixed = [v.embed(full) for v in ys]
     assert _mixed_pairs(field, xs, ys_mixed, monkeypatch) > 5 * budget
+
+
+def _value_only_fields():
+    """Every catalog entry on every preset it takes, plus the block entries
+    with an exprlang f whose power varies per sample (x1^x1)."""
+    x1_pow_x1 = exprlang.parse_expr("x1^x1")
+    for metric_id, entry in catalog.CATALOG.items():
+        fixed = entry.profile is None or entry.fixed
+        for quadratic in [None] if fixed else sorted(catalog.QUADRATIC_PRESETS):
+            yield catalog.make_spec(metric_id, quadratic=quadratic)
+            if not fixed:
+                yield catalog.make_spec(
+                    metric_id, quadratic=quadratic,
+                    f=lambda t: exprlang.evaluate(x1_pow_x1, t),
+                )
+
+
+def test_value_at_caps_0_0_equals_the_constant_term_of_a_fiber_jet():
+    # x^1 > 0 keeps x1^x1 real
+    plan = SamplePlan(n_points=12, seed=4, x_range=(0.05, 0.95))
+    for spec in _value_only_fields():
+        field = catalog.build_finsler(spec)
+        pts = draw_samples(field.domain_guard, field.n, plan)
+        x = np.array([p for p, _ in pts])
+        y = np.array([q for _, q in pts])
+        for scale in (1.0, 0.5, 2.0):
+            got = field.value(x, scale * y)
+            want = field.jet(x, scale * y, 0, 1).value
+            assert got.tobytes() == want.tobytes(), (spec.label, scale)
+        one = field.value(x[0], y[0])
+        assert type(one) is float and one == field.jet(x[0], y[0], 0, 1).value
+
+
+def test_seeded_arguments_enter_y_as_constants_at_y_cap_0():
+    x, y = np.array([[0.1, 0.2, 0.3]]), np.array([[0.6, 0.0, -0.8]])
+    xs, ys = geometry.seeded_arguments(3, x, y, 0, 0)
+    for i, v in enumerate(ys):
+        assert v.space == jets.jet_space(0, 3, 0, 0)
+        assert v.coeffs.tolist() == [[y[0, i]]]
+    assert [v.value.tolist() for v in xs] == [[0.1], [0.2], [0.3]]

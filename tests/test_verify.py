@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import warnings
@@ -619,3 +620,153 @@ def test_fallback_to_per_sample_evaluation_logs_one_debug_record(caplog):
     message = record.getMessage()
     assert message.startswith("check_metrizability: ")
     assert f"over {plan.n_points} samples raised SingularPointError: " in message
+
+
+# ---------------------------------------------------------------------------
+# report JSON: the column writer equals json.dumps byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _reference_json(report):
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+SMALL_PLAN = SamplePlan(n_points=8, seed=5)
+
+
+@pytest.mark.parametrize("metric_id, quadratic", [
+    ("class1", "mixed4"), ("class2", "euclid"), ("class4", "product"),
+    ("shen_eq8", "mixed4"), ("example33", None), ("shen_r3_eq1", None),
+])
+def test_report_json_equals_json_dumps_on_classify_reports(metric_id, quadratic):
+    spec = catalog.make_spec(metric_id, quadratic=quadratic)
+    field = catalog.build_finsler(spec)
+    sprays = [None]  # the variational route: spray_mismatch is None throughout
+    if spec.entry.has_closed_form:
+        sprays.append(catalog.closed_form_spray(spec).as_spray_field())
+    for spray in sprays:
+        report = classify(field, spray, SMALL_PLAN, params=spec.params)
+        assert (spray is None) == all(
+            row["spray_mismatch"] is None for row in report.samples)
+        assert verify._rows_json(report.samples) is not None  # the column path
+        assert report_to_json(report) == _reference_json(report)
+
+
+def _hand_built(samples):
+    return verify.ClassificationReport(
+        metric="hand-built", params={"a": 2}, plan=SamplePlan(n_points=3),
+        residuals={"r": {"max": math.nan, "at_sample": None}, "q": -math.inf},
+        verdict="indeterminate", samples=samples, spray_label="s%d", wall_time=1.0,
+    )
+
+
+SPECIAL_ROWS = [
+    {"index": 0, "x1": math.nan, "y": [math.inf, -math.inf, -0.0], "F": None,
+     "big": 10**30, "flag": True, "np": np.float64(0.1)},
+    {"index": 1, "x1": -0.0, "y": [np.float64(-1e-300), 1e300, 5e-324],
+     "F": 2.5, "big": -7, "flag": False, "np": np.float64(math.nan)},
+    {"index": 2, "x1": 1.0, "y": [0.1, 0.2, 0.30000000000000004], "F": math.inf,
+     "big": 0, "flag": None, "np": np.float64(-math.inf)},
+]
+
+
+@pytest.mark.parametrize("samples, columnwise", [
+    (SPECIAL_ROWS, True),
+    ([{"a%s\"é": 1.5, "empty": [], "v": [1.0]}] * 2, True),  # escaped keys
+    ([{"v": 1e308, "w": [-1e308]}] * 3, True),  # finite values, overflowing sums
+    ([], False),
+    ([{"a": 1.0}, {"b": 1.0}], False),                      # different keys
+    ([{"y": [1.0, 2.0]}, {"y": [1.0]}], False),              # different lengths
+    ([{"y": [1.0, 2.0]}, {"y": 3.0}], False),                # list, then scalar
+    ([{"y": 3.0}, {"y": [1.0, 2.0]}], False),                # scalar, then list
+    ([{"y": [[1.0], [2.0]]}, {"y": [[3.0], [4.0]]}], False),  # nested lists
+    ([{"d": {"max": 1.0}}, {"d": {"max": 2.0}}], False),     # nested dict
+    ([{"s": "text"}], False),
+    ([{"y": []}, {"y": []}], False),
+    ([{}, {}], False),
+    ([[1.0], [2.0]], False),                                 # rows not dicts
+])
+def test_report_json_equals_json_dumps_on_hand_built_rows(samples, columnwise):
+    report = _hand_built(samples)
+    assert (verify._rows_json(samples) is not None) == columnwise
+    assert report_to_json(report) == _reference_json(report)
+
+
+# ---------------------------------------------------------------------------
+# sampling: the draw equals rng.uniform / np.linalg.norm bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _reference_draw_samples(domain_guard, n, plan):
+    """draw_samples written with Generator.uniform and np.linalg.norm."""
+    cos_excl = math.cos(plan.exclusion_angle)
+    points = []
+    attempts = 0
+    for index in range(plan.n_points):
+        rng = np.random.default_rng([int(plan.seed), index])
+        for _ in range(plan.guard_retries):
+            attempts += 1
+            x = np.zeros(n)
+            x[0] = rng.uniform(plan.x_range[0], plan.x_range[1])
+            y = rng.normal(size=n)
+            norm = np.linalg.norm(y)
+            if norm == 0.0:
+                continue
+            y /= norm
+            if abs(y[0]) > cos_excl:
+                continue
+            if not domain_guard(x, y):
+                continue
+            points.append((x, y))
+            break
+        else:
+            raise SamplerStarvationError(len(points), plan.n_points, attempts)
+    return points
+
+
+def _catalog_fields():
+    for metric_id, entry in catalog.CATALOG.items():
+        fixed = entry.profile is None or entry.fixed
+        for quadratic in [None] if fixed else sorted(catalog.QUADRATIC_PRESETS):
+            spec = catalog.make_spec(metric_id, quadratic=quadratic)
+            yield catalog.build_finsler(spec)
+
+
+def _draw_bytes(points):
+    return [(x.tobytes(), y.tobytes()) for x, y in points]
+
+
+def test_draw_samples_equals_the_numpy_reference_bitwise():
+    plans = [
+        SamplePlan(n_points=20, seed=seed, x_range=x_range)
+        for seed in (0, 3, 1000)
+        for x_range in ((-0.5, 0.5), (0, 2), (-1e300, 1e300), (0.25, 0.25))
+    ]
+    for field in _catalog_fields():
+        for plan in plans:
+            got = verify.draw_samples(field.domain_guard, field.n, plan)
+            want = _reference_draw_samples(field.domain_guard, field.n, plan)
+            assert _draw_bytes(got) == _draw_bytes(want), (field.label, plan)
+
+
+@pytest.mark.parametrize("threshold, retries", [(0.45, 3), (2.0, 25), (0.3, 1)])
+def test_draw_samples_starves_like_the_numpy_reference(threshold, retries):
+    plan = SamplePlan(n_points=12, seed=2, guard_retries=retries)
+
+    def guard(x, y):
+        return x[0] > threshold
+
+    errors = []
+    for draw in (verify.draw_samples, _reference_draw_samples):
+        with pytest.raises(SamplerStarvationError) as err:
+            draw(guard, 3, plan)
+        errors.append((str(err.value), err.value.rejection_rate))
+    assert errors[0] == errors[1]
+    assert "sampler starved: " in errors[0][0]
+
+
+def test_x_range_whose_width_overflows_is_refused():
+    for x_range in ((-1e308, 1e308), (-1.7e308, 1.7e308)):
+        with pytest.raises(ValueError, match=r"x_range .* hi - lo overflows"):
+            SamplePlan(x_range=x_range)
+    assert SamplePlan(x_range=(-8e307, 8e307)).x_range == (-8e307, 8e307)
