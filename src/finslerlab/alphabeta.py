@@ -30,9 +30,9 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .geometry import RCOND_MIN, SprayField, rcond
-from .jets import (TaylorValue, branch, compose_series, fiber_arguments,
-                   jet_space, raise_if_singular, scalar_map)
+from .geometry import RCOND_MIN, SprayField, rcond, seeded_arguments
+from .jets import (TaylorValue, branch, compose_series, jet_space,
+                   raise_if_singular, scalar_map)
 
 __all__ = [
     "RiemannSetup",
@@ -117,7 +117,7 @@ class RiemannSetup:
         return SprayField(
             self.n,
             lambda x, y, order: _riemann_components(
-                self, x[..., 0], fiber_arguments(self.n, y, order)[1]
+                self, x[..., 0], seeded_arguments(self.n, x, y, 0, order)[1]
             ),
             label="riemann-alpha",
         )
@@ -219,7 +219,7 @@ def ab_spray_field(phi, setup, domain_guard=None, label=""):
 def _ab_spray_jets(phi, setup, x, y, order):
     n = setup.n
     x1 = x[..., 0]
-    _, y_jets = fiber_arguments(n, y, order)
+    _, y_jets = seeded_arguments(n, x, y, 0, order)
     fv, fp = setup.f_values(x1)
     y1 = y_jets[0]
     phi_y = setup.phi_jet(y_jets)
@@ -270,7 +270,7 @@ def shen_class_spray_field(c1, c3, setup, domain_guard=None):
 def _shen_class_spray_jets(c1, c3, setup, x, y, order):
     n = setup.n
     x1 = x[..., 0]
-    _, y_jets = fiber_arguments(n, y, order)
+    _, y_jets = seeded_arguments(n, x, y, 0, order)
     fv, fp = setup.f_values(x1)
     k = fp / scalar_map(lambda v: v**2, fv)
     y1 = y_jets[0]

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import jets
 from .alphabeta import PhiFunction, RiemannSetup
-from .geometry import DegenerateMetricError, FinslerField, SprayField
+from .geometry import DegenerateMetricError, FinslerField, SprayField, seeded_arguments
 
 __all__ = [
     "CatalogError",
@@ -533,7 +533,7 @@ class ClosedFormSpray:
 
     def as_spray_field(self):
         def jets_fn(x, y, order):
-            _, y_jets = jets.fiber_arguments(self.n, y, order)
+            _, y_jets = seeded_arguments(self.n, x, y, 0, order)
             return self.components(x, y_jets)
 
         return SprayField(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import catalog, exprlang, verify
 from .geometry import DegenerateMetricError
-from .jets import jet_space
+from .jets import SingularPointError, jet_space
 from .verify import SamplePlan, TOL_PROFILES, verdict_slug
 
 __all__ = ["main", "run_classify", "list_catalog"]
@@ -149,10 +149,19 @@ def _parse_x_range(text):
 
 def _check_f_positive(f_ast, x_range):
     grid = np.linspace(x_range[0], x_range[1], 33)
+    x1 = jet_space(1, 0, 1, 0)
     try:
-        f = exprlang.evaluate(f_ast, jet_space(1, 0, 1, 0).seed_x(0, grid))
+        f = exprlang.evaluate(f_ast, x1.seed_x(0, grid))
     except OverflowError:
         raise ValueError("f(x1) overflows on the sampled range") from None
+    except SingularPointError:
+        for t in grid:  # the batch may name a later point than the first
+            try:
+                exprlang.evaluate(f_ast, x1.seed_x(0, t))
+            except SingularPointError as exc:
+                raise ValueError(f"f(x1) must be defined on the sampled range; "
+                                 f"f({t:g}) is undefined: {exc}") from None
+        raise
     vals = np.broadcast_to(f.value, grid.shape)  # a constant f is unbatched
     bad = ~(np.isfinite(vals) & (vals > 0.0))
     if bad.any():

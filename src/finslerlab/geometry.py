@@ -70,6 +70,7 @@ __all__ = [
     "euler_residual",
     "point_tensors",
     "rcond",
+    "seeded_arguments",
 ]
 
 #: m is degenerate when ``not rcond(m) > RCOND_MIN`` (nan included): the
@@ -186,17 +187,18 @@ class FinslerField:
 
 def seeded_arguments(n, x, y, x_cap, y_cap, x_deps=None):
     """Seed (x, y) coordinates, shapes (n,) or (N, n), into the two faces
-    of one full jet space.
+    of one full jet space; the only way coordinates enter jets.
 
     The x coordinates listed in ``x_deps`` (default: all n, in increasing
-    order) become the full space's x variables, the k-th listed one x
-    variable k: the full space is (len(x_deps), n, x_cap, y_cap).  Every
-    other x coordinate, and all of them when ``x_cap == 0`` or ``x_deps``
-    is empty, enters as a constant; the full space then has no x
-    variables.  Likewise the y coordinates enter as constants when
-    ``y_cap == 0``, as in :func:`~finslerlab.jets.fiber_arguments` at
-    order 0.  The x arguments live in its base face (len(x_deps), 0,
-    x_cap, 0) and the y arguments in its fiber face (0, n, 0, y_cap), so
+    order) become the x variables of the full space
+    ``jet_space(len(x_deps), n, x_cap, y_cap)``, the k-th listed one x
+    variable k; every coordinate the full space has no variable for
+    enters as a constant.  A group with no variables or cap 0 is absent
+    from a jet space, so all x coordinates are constants when ``x_cap ==
+    0`` or ``x_deps`` is empty, and all y coordinates when ``y_cap == 0``;
+    ``seeded_arguments(n, x, y, 0, order)[1]`` are the fiber arguments of
+    a spray jet.  The x arguments live in the base face (len(x_deps), 0,
+    x_cap, 0) and the y arguments in the fiber face (0, n, 0, y_cap), so
     the x-only and y-only parts of a program run in those small spaces,
     and only a value that combines both groups is lifted into the full
     space (see "Faces" in :mod:`finslerlab.jets`).
@@ -206,20 +208,17 @@ def seeded_arguments(n, x, y, x_cap, y_cap, x_deps=None):
     if x.shape[-1:] != (n,) or x.ndim > 2 or y.shape != x.shape:
         raise JetUsageError(f"expected {n} coordinates in each group")
     deps = range(n) if x_deps is None else x_deps
-    if x_cap == 0 or not deps:
-        space, var = jet_space(0, n, 0, y_cap), {}
-    else:
-        space = jet_space(len(deps), n, x_cap, y_cap)
-        var = {i: k for k, i in enumerate(deps)}  # coordinate -> x variable
+    space = jet_space(len(deps), n, x_cap, y_cap)
     base, fiber = space.base_face, space.fiber_face
+    var = dict(zip(deps, range(space.n_x)))  # coordinate -> x variable
     xs = [
         base.seed_x(var[i], x[..., i]) if i in var else base.constant(x[..., i])
         for i in range(n)
     ]
-    if y_cap == 0:
-        ys = [fiber.constant(y[..., i]) for i in range(n)]
-    else:
-        ys = [fiber.seed_y(i, y[..., i]) for i in range(n)]
+    ys = [
+        fiber.seed_y(i, y[..., i]) if i < fiber.n_y else fiber.constant(y[..., i])
+        for i in range(n)
+    ]
     return xs, ys
 
 
@@ -260,11 +259,12 @@ class SprayField:
     """Spray coefficients G^i evaluable as fiber jets.
 
     ``jets_fn(x, y, order)`` returns the n coefficients as TaylorValues
-    in the pure-y space (0, n, 0, order) for a batch of points, x and y of
-    shape (N, n); a one-point call of :meth:`jets` or :meth:`values`
-    hands it a batch of one.  The optional ``domain_guard``
-    is inherited from whatever field or setup produced the spray so
-    sampling can respect the same admissible cone.
+    in the fiber face ``jet_space(0, n, 0, order)``, the space of
+    ``seeded_arguments(n, x, y, 0, order)[1]`` (constant jets at order 0),
+    for a batch of points, x and y of shape (N, n); a one-point call of
+    :meth:`jets` or :meth:`values` hands it a batch of one.  The optional
+    ``domain_guard`` is inherited from whatever field or setup produced
+    the spray so sampling can respect the same admissible cone.
     """
 
     def __init__(self, n, jets_fn, label="", domain_guard=None):
@@ -353,7 +353,7 @@ def _ad_spray_jets(field, x, y, order):
     xs, ys = seeded_arguments(n, x, y, 1, order + 2, deps)
     f_jet = field.evaluate(xs, ys)
     f2 = f_jet * f_jet
-    ys_mid = [ysi.drop_x().truncate(0, order + 1) for ysi in ys]
+    ys_mid = [ysi.truncate(0, order + 1) for ysi in ys]
     rhs = []
     for h in range(n):
         if not deps:  # F depends on no x coordinate
@@ -362,14 +362,14 @@ def _ad_spray_jets(field, x, y, order):
         ah = f2.dy(h)  # caps (1, order+1)
         t = None
         for k, r in enumerate(deps):
-            term = ys_mid[r] * ah.dx(k).drop_x()
+            term = ys_mid[r] * ah.dx(k)
             t = term if t is None else t + term
         if h in deps:
-            t = t - f2.dx(deps.index(h)).drop_x().truncate(0, order + 1)
+            t = t - f2.dx(deps.index(h)).truncate(0, order + 1)
         rhs.append(t.truncate(0, order))
     g = [
         [
-            (f2.dy(i).dy(j) * 0.5).drop_x().truncate(0, order)
+            (f2.dy(i).dy(j) * 0.5).truncate(0, order)
             for j in range(n)
         ]
         for i in range(n)
@@ -523,7 +523,7 @@ def point_tensors(field, spray, x, y):
         np.stack([gi.fiber_tensor(k) for gi in gj], axis=1) for k in (1, 2, 3)
     )
     return PointTensors(
-        x=x, y=y, F=F, ell=ell, g=_energy_hessian(fj.drop_x()),
+        x=x, y=y, F=F, ell=ell, g=_energy_hessian(fj.truncate(0, 2)),
         dxF=np.stack([
             fj.dx(field.x_deps.index(i)).value if i in field.x_deps else np.zeros(len(x))
             for i in range(field.n)

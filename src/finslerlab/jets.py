@@ -71,17 +71,20 @@ Faces
 -----
 A space (n_x, n_y, x_cap, y_cap) has two faces: its base face (n_x, 0,
 x_cap, 0) and its fiber face (0, n_y, 0, y_cap).  A group is absent from
-a space whose size and cap for it are both 0.  A value that depends on
-one group only lives in that group's face, so an x-free program runs on
-the pure-y monomials alone: in (1, 4, 1, 5) a product of two x-free
-values multiplies 1287 pairs in the fiber face instead of 3861.
-``+ - * /`` between values of two spaces run in their
+a space iff it has no variables or cap 0, and :func:`jet_space` stores
+it as (0, 0): (k, n, 0, c) *is* the fiber face (0, n, 0, c), so a
+derivative or truncation that takes a cap to 0 lands in a face.  A value
+that depends on one group only lives in that group's face, so an x-free
+program runs on the pure-y monomials alone: in (1, 4, 1, 5) a product of
+two x-free values multiplies 1287 pairs in the fiber face instead of
+3861.  ``+ - * /`` between values of two spaces run in their
 :func:`joint_space`, the smallest space holding the groups of both, and
 first lay each operand out there (:meth:`JetSpace.embed_table`, one
-cached position table per pair of spaces), giving the monomials of the
-other group exact zero coefficients; :func:`branch` merges its parts the
-same way.  Spaces that both have a group but disagree on its size or cap
-raise :class:`JetUsageError`.
+cached position table per pair of spaces, which truncation reads the
+other way), giving the monomials of the other group exact zero
+coefficients; :func:`branch` merges its parts the same way.  Spaces that
+both have a group but disagree on its size or cap raise
+:class:`JetUsageError`.
 
 A face computes what the joint space would compute on the embedded
 operands.  Within the face's monomials a face product sums the same
@@ -158,8 +161,6 @@ class SingularPointError(ArithmeticError):
 
 def _graded_monomials(nvars, cap):
     """All exponent tuples with ``sum <= cap`` in graded-lex order."""
-    if nvars == 0:
-        return [()]
     monos = [t for t in _iproduct(range(cap + 1), repeat=nvars) if sum(t) <= cap]
     monos.sort(key=lambda t: (sum(t), t))
     return monos
@@ -191,8 +192,16 @@ _SPACE_CACHE: dict[tuple[int, int, int, int], "JetSpace"] = {}
 
 
 def jet_space(n_x, n_y, x_cap, y_cap):
-    """Return the cached :class:`JetSpace` for the given signature."""
-    key = (int(n_x), int(n_y), int(x_cap), int(y_cap))
+    """Return the cached :class:`JetSpace` for the given signature, with
+    a group that has no variables or cap 0 stored as (0, 0) (see "Faces")."""
+    n_x, n_y, x_cap, y_cap = (int(v) for v in (n_x, n_y, x_cap, y_cap))
+    if min(n_x, n_y, x_cap, y_cap) < 0:
+        raise JetUsageError("dimensions and caps must be non-negative")
+    if not (n_x and x_cap):
+        n_x = x_cap = 0
+    if not (n_y and y_cap):
+        n_y = y_cap = 0
+    key = (n_x, n_y, x_cap, y_cap)
     space = _SPACE_CACHE.get(key)
     if space is None:
         space = JetSpace(*key)
@@ -208,8 +217,6 @@ class JetSpace:
     """
 
     def __init__(self, n_x, n_y, x_cap, y_cap):
-        if min(n_x, n_y, x_cap, y_cap) < 0:
-            raise JetUsageError("dimensions and caps must be non-negative")
         self.n_x = n_x
         self.n_y = n_y
         self.x_cap = x_cap
@@ -234,8 +241,6 @@ class JetSpace:
         self._mul_table = None
         self._series_table = None
         self._diff_tables = {}
-        self._truncate_tables = {}
-        self._drop_x_table = None
         self._fiber_tables = {}
         self._embed_tables = {}
 
@@ -251,6 +256,14 @@ class JetSpace:
         xi = self._x_index.find(exps[:, : self.n_x])
         yi = self._y_index.find(exps[:, self.n_x:])
         return xi * len(self.y_monomials) + yi
+
+    def _exponents_in(self, space):
+        """This space's monomials as exponent rows in the variables of
+        ``space``, which has each group of this one: zeros for the rest."""
+        exps = np.zeros((self.size, space.n_x + space.n_y), dtype=np.intp)
+        exps[:, : self.n_x] = self.exponents[:, : self.n_x]
+        exps[:, space.n_x: space.n_x + self.n_y] = self.exponents[:, self.n_x:]
+        return exps
 
     # -- lazily built index tables -------------------------------------
 
@@ -287,52 +300,21 @@ class JetSpace:
         return self._series_table
 
     def diff_table(self, group, index):
-        """(target_space, src_positions, multipliers) for one d/dv."""
+        """(target_space, src_positions, multipliers) for one d/dv; the
+        target lacks the group when its cap drops to 0."""
         key = (group, index)
         tab = self._diff_tables.get(key)
         if tab is None:
-            if group == "x":
-                if not 0 <= index < self.n_x:
-                    raise JetUsageError(f"x index {index} out of range")
-                if self.x_cap == 0:
-                    raise JetUsageError("cannot differentiate: x_cap is 0")
-                target = jet_space(self.n_x, self.n_y, self.x_cap - 1, self.y_cap)
-                var = index
-            else:
-                if not 0 <= index < self.n_y:
-                    raise JetUsageError(f"y index {index} out of range")
-                if self.y_cap == 0:
-                    raise JetUsageError("cannot differentiate: y_cap is 0")
-                target = jet_space(self.n_x, self.n_y, self.x_cap, self.y_cap - 1)
-                var = self.n_x + index
-            bumped = target.exponents.copy()
+            x = group == "x"
+            if not 0 <= index < (self.n_x if x else self.n_y):
+                raise JetUsageError(f"{group} index {index} out of range for {self}")
+            target = jet_space(self.n_x, self.n_y, self.x_cap - x, self.y_cap - (not x))
+            var = index if x else self.n_x + index
+            bumped = target._exponents_in(self)
             bumped[:, var] += 1
             tab = (target, self._positions(bumped), bumped[:, var].astype(float))
             self._diff_tables[key] = tab
         return tab
-
-    def truncate_table(self, x_cap, y_cap):
-        key = (x_cap, y_cap)
-        tab = self._truncate_tables.get(key)
-        if tab is None:
-            if x_cap > self.x_cap or y_cap > self.y_cap:
-                raise JetUsageError("truncation cannot increase caps")
-            target = jet_space(self.n_x, self.n_y, x_cap, y_cap)
-            tab = (target, self._positions(target.exponents))
-            self._truncate_tables[key] = tab
-        return tab
-
-    @property
-    def drop_x_table(self):
-        """Project onto the fiber face (x exponents all zero)."""
-        if self._drop_x_table is None:
-            face = self.fiber_face
-            self._drop_x_table = (face, face.embed_table(self)[1])
-        return self._drop_x_table
-
-    def _pure_y_positions(self, y_exps):
-        zeros = np.zeros((len(y_exps), self.n_x), dtype=np.intp)
-        return self._positions(np.hstack([zeros, y_exps]))
 
     def _fiber_table(self, k):
         """(positions, factorials), each of shape (n_y,)*k: entry ``axes``
@@ -343,8 +325,9 @@ class JetSpace:
                 raise JetUsageError(f"fiber order {k} exceeds y_cap of {self}")
             shape = (self.n_y,) * k
             axes = np.indices(shape).reshape(k, self.n_y**k).T
-            counts = (axes[:, :, None] == np.arange(self.n_y)).sum(axis=1)
-            pos = self._pure_y_positions(counts).reshape(shape)
+            exps = np.zeros((len(axes), self.n_x + self.n_y), dtype=np.intp)
+            exps[:, self.n_x:] = (axes[:, :, None] == np.arange(self.n_y)).sum(axis=1)
+            pos = self._positions(exps).reshape(shape)
             tab = (pos, self.factorial[pos])
             self._fiber_tables[k] = tab
         return tab
@@ -364,10 +347,7 @@ class JetSpace:
         ``target``, a space holding every variable group of this one."""
         tab = self._embed_tables.get(target)
         if tab is None:
-            exps = np.zeros((self.size, target.n_x + target.n_y), dtype=np.intp)
-            exps[:, : self.n_x] = self.exponents[:, : self.n_x]
-            exps[:, target.n_x: target.n_x + self.n_y] = self.exponents[:, self.n_x:]
-            tab = (target, target._positions(exps))
+            tab = (target, target._positions(self._exponents_in(target)))
             self._embed_tables[target] = tab
         return tab
 
@@ -403,12 +383,8 @@ def seed_variable(space, group, index, value):
     """
     if group not in ("x", "y"):
         raise JetUsageError(f"group must be 'x' or 'y', got {group!r}")
-    n = space.n_x if group == "x" else space.n_y
-    cap = space.x_cap if group == "x" else space.y_cap
-    if not 0 <= index < n:
-        raise JetUsageError(f"{group} index {index} out of range for n={n}")
-    if cap < 1:
-        raise JetUsageError(f"cannot seed {group} variable: {group}_cap is 0")
+    if not 0 <= index < (space.n_x if group == "x" else space.n_y):
+        raise JetUsageError(f"{group} index {index} out of range for {space}")
     c = _with_constant_term(space.size, value)
     exps = [0] * (space.n_x + space.n_y)
     exps[index if group == "x" else space.n_x + index] = 1
@@ -416,25 +392,10 @@ def seed_variable(space, group, index, value):
     return TaylorValue(space, c)
 
 
-def fiber_arguments(n, y, order):
-    """Pure-fiber jet space of the given order with y seeded into it.
-
-    ``y`` has shape (n,) or (N, n).  At order 0 the coordinates enter as
-    constants (there is no linear slot to seed).
-    """
-    y = np.asarray(y, dtype=float)
-    space = jet_space(0, n, 0, order)
-    if order >= 1:
-        ys = [space.seed_y(i, y[..., i]) for i in range(n)]
-    else:
-        ys = [space.constant(y[..., i]) for i in range(n)]
-    return space, ys
-
-
 def joint_space(*spaces):
     """The smallest space holding every variable group of ``spaces``.
 
-    A group is absent from a space whose size and cap for it are both 0;
+    A space lacks a group whose size and cap are 0 (see :func:`jet_space`);
     spaces that both have a group must agree on its size and cap, else
     :class:`JetUsageError`.
     """
@@ -639,16 +600,12 @@ class TaylorValue:
         d = self.coeffs[..., pos] * self.space.factorial[pos]
         return float(d) if self.coeffs.ndim == 1 else d
 
-    def extract_y(self, y_idx):
-        """Derivative w.r.t. y variables only (x exponents zero)."""
-        return self.extract((0,) * self.space.n_x + tuple(y_idx))
-
     def fiber_tensor(self, k):
         """All order-k pure-y derivatives as a symmetric (n_y,)*k array,
         behind the sample axis for a batch.
 
         Entry ``[a, b, ...]`` is the derivative by y^a, y^b, ...; it equals
-        :meth:`extract_y` of the matching multi-index, bit for bit.
+        :meth:`extract` of the matching pure-y multi-index, bit for bit.
         """
         pos, fact = self.space._fiber_table(k)
         return self.coeffs.take(pos, axis=-1) * fact
@@ -729,17 +686,18 @@ class TaylorValue:
         return TaylorValue(space, _embedded(self, space))
 
     def truncate(self, x_cap, y_cap):
-        """Retain only coefficients within smaller caps."""
-        target, src = self.space.truncate_table(x_cap, y_cap)
-        return TaylorValue(target, self.coeffs.take(src, axis=-1))
-
-    def drop_x(self):
-        """Forget x variables (keep the pure-y coefficient slice)."""
-        target, src = self.space.drop_x_table
+        """Retain only coefficients within smaller caps; a group cut to
+        cap 0 is gone, so ``truncate(0, c)`` lands in the fiber face."""
+        sp = self.space
+        if x_cap > sp.x_cap or y_cap > sp.y_cap:
+            raise JetUsageError("truncation cannot increase caps")
+        target = jet_space(sp.n_x, sp.n_y, x_cap, y_cap)
+        _, src = target.embed_table(sp)
         return TaylorValue(target, self.coeffs.take(src, axis=-1))
 
     def dx(self, index):
-        """Partial derivative w.r.t. x[index]; x_cap drops by one."""
+        """Partial derivative w.r.t. x[index]; x_cap drops by one, so at
+        x_cap 1 the result lies in the fiber face."""
         target, src, mult = self.space.diff_table("x", index)
         return TaylorValue(target, self.coeffs.take(src, axis=-1) * mult)
 
@@ -890,19 +848,25 @@ def _int_power(a, n):
     return acc
 
 
-def _arctan_coefficients(a0, m):
+def _inverse_square_coefficients(a0, m, sign, u0):
+    """Taylor coefficients at a0 of the antiderivative of 1/(1 + sign t^2)
+    that takes the value u0 there: arctan for sign 1, arctanh for -1."""
     g = np.zeros(m + 1)
-    g[0] = 1.0 + a0 * a0
+    g[0] = 1.0 + sign * (a0 * a0)
     if m >= 1:
-        g[1] = 2.0 * a0
+        g[1] = sign * (2.0 * a0)
     if m >= 2:
-        g[2] = 1.0
-    g = _univariate_reciprocal(g)  # series of 1/(1+t^2) at a0
+        g[2] = sign
+    g = _univariate_reciprocal(g)  # series of 1/(1 + sign t^2) at a0
     u = np.empty(m + 1)
-    u[0] = math.atan(a0)
+    u[0] = u0
     for k in range(1, m + 1):
         u[k] = g[k - 1] / k
     return u
+
+
+def _arctan_coefficients(a0, m):
+    return _inverse_square_coefficients(a0, m, 1.0, math.atan(a0))
 
 
 def arctan(a):
@@ -910,21 +874,8 @@ def arctan(a):
 
 
 def _arctanh_coefficients(a0, m):
-    g = np.zeros(m + 1)
-    g[0] = 1.0 - a0 * a0
-    if m >= 1:
-        g[1] = -2.0 * a0
-    if m >= 2:
-        g[2] = -1.0
-    g = _univariate_reciprocal(g)  # series of 1/(1-t^2) at a0
-    u = np.empty(m + 1)
-    if abs(a0) < 1.0:
-        u[0] = math.atanh(a0)
-    else:
-        u[0] = 0.5 * math.log((a0 + 1.0) / (a0 - 1.0))
-    for k in range(1, m + 1):
-        u[k] = g[k - 1] / k
-    return u
+    u0 = math.atanh(a0) if abs(a0) < 1.0 else 0.5 * math.log((a0 + 1.0) / (a0 - 1.0))
+    return _inverse_square_coefficients(a0, m, -1.0, u0)
 
 
 def arctanh(a):

@@ -68,8 +68,8 @@ from .geometry import (
     _horizontal,
     ad_spray_field,
     point_tensors,
+    seeded_arguments,
 )
-from .jets import fiber_arguments
 
 logger = logging.getLogger(__name__)
 
@@ -536,7 +536,7 @@ def landsberg_via_p(cfs, field, plan=None):
                 "G^1 is not quadratic in y; the projective "
                 "shortcut does not apply"
             )
-        pj = cfs.p(x, fiber_arguments(n, y, 3)[1])
+        pj = cfs.p(x, seeded_arguments(n, x, y, 0, 3)[1])
         p2 = pj.fiber_tensor(2)[:, 1:, 1:]
         p3 = pj.fiber_tensor(3)[:, 1:, 1:, 1:]
         ell_mu = pt.ell[:, 1:]

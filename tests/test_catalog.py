@@ -14,7 +14,7 @@ from finslerlab.catalog import (
     make_setup,
     make_spec,
 )
-from finslerlab.geometry import DegenerateMetricError, ad_spray_field
+from finslerlab.geometry import DegenerateMetricError, ad_spray_field, seeded_arguments
 from finslerlab.jets import jet_space
 
 from conftest import DEFAULT_IDS, admissible_points, default_spec
@@ -102,9 +102,7 @@ def test_closed_form_spray_hand_values_example33():
 def test_closed_form_spray_class2_projective_factor():
     spec = make_spec("class2", {"a": 2.0})
     cfs = closed_form_spray(spec)
-    from finslerlab.jets import fiber_arguments
-
-    _, yj = fiber_arguments(3, Y111, 0)
+    _, yj = seeded_arguments(3, X0, Y111, 0, 0)
     assert cfs.p(X0, yj).value == pytest.approx(5.0 / 3.0, rel=1e-14)
 
 
@@ -114,10 +112,8 @@ def test_class4_kappa_reduces_to_class1():
         spec1 = make_spec("class1", {"a": a})
         cfs4 = closed_form_spray(spec4)
         cfs1 = closed_form_spray(spec1)
-        from finslerlab.jets import fiber_arguments
-
-        _, yj = fiber_arguments(3, np.array([0.4, 1.1, 0.8]), 0)
         x = np.array([0.2, 0, 0])
+        _, yj = seeded_arguments(3, x, np.array([0.4, 1.1, 0.8]), 0, 0)
         assert cfs4.p(x, yj).value == pytest.approx(
             cfs1.p(x, yj).value, rel=1e-14
         )
@@ -174,20 +170,18 @@ def test_projective_factor_structure(catalog_spec):
     field = build_finsler(catalog_spec)
     cfs = closed_form_spray(catalog_spec)
     n = field.n
-    from finslerlab.jets import fiber_arguments
-
     for x, y in admissible_points(field, 10, seed=42):
-        _, yj2 = fiber_arguments(n, y, 2)
+        _, yj2 = seeded_arguments(n, x, y, 0, 2)
         pj = cfs.p(x, yj2)
         # 1-homogeneity: P(x, 2y) = 2 P(x, y)
-        _, yj0 = fiber_arguments(n, 2.0 * y, 0)
+        _, yj0 = seeded_arguments(n, x, 2.0 * y, 0, 0)
         assert cfs.p(x, yj0).value == pytest.approx(2.0 * pj.value, rel=1e-12)
         # P_{1j} = 0: mixed derivatives with the first fiber slot vanish
         for j in range(n):
             idx = [0] * n
             idx[0] += 1
             idx[j] += 1
-            assert abs(pj.extract_y(idx)) <= 1e-12 * max(1.0, abs(pj.value))
+            assert abs(pj.extract(idx)) <= 1e-12 * max(1.0, abs(pj.value))
 
 
 def test_expected_berwald_matches_tensor(catalog_spec):

@@ -160,6 +160,21 @@ def test_oracle_ad_route(tmp_path):
         (["--metric", "shen_eq8", "--param", "c1=1e200"],
          "shen_eq8 requires (2+c3)² > c1² + c3², which overflows at "
          "c1=1e+200, c3=0.5, c4=1"),
+        (["--f", "ln(x1)"], "f(x1) must be defined on the sampled range; f(-0.5) is "
+                            "undefined: ln of non-positive constant term (constant "
+                            "term -0.5)"),
+        (["--f", "sqrt(x1)"], "f(x1) must be defined on the sampled range; f(-0.5) "
+                              "is undefined: sqrt of non-positive constant term "
+                              "(constant term -0.5)"),
+        (["--f", "1/x1"], "f(x1) must be defined on the sampled range; f(0) is "
+                          "undefined: division by (near-)zero constant term "
+                          "(constant term 0.0)"),
+        (["--f", "x1^0.5"], "f(x1) must be defined on the sampled range; f(-0.5) is "
+                            "undefined: power 0.5 needs a positive constant term "
+                            "(constant term -0.5)"),
+        (["--f", "x1^x1"], "f(x1) must be defined on the sampled range; f(-0.5) is "
+                           "undefined: ln of non-positive constant term (constant "
+                           "term -0.5)"),
     ],
 )
 def test_bad_numbers_named_at_the_boundary(extra, message, capsys):

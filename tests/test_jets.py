@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_fiber_tensor_matches_extract_y(signature):
             idx = [0] * n
             for a in axes:
                 idx[a] += 1
-            assert t[axes] == v.extract_y(idx)
+            assert t[axes] == v.extract((0,) * sp.n_x + tuple(idx))
         for perm in itertools.permutations(range(k)):
             assert np.array_equal(np.transpose(t, perm), t)
 
@@ -297,7 +298,7 @@ def test_first_and_second_partials_match_fd(metric_id):
         for i in range(n):
             idx = [0] * n
             idx[i] = 1
-            got = fj.extract_y(idx)
+            got = fj.extract(idx)
             ref = central_diff(f_of_y, y, i, 1e-5 * max(1.0, abs(y[i])))
             assert rel_err(got, ref) < 1e-6
         for i in range(n):
@@ -305,7 +306,7 @@ def test_first_and_second_partials_match_fd(metric_id):
                 idx = [0] * n
                 idx[i] += 1
                 idx[j] += 1
-                got = fj.extract_y(idx)
+                got = fj.extract(idx)
                 # second differences at h = 1e-5 sit at the float64 noise
                 # floor, so the second-order check extrapolates instead
                 ref = richardson_partial(f_of_y, y, (i, j), 1e-3)
@@ -339,11 +340,18 @@ def _loop_mul_table(sp):
     return [np.asarray(v, dtype=np.intp) for v in (I, J, K)]
 
 
+def _in_variables_of(sp, target, m):
+    """Monomial m of ``target`` written in the variables of ``sp``, which
+    has every group of ``target``: a group ``target`` lacks is all zeros."""
+    x, y = m[:target.n_x], m[target.n_x:]
+    return (x or (0,) * sp.n_x) + (y or (0,) * sp.n_y)
+
+
 def _loop_diff_table(sp, target, var):
     src = np.empty(target.size, dtype=np.intp)
     mult = np.empty(target.size)
     for t, m in enumerate(target.monomials):
-        bumped = list(m)
+        bumped = list(_in_variables_of(sp, target, m))
         bumped[var] += 1
         src[t] = sp.position[tuple(bumped)]
         mult[t] = bumped[var]
@@ -374,11 +382,11 @@ def test_index_tables_match_monomial_loops(signature):
             assert np.array_equal(mult, ref_mult)
     for x_cap in range(sp.x_cap + 1):
         for y_cap in range(sp.y_cap + 1):
-            target, src = sp.truncate_table(x_cap, y_cap)
-            assert np.array_equal(src, [sp.position[m] for m in target.monomials])
-    target, src = sp.drop_x_table
-    zeros = (0,) * sp.n_x
-    assert np.array_equal(src, [sp.position[zeros + m] for m in target.monomials])
+            target = jet_space(sp.n_x, sp.n_y, x_cap, y_cap)
+            space, src = target.embed_table(sp)
+            assert space is sp
+            assert np.array_equal(src, [sp.position[_in_variables_of(sp, target, m)]
+                                        for m in target.monomials])
     for k in range(sp.y_cap + 1):
         pos, fact = sp._fiber_table(k)
         assert np.array_equal(pos, _loop_fiber_table(sp, k))
@@ -654,3 +662,53 @@ def test_branch_merges_parts_from_different_spaces():
         xs = jets.TaylorValue(x.space, x.coeffs[s])
         ref = (ys * 2.0).embed(full) if sign else ys * xs
         assert np.array_equal(out.coeffs[s], ref.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# canonical spaces: a group with no variables or cap 0 is absent
+# ---------------------------------------------------------------------------
+
+
+def test_a_group_with_no_variables_or_cap_0_is_absent():
+    assert jet_space(1, 3, 0, 4) is jet_space(0, 3, 0, 4)
+    assert jet_space(2, 3, 1, 0) is jet_space(2, 0, 1, 0)
+    assert jet_space(0, 3, 2, 4) is jet_space(0, 3, 0, 4)
+    assert jet_space(3, 3, 0, 0) is jet_space(0, 0, 0, 0)
+    with pytest.raises(JetUsageError, match="non-negative"):
+        jet_space(0, 3, -1, 4)
+
+
+@pytest.mark.parametrize("batch", [None, 4])
+def test_a_derivative_that_takes_a_cap_to_0_lands_in_a_face(batch):
+    rng = np.random.default_rng(67)
+    for full, d, face in ((jet_space(1, 3, 1, 4), "dx", jet_space(0, 3, 0, 4)),
+                          (jet_space(2, 3, 1, 1), "dy", jet_space(2, 0, 1, 0))):
+        shape = (full.size,) if batch is None else (batch, full.size)
+        v = jets.TaylorValue(full, rng.normal(size=shape))
+        assert getattr(v, d)(0).space is face
+
+
+@pytest.mark.parametrize("batch", [None, 5])
+def test_truncate_to_x_cap_0_is_the_pure_y_slice(batch):
+    sp = jet_space(1, 3, 1, 4)
+    shape = (sp.size,) if batch is None else (batch, sp.size)
+    v = jets.TaylorValue(sp, np.random.default_rng(71).normal(size=shape))
+    for c in range(sp.y_cap + 1):
+        face = jet_space(0, 3, 0, c)
+        got = v.truncate(0, c)
+        assert got.space is face
+        # at c = 0 the face has no y variables: its one monomial is ()
+        pos = [sp.position[(0,) * sp.n_x + (m or (0,) * sp.n_y)]
+               for m in face.monomials]
+        assert got.coeffs.tobytes() == v.coeffs[..., pos].tobytes()
+
+
+def test_a_group_the_space_lacks_is_refused_naming_the_space():
+    fiber = jet_space(1, 3, 0, 4)  # the fiber face (0, 3, 0, 4)
+    base = jet_space(2, 3, 1, 0)  # the base face (2, 0, 1, 0)
+    for space, use in ((fiber, lambda: fiber.seed_x(0, 1.0)),
+                       (fiber, lambda: fiber.seed_y(0, 1.0).dx(0)),
+                       (base, lambda: base.seed_y(0, 1.0)),
+                       (base, lambda: base.seed_x(0, 1.0).dy(0))):
+        with pytest.raises(JetUsageError, match=re.escape(repr(space))):
+            use()

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from finslerlab import catalog, geometry, jets, verify
+from finslerlab import alphabeta, catalog, geometry, jets, verify
 from finslerlab.verify import (
     SamplePlan,
     SamplerStarvationError,
@@ -176,6 +176,20 @@ def test_landsberg_via_p_agreement():
         assert out["via_p"]["max"] <= 1e-9
         assert out["general"]["max"] <= 1e-9
         assert out["agreement"]["max"] <= 1e-9
+
+
+def test_every_space_built_by_the_spray_routes_is_canonical():
+    spec = default_spec("class1")
+    field = catalog.build_finsler(spec)
+    plan = SamplePlan(n_points=3, seed=5)
+    eq5 = alphabeta.ab_spray_field(catalog.phi_function(spec), spec.setup,
+                                   domain_guard=field.domain_guard)
+    for spray in (catalog.closed_form_spray(spec).as_spray_field(), None, eq5):
+        classify(field, spray, plan)
+    landsberg_via_p(catalog.closed_form_spray(spec), field, plan)
+    for space in jets._SPACE_CACHE.values():
+        assert (space.n_x == 0) == (space.x_cap == 0), space
+        assert (space.n_y == 0) == (space.y_cap == 0), space
 
 
 def test_landsberg_via_p_rejects_cubic_g1():
