@@ -114,21 +114,19 @@ class RiemannSetup:
 
     def riemann_spray_field(self):
         """Levi-Civita geodesic spray of alpha."""
-        return SprayField(
-            self.n,
-            lambda x, y, order: _riemann_components(
-                self, x[..., 0], seeded_arguments(self.n, x, y, 0, order)[1]
-            ),
-            label="riemann-alpha",
-        )
+        def components(x, y, order):
+            _, y_jets = seeded_arguments(self.n, x, y, 0, order)
+            fv, fp = self.f_values(x[..., 0])
+            return _riemann_components(fv, fp, y_jets, self.phi_jet(y_jets))
+
+        return SprayField(self.n, components, label="riemann-alpha")
 
 
-def _riemann_components(setup, x1, y_jets):
-    fv, fp = setup.f_values(x1)
+def _riemann_components(fv, fp, y_jets, phi):
+    """Levi-Civita spray of alpha from f, f' and the jet of phi(yhat)."""
     fv2 = scalar_map(lambda v: v**2, fv)
     fv3 = scalar_map(lambda v: v**3, fv)
     y1 = y_jets[0]
-    phi = setup.phi_jet(y_jets)
     alpha2 = (y1 * y1 + phi) * fv2
     g1 = (y1 * y1 * (2 * fv2) - alpha2) * (fp / (2 * fv3))
     ratio = fp / fv
@@ -233,7 +231,7 @@ def _ab_spray_jets(phi, setup, x, y, order):
     w_y = compose_series(wj.coeffs, h)
     theta_y = compose_series(thetaj.coeffs, h)
     r00 = phi_y * fp
-    galpha = _riemann_components(setup, x1, y_jets)
+    galpha = _riemann_components(fv, fp, y_jets, phi_y)
     out = []
     for i in range(n):
         bracket = y_jets[i] / (w * fv)
@@ -279,7 +277,7 @@ def _shen_class_spray_jets(c1, c3, setup, x, y, order):
     beta = y1 * fv
     bvec = setup.b_vector(x1)
     front = root * (c1 * k / (2.0 * (1.0 + c3)))
-    galpha = _riemann_components(setup, x1, y_jets)
+    galpha = _riemann_components(fv, fp, y_jets, phi_y)
     out = []
     for i in range(n):
         bracket = y_jets[i]

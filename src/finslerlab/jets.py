@@ -29,7 +29,9 @@ per sample.  Every operation acts on each row exactly as it acts on an
 unbatched value, with the same floating-point operations in the same
 order, so row k of a batched result is bit-identical to the unbatched
 result at point k.  That is the batch contract: it lets callers evaluate
-all samples of a plan in one pass and still get per-sample results.
+all samples of a plan in one pass and still get per-sample results.  One
+code path serves a single point, a batch of one and N samples: the
+kernels run an unbatched value as one sample.
 
 * An unbatched operand (a constant, say) broadcasts against a batch, and
   scalar operands may be per-sample arrays of shape ``(N,)``.  Two batched
@@ -45,7 +47,7 @@ all samples of a plan in one pass and still get per-sample results.
   splits the batch by index, so no sample evaluates the branch it would
   not take.
 
-A batched product gathers its pair products one chunk of samples at a
+A product gathers its pair products one chunk of samples at a
 time, at most :data:`MUL_CHUNK_ELEMENTS` pair products per chunk (see
 there for why), and accumulates them with one ``bincount`` over keys
 offset by ``sample * size``.  Pairs stay in sample-major, (i, j)-sorted
@@ -193,19 +195,22 @@ _SPACE_CACHE: dict[tuple[int, int, int, int], "JetSpace"] = {}
 
 def jet_space(n_x, n_y, x_cap, y_cap):
     """Return the cached :class:`JetSpace` for the given signature, with
-    a group that has no variables or cap 0 stored as (0, 0) (see "Faces")."""
-    n_x, n_y, x_cap, y_cap = (int(v) for v in (n_x, n_y, x_cap, y_cap))
-    if min(n_x, n_y, x_cap, y_cap) < 0:
-        raise JetUsageError("dimensions and caps must be non-negative")
-    if not (n_x and x_cap):
-        n_x = x_cap = 0
-    if not (n_y and y_cap):
-        n_y = y_cap = 0
+    a group that has no variables or cap 0 stored as (0, 0) (see "Faces").
+    The signature as given is cached as an alias of its canonical space,
+    so a hit is one lookup."""
     key = (n_x, n_y, x_cap, y_cap)
     space = _SPACE_CACHE.get(key)
     if space is None:
-        space = JetSpace(*key)
-        _SPACE_CACHE[key] = space
+        n_x, n_y, x_cap, y_cap = (int(v) for v in key)
+        if min(n_x, n_y, x_cap, y_cap) < 0:
+            raise JetUsageError("dimensions and caps must be non-negative")
+        if not (n_x and x_cap):
+            n_x = x_cap = 0
+        if not (n_y and y_cap):
+            n_y = y_cap = 0
+        canonical = (n_x, n_y, x_cap, y_cap)
+        space = _SPACE_CACHE.get(canonical) or JetSpace(*canonical)
+        _SPACE_CACHE[canonical] = _SPACE_CACHE[key] = space
     return space
 
 
@@ -367,12 +372,9 @@ class JetSpace:
 def _with_constant_term(size, value):
     """Zero coefficients of shape (size,), or (N, size) for a value per
     sample, with ``value`` as the constant term."""
-    if np.ndim(value) == 0:
-        c = np.zeros(size)
-        c[0] = value
-    else:
-        c = np.zeros((len(value), size))
-        c[:, 0] = value
+    value = np.asarray(value, dtype=float)
+    c = np.zeros(value.shape + (size,))
+    c[..., 0] = value
     return c
 
 
@@ -446,21 +448,12 @@ def _scalar(other):
 
 def _shift(coeffs, other):
     """``coeffs`` with ``other`` (a float or one per sample) added to the
-    constant term."""
-    other = _scalar(other)
-    if isinstance(other, float):
-        c = coeffs.copy()
-        if c.ndim == 1:
-            c[0] += other
-        elif len(c) == 1:
-            c[0, 0] += other  # item access: a column view costs more
-        else:
-            c[:, 0] += other
-        return c
-    if coeffs.ndim == 1:
-        coeffs = np.broadcast_to(coeffs, (len(other), len(coeffs)))
+    constant term; unbatched ``coeffs`` broadcast against one per sample."""
+    other = np.asarray(other, dtype=float)
+    if coeffs.ndim <= other.ndim:
+        coeffs = np.broadcast_to(coeffs, other.shape + coeffs.shape)
     c = coeffs.copy()
-    c[:, 0] += other[:, 0]
+    c[..., 0] += other
     return c
 
 
@@ -476,11 +469,9 @@ def scalar_map(fn, values):
 def raise_if_singular(bad, message, constant_term):
     """Raise :class:`SingularPointError` for the first sample where ``bad``
     holds, naming that sample's constant term."""
-    if isinstance(bad, np.ndarray):
-        if bad.any():
-            raise SingularPointError(message, float(constant_term[np.argmax(bad)]))
-    elif bad:
-        raise SingularPointError(message, constant_term)
+    bad = np.asarray(bad)
+    if bad.any():
+        raise SingularPointError(message, float(np.ravel(constant_term)[bad.argmax()]))
 
 
 def _take(value, index):
@@ -497,8 +488,7 @@ def branch(mask, if_true, if_false, *values):
     index, each part evaluates only its own branch, and the results are
     merged back in sample order.
     """
-    if np.ndim(mask) == 0:
-        return if_true(*values) if mask else if_false(*values)
+    mask = np.asarray(mask)
     if mask.all():
         return if_true(*values)
     if not mask.any():
@@ -527,14 +517,10 @@ def _product(space, a, b, table=None):
     """Coefficients of the truncated product of coefficient arrays a, b,
     summed over the (I, J, K) pairs of ``table`` (default: ``mul_table``)."""
     I, J, K = space.mul_table if table is None else table
+    shape = (a if a.ndim >= b.ndim else b).shape
     if not len(K):  # bincount of no weights would return integer zeros
-        return np.zeros(np.broadcast_shapes(a.shape, b.shape))
-    if a.ndim == 1 and b.ndim == 1:
-        return np.bincount(K, weights=a[I] * b[J], minlength=space.size)
-    n = len(a) if a.ndim == 2 else len(b)
-    if n == 1:  # neither operand has more than one row
-        w = a.reshape(-1)[I] * b.reshape(-1)[J]
-        return np.bincount(K, weights=w, minlength=space.size).reshape(1, -1)
+        return np.zeros(shape)
+    n = shape[0] if len(shape) == 2 else 1  # one point runs as one sample
     step = max(1, MUL_CHUNK_ELEMENTS // len(K))
     if n > step:
         return np.concatenate([
@@ -544,10 +530,8 @@ def _product(space, a, b, table=None):
     w = a.take(I, axis=-1) * b.take(J, axis=-1)
     # Sample-major keys: row s accumulates into bins [s * size, (s + 1) *
     # size), in the same (i, j) order as one point.
-    keys = (K + space.size * np.arange(n)[:, None]).ravel()
-    return np.bincount(
-        keys, weights=w.ravel(), minlength=n * space.size
-    ).reshape(n, space.size)
+    keys = (np.arange(0, n * space.size, space.size)[:, None] + K).ravel()
+    return np.bincount(keys, weights=w.ravel(), minlength=n * space.size).reshape(shape)
 
 
 def _rows(coeffs, lo, count):
@@ -660,7 +644,7 @@ class TaylorValue:
         return power(self, exponent)
 
     def reciprocal(self):
-        c0 = _constant_term(self)
+        c0 = self.value
         raise_if_singular(
             abs(c0) <= SINGULAR_TOL, "division by (near-)zero constant term", c0
         )
@@ -757,29 +741,22 @@ def _univariate_reciprocal(b):
     return c
 
 
-def _constant_term(a):
-    """a's constant term for the series code: a float for one point,
-    batched or not, else one per sample."""
-    c = a.coeffs
-    return c[:, 0] if c.ndim == 2 and len(c) > 1 else float(c.flat[0])
-
-
 def _series(a, coefficients):
     """Compose ``coefficients(a0, m)``, the scalar Taylor coefficients of
     a univariate function at one constant term, with a's nilpotent part."""
     m = _series_order(a.space)
-    u = scalar_map(lambda a0: coefficients(a0, m), _constant_term(a))
+    u = scalar_map(lambda a0: coefficients(a0, m), a.value)
     return compose_series(u, a._nilpotent())
 
 
 def sqrt(a):
-    a0 = _constant_term(a)
+    a0 = a.value
     raise_if_singular(a0 <= SINGULAR_TOL, "sqrt of non-positive constant term", a0)
     return power(a, 0.5)
 
 
 def exp(a):
-    e0 = scalar_map(math.exp, _constant_term(a))
+    e0 = scalar_map(math.exp, a.value)
     u = [e0 / math.factorial(k) for k in range(_series_order(a.space) + 1)]
     return compose_series(u, a._nilpotent())
 
@@ -793,7 +770,7 @@ def _ln_coefficients(a0, m):
 
 
 def ln(a):
-    a0 = _constant_term(a)
+    a0 = a.value
     raise_if_singular(a0 <= SINGULAR_TOL, "ln of non-positive constant term", a0)
     return _series(a, _ln_coefficients)
 
@@ -819,7 +796,7 @@ def power(a, r):
 
 
 def _real_power(a, r):
-    a0 = _constant_term(a)
+    a0 = a.value
     raise_if_singular(a0 <= SINGULAR_TOL, f"power {r} needs a positive constant term",
                       a0)
     u = [scalar_map(lambda v: v**r, a0)]
@@ -881,7 +858,7 @@ def _arctanh_coefficients(a0, m):
 def arctanh(a):
     """Real arctanh; for |constant term| > 1 uses the branch
     (1/2) ln((z+1)/(z-1)), which shares the derivative 1/(1-z^2)."""
-    a0 = _constant_term(a)
+    a0 = a.value
     raise_if_singular(abs(abs(a0) - 1.0) <= SINGULAR_TOL,
                       "arctanh at |constant term| = 1", a0)
     return _series(a, _arctanh_coefficients)

@@ -424,6 +424,10 @@ def test_batched_operations_match_each_sample_bitwise(signature):
     for s, (ai, bi) in enumerate(zip(_rows_of(a), _rows_of(b))):
         single = program(ai, bi, shift[s])
         assert np.array_equal(batched.coeffs[s], single.coeffs)
+        one = program(jets.TaylorValue(sp, ca[s:s + 1]),
+                      jets.TaylorValue(sp, cb[s:s + 1]), shift[s:s + 1])
+        assert one.batch == 1 and np.array_equal(one.coeffs[0], single.coeffs)
+        assert np.array_equal(one.coeffs[0], batched.coeffs[s])
         for k in range(min(sp.y_cap, 3) + 1):
             assert np.array_equal(batched.fiber_tensor(k)[s], single.fiber_tensor(k))
 
@@ -674,6 +678,7 @@ def test_a_group_with_no_variables_or_cap_0_is_absent():
     assert jet_space(2, 3, 1, 0) is jet_space(2, 0, 1, 0)
     assert jet_space(0, 3, 2, 4) is jet_space(0, 3, 0, 4)
     assert jet_space(3, 3, 0, 0) is jet_space(0, 0, 0, 0)
+    assert jet_space(1, 3, 0, 4) is jet_space(1, 3, 0, 4) is jet_space(0, 3, 0, 4)
     with pytest.raises(JetUsageError, match="non-negative"):
         jet_space(0, 3, -1, 4)
 
