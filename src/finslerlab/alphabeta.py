@@ -106,12 +106,6 @@ class RiemannSetup:
             raise ValueError("quadratic form is identically zero")
         return acc
 
-    def b_vector(self, x1):
-        fv, _ = self.f_values(x1)
-        b = np.zeros(np.shape(fv) + (self.n,))
-        b[..., 0] = 1.0 / fv
-        return b
-
     def riemann_spray_field(self):
         """Levi-Civita geodesic spray of alpha."""
         def components(x, y, order):
@@ -275,14 +269,8 @@ def _shen_class_spray_jets(c1, c3, setup, x, y, order):
     phi_y = setup.phi_jet(y_jets)
     root = jets.sqrt(phi_y) * fv  # sqrt(alpha^2 - beta^2)
     beta = y1 * fv
-    bvec = setup.b_vector(x1)
+    b1 = 1.0 / fv  # b = (1/f, 0, ..., 0): only G^1 has the b-terms
     front = root * (c1 * k / (2.0 * (1.0 + c3)))
     galpha = _riemann_components(fv, fp, y_jets, phi_y)
-    out = []
-    for i in range(n):
-        bracket = y_jets[i]
-        b_i = bvec[..., i]
-        if np.any(b_i != 0.0):
-            bracket = bracket - beta * b_i + root * (c3 / c1 * b_i)
-        out.append(galpha[i] + front * bracket)
-    return out
+    brackets = [y1 - beta * b1 + root * (c3 / c1 * b1), *y_jets[1:]]
+    return [g + front * bracket for g, bracket in zip(galpha, brackets)]

@@ -28,11 +28,11 @@ one-sample :class:`PointTensors` record, or unbatched jets), which the
 batch contract of :mod:`finslerlab.jets` makes bit-identical to row k of
 any batch holding that point at k.  :meth:`FinslerField.jet`,
 :meth:`FinslerField.value` and :func:`metric_tensor` take either shape
-through that contract directly.  The BLAS contractions whose rounding
-could change when batched stay per-sample loops on contiguous rows: the
-``np.inner`` that forms L (over one contiguous copy of the whole batch),
-and G^j_i ell_j and y^i ell_i in the horizontal differential and the
-Euler defect, which :mod:`finslerlab.verify` shares;
+through that contract directly.  The contractions that form L, G^j_i
+ell_j and y^i ell_i (the last two in the horizontal differential and the
+Euler defect, which :mod:`finslerlab.verify` shares) are stacked
+``matmul`` calls, which make one BLAS call per sample, as a one-point call
+does (L over one contiguous copy of the whole batch);
 :func:`rcond`, the one degeneracy measure, runs on the whole stack, since
 LAPACK factors each matrix of a stack alone.  Two spray routes exist:
 
@@ -434,22 +434,22 @@ def horizontal_differential(field, spray, x, y):
 def euler_residual(field, x, y):
     """|y^i dot_iF - F|; zero for 1-homogeneous F by Euler's theorem."""
     fj = field.jet(x, y, 0, 1)
-    return np.array(_euler_defects(y, fj.fiber_tensor(1), fj.value))
+    return _euler_defects(y, fj.fiber_tensor(1), fj.value)
 
 
-# The batch helpers below contract each sample's rows in its own BLAS call
-# on contiguous rows: a batched contraction, or one over strided rows, may
-# round differently, and the reports keep the bits of one-point evaluation.
+# The batch helpers below contract with stacked ``matmul``, which makes for
+# each sample the BLAS call of a one-point ``@`` on the same rows, so the bits
+# are those of one point; ``einsum``, or a strided row, may round differently.
 
 
 def _horizontal(dxF, Gij, ell):
     """d_iF - G^j_i dot_jF of each sample, shape (N, n)."""
-    return np.array([dxF[s] - Gij[s].T @ ell[s] for s in range(len(ell))])
+    return dxF - (Gij.transpose(0, 2, 1) @ ell[:, :, None])[..., 0]
 
 
 def _euler_defects(y, ell, F):
-    """|y^i dot_iF - F| of each sample, as a list of floats."""
-    return [abs(float(y[s] @ ell[s]) - f) for s, f in enumerate(F.tolist())]
+    """|y^i dot_iF - F| of each sample, shape (N,)."""
+    return np.abs((y[:, None, :] @ ell[:, :, None])[:, 0, 0] - F)
 
 
 def _landsberg(F, ell, gijkh):
@@ -457,9 +457,9 @@ def _landsberg(F, ell, gijkh):
     one contiguous copy of the batch with the component axis last, then
     one dot product per (s, j, k, h)."""
     gt = np.ascontiguousarray(np.moveaxis(gijkh, 1, -1))
-    return -0.5 * F[:, None, None, None] * np.array(
-        [np.inner(gt[s], ell[s]) for s in range(len(F))]
-    )
+    return -0.5 * F[:, None, None, None] * (
+        gt[..., None, :] @ ell[:, None, None, None, :, None]
+    )[..., 0, 0]
 
 
 @dataclass(frozen=True)

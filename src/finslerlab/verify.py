@@ -18,17 +18,18 @@ It then reduces each residual to ``{"max", "at_sample"}``: starting from
 so the first sample that reaches the maximum wins and a NaN never
 replaces a value.
 
-The formulas work on the batched (N, ...) arrays of
-:func:`~finslerlab.geometry.point_tensors`: each max|.| is one reduction
-over the sample's axes, and the element-wise differences and products are
-formed for the whole batch.  What stays per sample: the BLAS contractions
-G^j_i ell_j, y^i ell_i and the Landsberg tensor's (whose rounding could
-change if batched), and the scalar tail of each residual, in Python
-floats.  There ``max(1, |F|, ||G||)``, the homogeneity maxima and the
-spray deviation's ``max(1, |a|, |b|)`` are Python's ``max``: the first
-argument wins and a NaN never replaces a value (``np.maximum`` would
-propagate it), and inf / inf gives NaN without a RuntimeWarning.  Each
-result is therefore the one a one-point call gives, bit for bit.
+Each residual is one array formula over the batched (N, ...) arrays of
+:func:`~finslerlab.geometry.point_tensors`: a max|.| is one reduction
+over the sample's axes, and the contractions (G^j_i ell_j, y^i ell_i,
+ell_mu y^mu, the Landsberg tensor's) are stacked ``matmul`` calls, which
+make for each sample the BLAS call of a one-point call (``einsum`` would
+round differently).  ``max(1, |F|, ||G||)``, the homogeneity maxima and
+the spray deviation's ``max(1, |a|, |b|)`` are ``np.fmax`` from a finite
+start, so a NaN never replaces a value, as with Python's ``max``
+(``np.maximum`` would propagate it); the tails run under
+``np.errstate(invalid="ignore", over="ignore")``, so inf / inf gives NaN
+without a RuntimeWarning, as in Python floats.  Each result is therefore
+the one a one-point call gives, bit for bit.
 :func:`classify` checks homogeneity at y -> 0.5 y and 2 y with one
 stacked (2N, n) batch: one ``field.value`` call, then one
 ``spray.values`` call.
@@ -252,29 +253,32 @@ def _run_plan(guard, parts, plan, rows_of, keys):
 
 
 def _max_abs(a):
-    """max |a[s]| of each sample of a batch, as a list of floats."""
-    return np.abs(a).reshape(len(a), -1).max(axis=1).tolist()
+    """max |a[s]| of each sample of a batch, shape (N,)."""
+    return np.abs(a).reshape(len(a), -1).max(axis=1)
+
+
+def _rows(columns):
+    """One dict per sample from a dict of (N, ...) arrays, with Python values."""
+    lists = [c.tolist() for c in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*lists)]
 
 
 def _deviation(a, b):
     """Relative deviation of two batches of spray values, for each sample
     max|a - b| / max(1, |a|, |b|)."""
-    return [
-        d / max(1.0, p, q) for d, p, q in zip(_max_abs(a - b), _max_abs(a), _max_abs(b))
-    ]
+    d = _max_abs(a - b)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return d / np.fmax(np.fmax(1.0, _max_abs(a)), _max_abs(b))
 
 
 def _metrizability_residuals(pt):
-    """Lists (scale, metrizability, euler) over the samples of a batched
-    record; both residuals are normalized by scale = max(1, |F|, ||G||)."""
-    scale = [max(1.0, abs(f), g) for f, g in zip(pt.F.tolist(), _max_abs(pt.G))]
+    """(scale, metrizability, euler) of each sample of a batched record;
+    both residuals are normalized by scale = max(1, |F|, ||G||)."""
     horiz = _max_abs(_horizontal(pt.dxF, pt.Gij, pt.ell))
     euler = _euler_defects(pt.y, pt.ell, pt.F)
-    return (
-        scale,
-        [h / c for h, c in zip(horiz, scale)],
-        [e / c for e, c in zip(euler, scale)],
-    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = np.fmax(np.fmax(1.0, np.abs(pt.F)), _max_abs(pt.G))
+        return scale, horiz / scale, euler / scale
 
 
 def decide_verdict(landsberg_max, berwald_max, berwald_floor_effective, tol):
@@ -335,32 +339,17 @@ def report_to_json(report):
     return head + '\n  "samples": ' + rows + tail + "\n"
 
 
-#: ``json``'s spelling of the non-finite floats, keyed by their repr.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _json_scalars(values):
     """Each of ``values`` as ``json.dumps`` writes it, or None when one is
-    not a None, bool, int or float."""
+    not a None, bool, int or float (a subclass such as ``np.float64``
+    included).  A column of finite floats is their repr, read directly;
+    any other column is ``json.dumps`` of the whole list, split."""
     if set(map(type, values)) == {float}:
-        text = list(map(float.__repr__, values))
         if math.isfinite(sum(values)):  # all finite (or a sum that overflowed)
-            return text
-        return [_JSON_NONFINITE.get(r, r) for r in text]
-    out = []
-    for v in values:
-        if v is None:
-            out.append("null")
-        elif isinstance(v, bool):
-            out.append("true" if v else "false")
-        elif isinstance(v, int):
-            out.append(int.__repr__(v))
-        elif isinstance(v, float):
-            r = float.__repr__(v)
-            out.append(_JSON_NONFINITE.get(r, r))
-        else:
-            return None
-    return out
+            return list(map(float.__repr__, values))
+    elif not all(v is None or isinstance(v, (int, float)) for v in values):
+        return None
+    return json.dumps(values)[1:-1].split(", ")
 
 
 def _rows_json(rows):
@@ -416,43 +405,35 @@ def _classify_rows(field, spray, oracle, x, y):
     # F and G at every scaling as one stacked batch, F first
     x_scaled = np.concatenate([x] * len(_SCALINGS))
     y_scaled = np.concatenate([lam * y for lam in _SCALINGS])
-    f_scaled = field.value(x_scaled, y_scaled).tolist()
-    g_scaled = spray.values(x_scaled, y_scaled)
-    F = pt.F.tolist()
-    g_max = _max_abs(pt.G)
-    homogeneity, spray_homogeneity = [0.0] * N, [0.0] * N
-    for k, lam in enumerate(_SCALINGS):
-        f_lam = f_scaled[k * N:(k + 1) * N]
-        g_dev = _max_abs(g_scaled[k * N:(k + 1) * N] - lam**2 * pt.G)
-        homogeneity = [
-            max(h, abs(fl - lam * f) / (lam * abs(f)))
-            for h, fl, f in zip(homogeneity, f_lam, F)
-        ]
-        spray_homogeneity = [
-            max(h, d / max(1.0, lam**2 * g))
-            for h, d, g in zip(spray_homogeneity, g_dev, g_max)
-        ]
-    mismatch = [None] * N if oracle is None else _deviation(oracle.values(x, y), pt.G)
+    f_scaled = field.value(x_scaled, y_scaled).reshape(len(_SCALINGS), N)
+    g_scaled = spray.values(x_scaled, y_scaled).reshape(len(_SCALINGS), N, -1)
+    lam = np.array(_SCALINGS)[:, None]  # one row per scaling
+    g_dev = np.abs(g_scaled - (lam**2)[..., None] * pt.G).max(axis=2)
+    mismatch = np.full(N, None) if oracle is None else _deviation(
+        oracle.values(x, y), pt.G)
     scale, metrizability, euler = _metrizability_residuals(pt)
-    columns = {
-        "x1": x[:, 0].tolist(),
-        "y": y.tolist(),
-        "F": F,
-        "G": pt.G.tolist(),
-        "landsberg": [v / c for v, c in zip(_max_abs(pt.L), scale)],
-        "berwald": [v / c for v, c in zip(_max_abs(pt.Gijkh), scale)],
-        "metrizability": metrizability,
-        "euler": euler,
-        "homogeneity": homogeneity,
-        "spray_homogeneity": spray_homogeneity,
-        "spray_mismatch": mismatch,
-        "g_rcond": pt.g_rcond.tolist(),
-        "conformal_rate": [v / abs(f) for v, f in zip(_max_abs(pt.dxF), F)],
-    }
-    return [
-        {"index": None, **{key: col[s] for key, col in columns.items()}}
-        for s in range(N)
-    ]
+    with np.errstate(invalid="ignore", over="ignore"):
+        # the maximum over the scalings starts from 0.0 and skips a nan
+        homogeneity = np.fmax.reduce(
+            np.abs(f_scaled - lam * pt.F) / (lam * np.abs(pt.F)), axis=0, initial=0.0)
+        spray_homogeneity = np.fmax.reduce(
+            g_dev / np.fmax(1.0, lam**2 * _max_abs(pt.G)), axis=0, initial=0.0)
+        return _rows({
+            "index": np.full(N, None),
+            "x1": x[:, 0],
+            "y": y,
+            "F": pt.F,
+            "G": pt.G,
+            "landsberg": _max_abs(pt.L) / scale,
+            "berwald": _max_abs(pt.Gijkh) / scale,
+            "metrizability": metrizability,
+            "euler": euler,
+            "homogeneity": homogeneity,
+            "spray_homogeneity": spray_homogeneity,
+            "spray_mismatch": mismatch,
+            "g_rcond": pt.g_rcond,
+            "conformal_rate": _max_abs(pt.dxF) / np.abs(pt.F),
+        })
 
 
 def classify(field, spray=None, plan=None, params=None):
@@ -504,7 +485,7 @@ def check_metrizability(field, spray, plan=None):
 
     def rows_of(x, y):
         _, horiz, euler = _metrizability_residuals(point_tensors(field, spray, x, y))
-        return [dict(zip(keys, pair)) for pair in zip(horiz, euler)]
+        return _rows(dict(zip(keys, (horiz, euler))))
 
     return _run_plan(
         field.domain_guard, (field, spray), plan or SamplePlan(), rows_of, keys
@@ -530,8 +511,7 @@ def landsberg_via_p(cfs, field, plan=None):
     def rows_of(x, y):
         pt = point_tensors(field, spray, x, y)
         # special-form check: G^1 must be quadratic in the fiber
-        g1, g1_cubic = pt.G[:, 0].tolist(), _max_abs(pt.Gijkh[:, 0])
-        if any(c > 1e-9 * max(1.0, abs(g)) for c, g in zip(g1_cubic, g1)):
+        if (_max_abs(pt.Gijkh[:, 0]) > 1e-9 * np.fmax(1.0, np.abs(pt.G[:, 0]))).any():
             raise SpecialFormError(
                 "G^1 is not quadratic in y; the projective "
                 "shortcut does not apply"
@@ -540,8 +520,7 @@ def landsberg_via_p(cfs, field, plan=None):
         p2 = pj.fiber_tensor(2)[:, 1:, 1:]
         p3 = pj.fiber_tensor(3)[:, 1:, 1:, 1:]
         ell_mu = pt.ell[:, 1:]
-        # ell_mu y^mu: one BLAS dot per sample, as in geometry's batch helpers
-        ell_y = np.array([ell_mu[s] @ pt.y[s, 1:] for s in range(len(x))])
+        ell_y = (ell_mu[:, None, :] @ pt.y[:, 1:, None])[:, 0, 0]
         l_via = np.zeros((len(x), n, n, n))
         l_via[:, 1:, 1:, 1:] = -0.5 * pt.F[:, None, None, None] * (
             p3 * ell_y[:, None, None, None]
@@ -550,16 +529,11 @@ def landsberg_via_p(cfs, field, plan=None):
             + p2.transpose(0, 2, 1)[:, :, None, :] * ell_mu[:, None, :, None]
         )
         l_gen = pt.L  # the general definition, from the same spray
-        columns = {
-            "via_p": _max_abs(l_via),
-            "general": _max_abs(l_gen),
-            "agreement": _max_abs(l_via - l_gen),
-        }
-        scale = [max(1.0, abs(f)) for f in pt.F.tolist()]
-        return [
-            {key: col[s] / scale[s] for key, col in columns.items()}
-            for s in range(len(x))
-        ]
+        maxima = {"via_p": _max_abs(l_via), "general": _max_abs(l_gen),
+                  "agreement": _max_abs(l_via - l_gen)}
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale = np.fmax(1.0, np.abs(pt.F))
+            return _rows({key: m / scale for key, m in maxima.items()})
 
     return _run_plan(
         cfs.domain_guard or field.domain_guard, (cfs, field), plan or SamplePlan(),
@@ -593,7 +567,7 @@ def compare_sprays(spray_a, spray_b, plan=None):
 
     def rows_of(x, y):
         deviation = _deviation(spray_a.values(x, y), spray_b.values(x, y))
-        return [{"deviation": d} for d in deviation]
+        return _rows({"deviation": deviation})
 
     return _run_plan(
         guard, (spray_a, spray_b), plan or SamplePlan(), rows_of, ("deviation",)

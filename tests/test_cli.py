@@ -105,6 +105,20 @@ def test_csv_table(tmp_path):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("csv", [False, True], ids=["json", "json-then-csv"])
+def test_classify_without_out_prints_what_out_writes(csv, tmp_path, capsys):
+    argv = ["classify", "--metric", "class3", "--param", "a=2", "--points", "6"]
+    argv += ["--csv"] * csv
+    out = tmp_path / "rep.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    written = out.read_bytes()
+    if csv:
+        written += (tmp_path / "rep.json.csv").read_bytes()
+    assert capsys.readouterr().out == ""
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode() == written
+
+
 def test_quadratic_matrix_and_dim(tmp_path):
     code = run(
         ["classify", "--metric", "class1", "--param", "a=2",

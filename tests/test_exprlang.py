@@ -75,6 +75,7 @@ def test_evaluate_matches_python():
         ("exp(x1) * cos(x1)", lambda t: math.exp(t) * math.cos(t)),
         ("sqrt(x1 + 2) - ln(x1 + 3)", lambda t: math.sqrt(t + 2) - math.log(t + 3)),
         ("-x1 + 2^-2", lambda t: -t + 0.25),
+        ("x1^0 + (x1 + 2)^0", lambda t: 2.0),
     ]:
         f = compile_expr(src)
         for t in (-0.4, 0.0, 0.3):

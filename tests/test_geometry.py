@@ -710,3 +710,32 @@ def test_seeded_arguments_enter_y_as_constants_at_y_cap_0():
         assert v.space == jets.jet_space(0, 3, 0, 0)
         assert v.coeffs.tolist() == [[y[0, i]]]
     assert [v.value.tolist() for v in xs] == [[0.1], [0.2], [0.3]]
+
+
+# ---------------------------------------------------------------------------
+# the batched contractions keep the bits of one BLAS call per sample
+# ---------------------------------------------------------------------------
+
+
+def _spread(rng, shape):
+    """Normal entries scaled over twelve decades."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_contractions_equal_one_blas_call_per_sample_bitwise(n):
+    rng = np.random.default_rng(n)
+    N = 256
+    dxF, ell, y = (_spread(rng, (N, n)) for _ in range(3))
+    F = np.abs(_spread(rng, N))
+    Gij, Gijkh = _spread(rng, (N, n, n)), _spread(rng, (N, n, n, n, n))
+    # the per-sample loops that the stacked matmul calls replace
+    horizontal = np.array([dxF[s] - Gij[s].T @ ell[s] for s in range(N)])
+    euler = np.array([abs(float(y[s] @ ell[s]) - f) for s, f in enumerate(F.tolist())])
+    gt = np.ascontiguousarray(np.moveaxis(Gijkh, 1, -1))
+    landsberg = -0.5 * F[:, None, None, None] * np.array(
+        [np.inner(gt[s], ell[s]) for s in range(N)]
+    )
+    assert geometry._horizontal(dxF, Gij, ell).tobytes() == horizontal.tobytes()
+    assert geometry._euler_defects(y, ell, F).tobytes() == euler.tobytes()
+    assert geometry._landsberg(F, ell, Gijkh).tobytes() == landsberg.tobytes()
