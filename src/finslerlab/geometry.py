@@ -5,7 +5,9 @@ function of base point x and direction y, evaluable on jets) and/or a
 :class:`SprayField`.  :func:`point_tensors` is the per-sample pipeline: one
 field jet at caps (1, 2) gives F, d_xF, ell and g, one spray jet at fiber
 order 3 gives G and its fiber derivatives, all read with
-:meth:`TaylorValue.fiber_tensor`; the tensor helpers wrap it.
+:meth:`TaylorValue.fiber_tensor`.  It is the one way to read pointwise
+tensors: its record holds L and the Berwald tensor G^i_jkh, and
+:mod:`finslerlab.verify` forms the residuals from its arrays.
 
 A field declares the base coordinates F depends on (``x_deps``); the
 pipeline and the variational spray seed only those, so the jet spaces
@@ -23,16 +25,14 @@ keep their order, so the results are bit-identical to full seeding.
 The spray and tensor functions taking ``(x, y)`` compute on a batch of N
 points, shapes (N, n), in one jet pass; results carry a leading sample
 axis.  A call with one point, shapes (n,), runs as a batch of one and
-returns sample 0 (a float, an array without the sample axis, the
-one-sample :class:`PointTensors` record, or unbatched jets), which the
-batch contract of :mod:`finslerlab.jets` makes bit-identical to row k of
-any batch holding that point at k.  :meth:`FinslerField.jet`,
+returns sample 0 (an array without the sample axis, the one-sample
+:class:`PointTensors` record, or unbatched jets), which the batch
+contract of :mod:`finslerlab.jets` makes bit-identical to row k of any
+batch holding that point at k.  :meth:`FinslerField.jet`,
 :meth:`FinslerField.value` and :func:`metric_tensor` take either shape
-through that contract directly.  The contractions that form L, G^j_i
-ell_j and y^i ell_i (the last two in the horizontal differential and the
-Euler defect, which :mod:`finslerlab.verify` shares) are stacked
-``matmul`` calls, which make one BLAS call per sample, as a one-point call
-does (L over one contiguous copy of the whole batch);
+through that contract directly.  The contraction that forms L is a
+stacked ``matmul`` call, which makes one BLAS call per sample, as a
+one-point call does (over one contiguous copy of the whole batch);
 :func:`rcond`, the one degeneracy measure, runs on the whole stack, since
 LAPACK factors each matrix of a stack alone.  Two spray routes exist:
 
@@ -64,10 +64,6 @@ __all__ = [
     "DegenerateMetricWarning",
     "metric_tensor",
     "ad_spray_field",
-    "berwald_tensor",
-    "landsberg_tensor",
-    "horizontal_differential",
-    "euler_residual",
     "point_tensors",
     "rcond",
     "seeded_arguments",
@@ -234,9 +230,8 @@ def _batched_like(value, x):
 def _on_batches(fn):
     """Let ``fn``, written for ``x`` and ``y`` as float arrays of shapes
     (N, n), take one point too: shapes (n,) run as a batch of one, and the
-    call returns sample 0 of the result (row 0 of an array, a float for a
-    1-d one; the one-sample record of a PointTensors; an unbatched jet for
-    each jet of a list)."""
+    call returns sample 0 of the result (row 0 of an array; the one-sample
+    record of a PointTensors; an unbatched jet for each jet of a list)."""
     signature = inspect.signature(fn)
 
     @functools.wraps(fn)
@@ -250,7 +245,7 @@ def _on_batches(fn):
             return out
         if isinstance(out, list):
             return [TaylorValue(v.space, v.coeffs[0]) for v in out]
-        return float(out[0]) if isinstance(out, np.ndarray) and out.ndim == 1 else out[0]
+        return out[0]
 
     return call
 
@@ -407,49 +402,9 @@ def metric_tensor(field, x, y):
     return g
 
 
-@_on_batches
-def berwald_tensor(spray, x, y):
-    """Third fiber derivatives of the spray coefficients."""
-    return np.stack([gi.fiber_tensor(3) for gi in spray.jets(x, y, 3)], axis=1)
-
-
-def landsberg_tensor(field, spray, x, y):
-    """L_jkh = -1/2 F ell_i G^i_jkh."""
-    return point_tensors(field, spray, x, y).L
-
-
-@_on_batches
-def horizontal_differential(field, spray, x, y):
-    """Components of dF along the horizontal lifts, d_iF - G^j_i dot_jF.
-
-    Vanishes identically exactly when F is a first integral of the
-    horizontal distribution of the spray, i.e. the first metrizability
-    equation holds.
-    """
-    pt = point_tensors(field, spray, x, y)
-    return _horizontal(pt.dxF, pt.Gij, pt.ell)
-
-
-@_on_batches
-def euler_residual(field, x, y):
-    """|y^i dot_iF - F|; zero for 1-homogeneous F by Euler's theorem."""
-    fj = field.jet(x, y, 0, 1)
-    return _euler_defects(y, fj.fiber_tensor(1), fj.value)
-
-
-# The batch helpers below contract with stacked ``matmul``, which makes for
+# The Landsberg contraction below uses stacked ``matmul``, which makes for
 # each sample the BLAS call of a one-point ``@`` on the same rows, so the bits
 # are those of one point; ``einsum``, or a strided row, may round differently.
-
-
-def _horizontal(dxF, Gij, ell):
-    """d_iF - G^j_i dot_jF of each sample, shape (N, n)."""
-    return dxF - (Gij.transpose(0, 2, 1) @ ell[:, :, None])[..., 0]
-
-
-def _euler_defects(y, ell, F):
-    """|y^i dot_iF - F| of each sample, shape (N,)."""
-    return np.abs((y[:, None, :] @ ell[:, :, None])[:, 0, 0] - F)
 
 
 def _landsberg(F, ell, gijkh):
@@ -490,10 +445,6 @@ class PointTensors:
         }
         parts["F"] = float(parts["F"])
         return PointTensors(**parts)
-
-    @property
-    def g_inv(self):
-        return np.linalg.inv(self.g)
 
     @property
     def g_rcond(self):

@@ -20,10 +20,12 @@ replaces a value.
 
 Each residual is one array formula over the batched (N, ...) arrays of
 :func:`~finslerlab.geometry.point_tensors`: a max|.| is one reduction
-over the sample's axes, and the contractions (G^j_i ell_j, y^i ell_i,
-ell_mu y^mu, the Landsberg tensor's) are stacked ``matmul`` calls, which
-make for each sample the BLAS call of a one-point call (``einsum`` would
-round differently).  ``max(1, |F|, ||G||)``, the homogeneity maxima and
+over the sample's axes, and the contractions (G^j_i ell_j in the
+horizontal differential d_iF - G^j_i dot_jF, y^i ell_i in the Euler
+defect |y^i dot_iF - F|, ell_mu y^mu, the Landsberg tensor's in the
+record) are stacked ``matmul`` calls, which make for each sample the
+BLAS call of a one-point ``@`` (``einsum`` would round differently).
+``max(1, |F|, ||G||)``, the homogeneity maxima and
 the spray deviation's ``max(1, |a|, |b|)`` are ``np.fmax`` from a finite
 start, so a NaN never replaces a value, as with Python's ``max``
 (``np.maximum`` would propagate it); the tails run under
@@ -65,8 +67,6 @@ from . import jets
 from .catalog import ClosedFormSpray
 from .geometry import (
     DegenerateMetricError,
-    _euler_defects,
-    _horizontal,
     ad_spray_field,
     point_tensors,
     seeded_arguments,
@@ -269,6 +269,16 @@ def _deviation(a, b):
     d = _max_abs(a - b)
     with np.errstate(invalid="ignore", over="ignore"):
         return d / np.fmax(np.fmax(1.0, _max_abs(a)), _max_abs(b))
+
+
+def _horizontal(dxF, Gij, ell):
+    """d_iF - G^j_i dot_jF of each sample, shape (N, n)."""
+    return dxF - (Gij.transpose(0, 2, 1) @ ell[:, :, None])[..., 0]
+
+
+def _euler_defects(y, ell, F):
+    """|y^i dot_iF - F| of each sample, shape (N,)."""
+    return np.abs((y[:, None, :] @ ell[:, :, None])[:, 0, 0] - F)
 
 
 def _metrizability_residuals(pt):

@@ -55,10 +55,10 @@ def test_criterion_1_worked_example_reproduction():
     plan = SamplePlan(n_points=50, seed=2024)
     worst = 0.0
     for x, y in draw_samples(field.domain_guard, 3, plan):
-        lt = geometry.landsberg_tensor(field, spray, x, y)
+        lt = geometry.point_tensors(field, spray, x, y).L
         worst = max(worst, np.abs(lt).max() / max(1.0, field.value(x, y)))
     assert worst <= 1e-9
-    b2222 = geometry.berwald_tensor(spray, X0, Y111)[1, 1, 1, 1]
+    b2222 = geometry.point_tensors(field, spray, X0, Y111).Gijkh[1, 1, 1, 1]
     assert abs(b2222 - (-3.0 / 16.0)) <= 1e-10
     elapsed = time.perf_counter() - t0
     _timings["criterion1"] = elapsed

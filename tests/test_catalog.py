@@ -151,8 +151,8 @@ def test_landsberg_zero_berwald_nonzero(catalog_spec):
     worst_l = 0.0
     best_b = 0.0
     for x, y in admissible_points(field, 20, seed=41):
-        lt = geometry.landsberg_tensor(field, spray, x, y)
-        bt = geometry.berwald_tensor(spray, x, y)
+        pt = geometry.point_tensors(field, spray, x, y)
+        lt, bt = pt.L, pt.Gijkh
         worst_l = max(worst_l, np.abs(lt).max() / max(1.0, field.value(x, y)))
         if catalog_spec.setup is not None:
             fv, fp = catalog_spec.setup.f_values(x[0])
@@ -191,7 +191,7 @@ def test_expected_berwald_matches_tensor(catalog_spec):
     spray = _spray_for(catalog_spec, field)
     for x, y in admissible_points(field, 10, seed=43):
         ref = expected_berwald_component(catalog_spec, x, y)
-        got = geometry.berwald_tensor(spray, x, y)[1, 1, 1, 1]
+        got = geometry.point_tensors(field, spray, x, y).Gijkh[1, 1, 1, 1]
         assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
 

@@ -4,16 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from finslerlab import alphabeta, catalog, cli, exprlang, geometry, jets
+from finslerlab import alphabeta, catalog, cli, exprlang, geometry, jets, verify
 from finslerlab.geometry import (
     DegenerateMetricError,
     DegenerateMetricWarning,
     FinslerField,
     ad_spray_field,
-    berwald_tensor,
-    euler_residual,
-    horizontal_differential,
-    landsberg_tensor,
     metric_tensor,
     point_tensors,
 )
@@ -106,7 +102,9 @@ def test_spray_hand_values_class1_a2():
 def test_berwald_vanishes_for_quadratic_spray():
     setup = catalog.make_setup("product")
     spray = setup.riemann_spray_field()
-    b = berwald_tensor(spray, np.array([0.2, 0, 0]), np.array([0.4, 0.8, 0.6]))
+    b = point_tensors(
+        alpha_field(setup), spray, np.array([0.2, 0, 0]), np.array([0.4, 0.8, 0.6])
+    ).Gijkh
     assert np.abs(b).max() < 1e-13
 
 
@@ -120,17 +118,17 @@ def test_berwald_vanishes_for_quadratic_spray():
 def test_berwald_published_components(metric_id, params, expected):
     spec = catalog.make_spec(metric_id, params)
     spray = catalog.closed_form_spray(spec).as_spray_field()
-    b = berwald_tensor(spray, X0, Y111)
+    b = point_tensors(catalog.build_finsler(spec), spray, X0, Y111).Gijkh
     assert b[1, 1, 1, 1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_landsberg_zero_for_berwald_spray():
     setup = catalog.make_setup("product")
     field = alpha_field(setup)
-    lt = landsberg_tensor(
+    lt = point_tensors(
         field, setup.riemann_spray_field(), np.array([0.1, 0, 0]),
         np.array([0.2, 0.9, 0.5])
-    )
+    ).L
     assert np.abs(lt).max() < 1e-12
 
 
@@ -140,7 +138,7 @@ def test_landsberg_vanishes_on_catalog_entries(metric_id):
     field = catalog.build_finsler(spec)
     spray = catalog.closed_form_spray(spec).as_spray_field()
     for x, y in admissible_points(field, 10, seed=5):
-        lt = landsberg_tensor(field, spray, x, y)
+        lt = point_tensors(field, spray, x, y).L
         assert np.abs(lt).max() <= 1e-9 * max(1.0, field.value(x, y))
 
 
@@ -149,7 +147,8 @@ def test_horizontal_differential_of_alpha_with_own_spray():
     field = alpha_field(setup)
     spray = setup.riemann_spray_field()
     for x, y in admissible_points(field, 10, seed=6):
-        assert np.abs(horizontal_differential(field, spray, x, y)).max() < 1e-9
+        pt = point_tensors(field, spray, x[None], y[None])
+        assert np.abs(verify._horizontal(pt.dxF, pt.Gij, pt.ell)).max() < 1e-9
 
 
 def test_horizontal_differential_catalog_entry_with_own_spray():
@@ -157,7 +156,8 @@ def test_horizontal_differential_catalog_entry_with_own_spray():
     field = catalog.build_finsler(spec)
     spray = catalog.closed_form_spray(spec).as_spray_field()
     for x, y in admissible_points(field, 10, seed=7):
-        assert np.abs(horizontal_differential(field, spray, x, y)).max() < 1e-9
+        pt = point_tensors(field, spray, x[None], y[None])
+        assert np.abs(verify._horizontal(pt.dxF, pt.Gij, pt.ell)).max() < 1e-9
 
 
 def test_horizontal_differential_against_flat_spray():
@@ -165,9 +165,10 @@ def test_horizontal_differential_against_flat_spray():
     field = catalog.build_finsler(spec)
     worst = 0.0
     for x, y in admissible_points(field, 10, seed=8):
+        pt = point_tensors(field, flat_spray(), x[None], y[None])
         worst = max(
             worst,
-            np.abs(horizontal_differential(field, flat_spray(), x, y)).max(),
+            np.abs(verify._horizontal(pt.dxF, pt.Gij, pt.ell)).max(),
         )
     assert worst > 1e-3
 
@@ -176,9 +177,11 @@ def test_euler_residual_zero_for_homogeneous_fields():
     spec = catalog.make_spec("class4", {"p": 1.0, "q": 0.0})
     field = catalog.build_finsler(spec)
     y = np.array([1.0, 2.0, 3.0])
-    assert euler_residual(field, X0, y) < 1e-10
+    pt = point_tensors(field, flat_spray(), X0[None], y[None])
+    assert verify._euler_defects(pt.y, pt.ell, pt.F)[0] < 1e-10
     for x, yy in admissible_points(field, 10, seed=9):
-        assert euler_residual(field, x, yy) < 1e-10
+        pt = point_tensors(field, flat_spray(), x[None], yy[None])
+        assert verify._euler_defects(pt.y, pt.ell, pt.F)[0] < 1e-10
 
 
 def test_euler_residual_detects_wrong_degree():
@@ -189,7 +192,9 @@ def test_euler_residual_detects_wrong_degree():
     )
     for x, y in admissible_points(base, 5, seed=10):
         val = squared.value(x, y)
-        assert euler_residual(squared, x, y) == pytest.approx(val, rel=1e-10)
+        pt = point_tensors(squared, flat_spray(), x[None], y[None])
+        euler = verify._euler_defects(pt.y, pt.ell, pt.F)[0]
+        assert euler == pytest.approx(val, rel=1e-10)
 
 
 def test_degenerate_metric_raises_in_spray():
@@ -286,7 +291,7 @@ def test_point_tensor_invariants(catalog_spec):
     for x, y in admissible_points(field, 20, seed=20):
         pt = point_tensors(field, spray, x, y)
         assert np.allclose(pt.g, pt.g.T, atol=1e-12)
-        assert np.abs(pt.g @ pt.g_inv - np.eye(n)).max() < 1e-9
+        assert np.abs(pt.g @ np.linalg.inv(pt.g) - np.eye(n)).max() < 1e-9
         assert np.abs(pt.g @ y / pt.F - pt.ell).max() < 1e-9 * max(1.0, pt.F)
         # ell_i = dot_i F and g_ij y^j = F ell_i
         assert np.abs(pt.g @ y - pt.F * pt.ell).max() < 1e-9 * max(1.0, pt.F)
@@ -323,8 +328,8 @@ def test_landsberg_scale_invariance(catalog_spec):
     field = catalog.build_finsler(catalog_spec)
     spray = _spray_for(catalog_spec, field)
     for x, y in admissible_points(field, 5, seed=23):
-        l1 = landsberg_tensor(field, spray, x, y)
-        l2 = landsberg_tensor(field, spray, x, 2.0 * y)
+        l1 = point_tensors(field, spray, x, y).L
+        l2 = point_tensors(field, spray, x, 2.0 * y).L
         assert np.abs(l1 - l2).max() <= 1e-9 * max(1.0, np.abs(l1).max())
 
 
@@ -337,8 +342,8 @@ def test_berwald_ad_vs_closed_form(metric_id):
     closed = catalog.closed_form_spray(spec).as_spray_field()
     oracle = ad_spray_field(field)
     for x, y in admissible_points(field, 3, seed=24):
-        b_closed = berwald_tensor(closed, x, y)
-        b_oracle = berwald_tensor(oracle, x, y)
+        b_closed = point_tensors(field, closed, x, y).Gijkh
+        b_oracle = point_tensors(field, oracle, x, y).Gijkh
         scale = max(1.0, np.abs(b_closed).max())
         assert np.abs(b_closed - b_oracle).max() < 1e-7 * scale
 
@@ -562,12 +567,6 @@ def test_one_point_call_is_row_of_batched_call(metric_id, quadratic):
     closed = catalog.closed_form_spray(spec).as_spray_field()
     n = field.n
     calls = {
-        "berwald_tensor": (lambda x, y: berwald_tensor(closed, x, y), (n,) * 4),
-        "landsberg_tensor": (
-            lambda x, y: landsberg_tensor(field, closed, x, y), (n,) * 3),
-        "horizontal_differential": (
-            lambda x, y: horizontal_differential(field, closed, x, y), (n,)),
-        "euler_residual": (lambda x, y: euler_residual(field, x, y), ()),
         "metric_tensor": (lambda x, y: metric_tensor(field, x, y), (n, n)),
         "closed values": (closed.values, (n,)),
         "variational values": (ad_spray_field(field).values, (n,)),
@@ -581,7 +580,6 @@ def test_one_point_call_is_row_of_batched_call(metric_id, quadratic):
             one = fn(x[s], y[s])
             assert np.shape(one) == shape, name
             assert np.array_equal(one, batched[s]), (name, s)
-    assert type(euler_residual(field, x[0], y[0])) is float
 
 
 def test_jet_solve_pivots_each_sample_as_a_batch_of_one():
@@ -736,6 +734,6 @@ def test_contractions_equal_one_blas_call_per_sample_bitwise(n):
     landsberg = -0.5 * F[:, None, None, None] * np.array(
         [np.inner(gt[s], ell[s]) for s in range(N)]
     )
-    assert geometry._horizontal(dxF, Gij, ell).tobytes() == horizontal.tobytes()
-    assert geometry._euler_defects(y, ell, F).tobytes() == euler.tobytes()
+    assert verify._horizontal(dxF, Gij, ell).tobytes() == horizontal.tobytes()
+    assert verify._euler_defects(y, ell, F).tobytes() == euler.tobytes()
     assert geometry._landsberg(F, ell, Gijkh).tobytes() == landsberg.tobytes()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from finslerlab import alphabeta, catalog, geometry, jets, verify
+from finslerlab.catalog import ClosedFormSpray
 from finslerlab.verify import (
     SamplePlan,
     SamplerStarvationError,
@@ -784,3 +785,118 @@ def test_x_range_whose_width_overflows_is_refused():
         with pytest.raises(ValueError, match=r"x_range .* hi - lo overflows"):
             SamplePlan(x_range=x_range)
     assert SamplePlan(x_range=(-8e307, 8e307)).x_range == (-8e307, 8e307)
+
+
+# ---------------------------------------------------------------------------
+# known answers of the verdict path and of the report columns
+# ---------------------------------------------------------------------------
+
+KNOWN_PLAN = SamplePlan(n_points=20, seed=0)
+
+
+def _norm_jet(ys):
+    """|y| as a jet of the fiber arguments."""
+    acc = None
+    for yj in ys:
+        acc = yj * yj if acc is None else acc + yj * yj
+    return jets.sqrt(acc)
+
+
+def test_landsberg_gate_reads_a_residual_linear_in_eps_as_non_landsberg():
+    # For a fixed F, L is linear in G and so in eps: L at eps = 1e-8 is
+    # 1e-6 times L at eps = 1e-2 (about 2.2e-8, above the 1e-9 gate)
+    spec = default_spec("class1")
+    field = catalog.build_finsler(spec)
+    cfs = catalog.closed_form_spray(spec)
+    reports = {
+        eps: classify(field, perturbed_projective_factor(cfs, eps).as_spray_field(),
+                      KNOWN_PLAN)
+        for eps in (1e-2, 1e-8)
+    }
+    large, small = (reports[eps].residuals["landsberg"] for eps in (1e-2, 1e-8))
+    assert small["at_sample"] == large["at_sample"]
+    assert small["max"] == pytest.approx(1e-6 * large["max"], rel=1e-6)
+    assert small["max"] > KNOWN_PLAN.tolerances.landsberg_tol
+    assert reports[1e-8].verdict == "non-Landsberg"
+
+
+def test_berwald_maximum_between_gate_and_floor_is_indeterminate():
+    assert decide_verdict(1e-12, 1e-8, 1e-6, TolProfile()) == "indeterminate"
+
+
+def test_small_real_berwald_curvature_reads_indeterminate():
+    # shen_eq8 at c3 = 1e7: B lies between the 1e-9 gate and the floor;
+    # with f = exp(x^1) the conformal rate is 1, so the effective floor
+    # is berwald_floor itself
+    spec = catalog.make_spec("shen_eq8", {"c3": 1e7})
+    field = catalog.build_finsler(spec)
+    spray = catalog.closed_form_spray(spec).as_spray_field()
+    report = classify(field, spray, KNOWN_PLAN, params=spec.params)
+    res, tol = report.residuals, KNOWN_PLAN.tolerances
+    assert res["berwald_floor_effective"] == pytest.approx(tol.berwald_floor, rel=1e-12)
+    assert tol.landsberg_tol < res["berwald"]["max"] < res["berwald_floor_effective"]
+    assert res["landsberg"]["max"] <= tol.landsberg_tol
+    assert report.verdict == "indeterminate"
+
+
+@pytest.mark.parametrize("metric_id, quadratic", [
+    *[(m, q) for m in ("class1", "class3") for q in ("product", "euclid", "mixed4")],
+    ("example31", None),
+])
+def test_berwald_column_bounds_the_published_component(metric_id, quadratic):
+    # the column is max |G^i_jkh| over max(1, |F|, ||G||), so at every
+    # sample it is at least the published G^2_222 over that scale
+    spec = catalog.make_spec(metric_id, quadratic=quadratic)
+    field = catalog.build_finsler(spec)
+    spray = catalog.closed_form_spray(spec).as_spray_field()
+    for row in classify(field, spray, KNOWN_PLAN).samples:
+        x = np.zeros(field.n)
+        x[0] = row["x1"]
+        witness = catalog.expected_berwald_component(spec, x, np.array(row["y"]))
+        scale = max(1.0, abs(row["F"]), *map(abs, row["G"]))
+        assert row["berwald"] >= (1.0 - 1e-12) * abs(witness) / scale, row["index"]
+
+
+def test_homogeneity_column_of_a_degree_two_field_is_one():
+    # F(lam y) = lam^2 F(y), so |F(lam y) - lam F| / (lam F) = |lam - 1|:
+    # 0.5 at lam = 0.5 and 1 at lam = 2
+    spec = default_spec("class1")
+    base = catalog.build_finsler(spec)
+    field = geometry.FinslerField(
+        base.n, lambda xs, ys: base.evaluate(xs, ys) * _norm_jet(ys),
+        base.domain_guard, "F|y|", base.x_deps,
+    )
+    spray = catalog.closed_form_spray(spec).as_spray_field()
+    for row in classify(field, spray, KNOWN_PLAN).samples:
+        assert row["homogeneity"] == pytest.approx(1.0, abs=1e-12), row["index"]
+
+
+def test_spray_homogeneity_column_of_a_degree_three_spray():
+    # G|y| at |y| = 1: its value is G, and at lam y it is lam^3 G, so the
+    # column is max over lam of lam^2 |lam - 1| m / max(1, lam^2 m) with
+    # m = max_i |G^i|
+    spec = default_spec("class1")
+    field = catalog.build_finsler(spec)
+    cfs = catalog.closed_form_spray(spec)
+    cubic = ClosedFormSpray(
+        cfs.n, lambda x, ys: cfs.g1(x, ys) * _norm_jet(ys),
+        lambda x, ys: cfs.p(x, ys) * _norm_jet(ys), "G|y|", cfs.domain_guard,
+    )
+    for row in classify(field, cubic.as_spray_field(), KNOWN_PLAN).samples:
+        assert np.linalg.norm(row["y"]) == pytest.approx(1.0, abs=1e-15)
+        m = max(map(abs, row["G"]))
+        want = max(lam**2 * abs(lam - 1.0) * m / max(1.0, lam**2 * m)
+                   for lam in (0.5, 2.0))
+        assert row["spray_homogeneity"] == pytest.approx(want, rel=1e-12), row["index"]
+
+
+@pytest.mark.parametrize("quadratic", ["product", "mixed4"])
+def test_g_rcond_column_of_a_riemannian_field(quadratic):
+    # F = f(x^1) sqrt((y^1)^2 + phi(yhat)) has g = f^2 blockdiag(1, c); the
+    # singular values of c are 0.5 and 0.5 (product), 0.5, 0.5 and 1
+    # (mixed4), so sigma_min / sigma_max is 0.5
+    setup = catalog.make_setup(quadratic)
+    report = classify(alpha_field(setup), setup.riemann_spray_field(), KNOWN_PLAN)
+    for row in report.samples:
+        assert row["g_rcond"] == pytest.approx(0.5, abs=1e-12), row["index"]
+    assert report.residuals["g_rcond_min"] == pytest.approx(0.5, abs=1e-12)
