@@ -19,7 +19,8 @@ Each spray has one constructor, returning a :class:`SprayField` (float
 values through ``SprayField.values``): alpha's Levi-Civita spray
 (``RiemannSetup.riemann_spray_field``), the eq. (5) spray of
 alpha phi(beta/alpha) (``ab_spray_field``) and Shen's two-constant class
-(``shen_class_spray_field``).
+(``shen_class_spray_field``).  Each is a formula in f, f' and phi(yhat),
+which ``RiemannSetup.spray_field`` reads through ``spray_inputs``.
 """
 
 from __future__ import annotations
@@ -102,21 +103,29 @@ class RiemannSetup:
                     continue
                 term = (y_jets[1 + lam] * y_jets[1 + mu]) * cc
                 acc = term if acc is None else acc + term
-        if acc is None:
-            raise ValueError("quadratic form is identically zero")
         return acc
+
+    def spray_inputs(self, x, y_jets):
+        """What every spray over this setup reads of it: (f, f') at x^1,
+        one per sample, and the jet of phi(yhat) from the fiber arguments."""
+        fv, fp = self.f_values(np.asarray(x)[..., 0])
+        return fv, fp, self.phi_jet(y_jets)
+
+    def spray_field(self, components, label, domain_guard=None):
+        """The SprayField of ``components(fv, fp, phi, y_jets)``, a spray
+        formula over this setup, with the fiber arguments seeded once."""
+        def jets_fn(x, y, order):
+            _, y_jets = seeded_arguments(self.n, x, y, 0, order)
+            return components(*self.spray_inputs(x, y_jets), y_jets)
+
+        return SprayField(self.n, jets_fn, label=label, domain_guard=domain_guard)
 
     def riemann_spray_field(self):
         """Levi-Civita geodesic spray of alpha."""
-        def components(x, y, order):
-            _, y_jets = seeded_arguments(self.n, x, y, 0, order)
-            fv, fp = self.f_values(x[..., 0])
-            return _riemann_components(fv, fp, y_jets, self.phi_jet(y_jets))
-
-        return SprayField(self.n, components, label="riemann-alpha")
+        return self.spray_field(_riemann_components, "riemann-alpha")
 
 
-def _riemann_components(fv, fp, y_jets, phi):
+def _riemann_components(fv, fp, phi, y_jets):
     """Levi-Civita spray of alpha from f, f' and the jet of phi(yhat)."""
     fv2 = scalar_map(lambda v: v**2, fv)
     fv3 = scalar_map(lambda v: v**3, fv)
@@ -139,16 +148,12 @@ class PhiFunction:
         return self.fn(t)
 
 
-def _phi_jet_at(phi, s0, cap):
-    space = jet_space(0, 1, 0, cap)
-    return phi.fn(space.seed_y(0, s0)), space
-
-
 def _q_w_theta_jets(phi, s0, order):
     """Univariate jets of Q, Q'/(Q - tQ') and Theta at t = s0 (a float,
     or one per sample)."""
     label = phi.label or "phi"
-    phj, space = _phi_jet_at(phi, s0, order + 2)
+    space = jet_space(0, 1, 0, order + 2)
+    phj = phi.fn(space.seed_y(0, s0))
     t1 = space.seed_y(0, s0).truncate(0, order + 1)
     p1 = phj.dy(0)
     den = phj.truncate(0, order + 1) - t1 * p1
@@ -200,39 +205,28 @@ def ab_spray_field(phi, setup, domain_guard=None, label=""):
 
     where r_00 = (alpha^2 - beta^2) f'/f^2 = f' phi(yhat).
     """
-    return SprayField(
-        setup.n,
-        lambda x, y, order: _ab_spray_jets(phi, setup, x, y, order),
-        label=label or f"ab:{phi.label}",
-        domain_guard=domain_guard,
-    )
+    def components(fv, fp, phi_y, y_jets):
+        y1 = y_jets[0]
+        w2 = y1 * y1 + phi_y
+        w = jets.sqrt(w2)
+        s_jet = y1 / w  # beta/alpha; the conformal factor cancels
+        s0 = s_jet.value
+        raise_if_singular(abs(s0) >= 1.0, "direction outside the phi domain", s0)
+        _, wj, thetaj = _q_w_theta_jets(phi, s0, y1.space.y_cap)
+        h = s_jet - s0
+        w_y = compose_series(wj.coeffs, h)
+        theta_y = compose_series(thetaj.coeffs, h)
+        r00 = phi_y * fp
+        galpha = _riemann_components(fv, fp, phi_y, y_jets)
+        out = []
+        for i in range(setup.n):
+            bracket = y_jets[i] / (w * fv)
+            if i == 0:
+                bracket = bracket + w_y * (1.0 / fv)
+            out.append(galpha[i] + theta_y * r00 * bracket)
+        return out
 
-
-def _ab_spray_jets(phi, setup, x, y, order):
-    n = setup.n
-    x1 = x[..., 0]
-    _, y_jets = seeded_arguments(n, x, y, 0, order)
-    fv, fp = setup.f_values(x1)
-    y1 = y_jets[0]
-    phi_y = setup.phi_jet(y_jets)
-    w2 = y1 * y1 + phi_y
-    w = jets.sqrt(w2)
-    s_jet = y1 / w  # beta/alpha; the conformal factor cancels
-    s0 = s_jet.value
-    raise_if_singular(abs(s0) >= 1.0, "direction outside the phi domain", s0)
-    qj, wj, thetaj = _q_w_theta_jets(phi, s0, order)
-    h = s_jet - s0
-    w_y = compose_series(wj.coeffs, h)
-    theta_y = compose_series(thetaj.coeffs, h)
-    r00 = phi_y * fp
-    galpha = _riemann_components(fv, fp, y_jets, phi_y)
-    out = []
-    for i in range(n):
-        bracket = y_jets[i] / (w * fv)
-        if i == 0:
-            bracket = bracket + w_y * (1.0 / fv)
-        out.append(galpha[i] + theta_y * r00 * bracket)
-    return out
+    return setup.spray_field(components, label or f"ab:{phi.label}", domain_guard)
 
 
 def shen_class_spray_field(c1, c3, setup, domain_guard=None):
@@ -251,26 +245,18 @@ def shen_class_spray_field(c1, c3, setup, domain_guard=None):
         raise ValueError("c1 must be non-zero")
     if 1.0 + c3 <= 0.0:
         raise ValueError("1 + c3 must be positive")
-    return SprayField(
-        setup.n,
-        lambda x, y, order: _shen_class_spray_jets(c1, c3, setup, x, y, order),
-        label=f"shen-class(c1={c1}, c3={c3})",
-        domain_guard=domain_guard,
+
+    def components(fv, fp, phi_y, y_jets):
+        k = fp / scalar_map(lambda v: v**2, fv)
+        y1 = y_jets[0]
+        root = jets.sqrt(phi_y) * fv  # sqrt(alpha^2 - beta^2)
+        beta = y1 * fv
+        b1 = 1.0 / fv  # b = (1/f, 0, ..., 0): only G^1 has the b-terms
+        front = root * (c1 * k / (2.0 * (1.0 + c3)))
+        galpha = _riemann_components(fv, fp, phi_y, y_jets)
+        brackets = [y1 - beta * b1 + root * (c3 / c1 * b1), *y_jets[1:]]
+        return [g + front * bracket for g, bracket in zip(galpha, brackets)]
+
+    return setup.spray_field(
+        components, f"shen-class(c1={c1}, c3={c3})", domain_guard
     )
-
-
-def _shen_class_spray_jets(c1, c3, setup, x, y, order):
-    n = setup.n
-    x1 = x[..., 0]
-    _, y_jets = seeded_arguments(n, x, y, 0, order)
-    fv, fp = setup.f_values(x1)
-    k = fp / scalar_map(lambda v: v**2, fv)
-    y1 = y_jets[0]
-    phi_y = setup.phi_jet(y_jets)
-    root = jets.sqrt(phi_y) * fv  # sqrt(alpha^2 - beta^2)
-    beta = y1 * fv
-    b1 = 1.0 / fv  # b = (1/f, 0, ..., 0): only G^1 has the b-terms
-    front = root * (c1 * k / (2.0 * (1.0 + c3)))
-    galpha = _riemann_components(fv, fp, y_jets, phi_y)
-    brackets = [y1 - beta * b1 + root * (c3 / c1 * b1), *y_jets[1:]]
-    return [g + front * bracket for g, bracket in zip(galpha, brackets)]

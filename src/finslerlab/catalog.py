@@ -554,16 +554,13 @@ def closed_form_spray(spec):
     setup = spec.setup
 
     def g1(x, y_jets):
-        fv, fp = setup.f_values(np.asarray(x)[..., 0])
+        fv, fp, phi = setup.spray_inputs(x, y_jets)
         y1 = y_jets[0]
-        phi = setup.phi_jet(y_jets)
         return (y1 * y1 - phi * (1.0 / one_plus_c3)) * (fp / (2.0 * fv))
 
     def p(x, y_jets):
-        fv, fp = setup.f_values(np.asarray(x)[..., 0])
-        y1 = y_jets[0]
-        v = jets.sqrt(setup.phi_jet(y_jets))
-        return (y1 + v * kappa) * (fp / fv)
+        fv, fp, phi = setup.spray_inputs(x, y_jets)
+        return (y_jets[0] + jets.sqrt(phi) * kappa) * (fp / fv)
 
     guard = build_finsler(spec).domain_guard
     return ClosedFormSpray(

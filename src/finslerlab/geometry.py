@@ -310,19 +310,28 @@ def _swap_rows(a, b, col, piv):
 def _solve_jet_system(a, b, context=""):
     """Solve A X = B for jet entries by Gaussian elimination.
 
-    The matrix entries are batched jets.  Pivoting is by the largest
-    constant term of each sample, so samples may exchange different rows.
-    A matrix whose constant part is degenerate (:func:`rcond` not above
-    RCOND_MIN) raises, giving the first such sample's sigma_min/sigma_max,
-    or saying that its g has non-finite entries.
+    The matrix entries are batched jets.  A matrix whose constant part is
+    degenerate (:func:`rcond` not above RCOND_MIN) raises, giving the
+    first such sample's sigma_min/sigma_max, or saying that its g has
+    non-finite entries.  Each sample's A and B are then scaled by the
+    power of two that puts A's largest constant entry in [0.5, 1): every
+    step scales exactly, so X keeps its bits and the pivots do not depend
+    on A's scale; a sample whose largest entry is subnormal raises.
+    Pivots are each sample's largest constant term, so samples may
+    exchange different rows.
     """
     n = len(b)
-    a = [row[:] for row in a]
-    b = list(b)
     const = np.array([[entry.value for entry in row] for row in a])
     first = _first_degenerate(np.moveaxis(const, -1, 0))
     if first is not None:
         raise DegenerateMetricError(f"degenerate metric{context}: {first}")
+    big = np.abs(const).max(axis=(0, 1))
+    if (tiny := big < np.finfo(float).tiny).any():
+        raise DegenerateMetricError(f"degenerate metric{context}: g underflows "
+                                    f"(largest entry {big[tiny][0]:.3e})")
+    scale = np.ldexp(1.0, -np.frexp(big)[1])
+    a = [[entry * scale for entry in row] for row in a]
+    b = [entry * scale for entry in b]
     for col in range(n):
         mags = np.abs([a[r][col].value for r in range(col, n)])
         _swap_rows(a, b, col, col + np.argmax(mags, axis=0))

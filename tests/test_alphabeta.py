@@ -239,3 +239,33 @@ def test_ab_spray_jets_feed_berwald():
         b1 = geometry.point_tensors(field, sfield, x, y).Gijkh
         b2 = geometry.point_tensors(field, closed, x, y).Gijkh
         assert np.abs(b1 - b2).max() <= 1e-8 * max(1.0, np.abs(b2).max())
+
+
+def _block_sprays(spec):
+    a = spec.params["a"]
+    return {
+        "closed": catalog.closed_form_spray(spec).as_spray_field(),
+        "eq5": ab_spray_field(catalog.phi_function(spec), spec.setup),
+        "riemann": spec.setup.riemann_spray_field(),
+        "two-constant": shen_class_spray_field(2 * a, a * a - 1.0, spec.setup),
+    }
+
+
+@pytest.mark.parametrize("f", [catalog.default_f, lambda t: 2.0 + jets.sin(t)],
+                         ids=["exp", "2+sin"])
+@pytest.mark.parametrize("quadratic", ["product", "mixed4"])
+def test_block_sprays_ignore_a_constant_factor_of_f(quadratic, f):
+    # G depends on f only through f'/f, so f and 1e6 f give the same spray
+    spec = catalog.make_spec("class1", {"a": 2.0}, quadratic=quadratic, f=f)
+    scaled = catalog.make_spec("class1", {"a": 2.0}, quadratic=quadratic,
+                               f=lambda t: f(t) * 1e6)
+    pts = admissible_points(catalog.build_finsler(spec), 8, seed=53)
+    x = np.array([p[0] for p in pts])
+    y = np.array([p[1] for p in pts])
+    for (name, spray), other in zip(_block_sprays(spec).items(),
+                                    _block_sprays(scaled).values()):
+        for order in range(4):
+            for want, got in zip(spray.jets(x, y, order), other.jets(x, y, order)):
+                scale = np.abs(want.coeffs).max()
+                assert np.abs(got.coeffs - want.coeffs).max() <= 1e-12 * scale, (
+                    name, order)

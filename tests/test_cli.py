@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -378,3 +379,40 @@ def test_x_range_whose_width_overflows_refused_at_the_boundary(capsys):
     )
     assert proc.returncode == 1
     assert proc.stderr == err
+
+
+def _class1_report(tmp_path, name, *extra):
+    out = tmp_path / f"{name}.json"
+    assert run(["classify", "--metric", "class1", "--points", "20",
+                "--out", str(out), *extra]) == 0
+    return json.loads(out.read_text())
+
+
+def test_a_small_constant_factor_of_f_keeps_the_verdict(tmp_path):
+    # g scales with f², and its rcond does not: both runs draw the same samples
+    ref = _class1_report(tmp_path, "one", "--f", "exp(x1)")
+    doc = _class1_report(tmp_path, "small", "--f", "1e-6*exp(x1)")
+    assert doc["verdict"] == ref["verdict"] == "Landsberg, non-Berwald"
+    for got, want in zip(doc["samples"], ref["samples"]):
+        assert got["g_rcond"] == pytest.approx(want["g_rcond"], rel=1e-11, abs=0)
+
+
+def test_a_subnormal_metric_exits_one(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["classify", "--metric", "class1", "--f", "1e-160*exp(x1)",
+                "--points", "20", "--out", str(out)]) == 1
+    assert "underflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("profile", sorted(verify.TOL_PROFILES))
+def test_tol_profile_sets_the_tolerances_and_not_the_samples(profile, tmp_path):
+    tol = verify.TOL_PROFILES[profile]
+    doc = _class1_report(tmp_path, profile, "--tol-profile", profile)
+    ref = _class1_report(tmp_path, "ref")
+    assert doc["plan"]["tolerances"] == dataclasses.asdict(tol)
+    # f = exp(x1) has conformal rate 1, so the floor is the profile's own
+    floor = doc["residuals"]["berwald_floor_effective"]
+    assert floor == pytest.approx(tol.berwald_floor, rel=1e-15, abs=0)
+    assert doc["samples"] == ref["samples"]
+    assert doc["verdict"] == "Landsberg, non-Berwald"

@@ -737,3 +737,37 @@ def test_contractions_equal_one_blas_call_per_sample_bitwise(n):
     assert verify._horizontal(dxF, Gij, ell).tobytes() == horizontal.tobytes()
     assert verify._euler_defects(y, ell, F).tobytes() == euler.tobytes()
     assert geometry._landsberg(F, ell, Gijkh).tobytes() == landsberg.tobytes()
+
+
+def _random_jet_system(rng, n=3, batch=5):
+    space = jets.jet_space(0, 2, 0, 2)
+    const = rng.normal(size=(batch, n, n)) + 4.0 * np.eye(n)
+    a = [[jets.TaylorValue(space, np.column_stack(
+            [const[:, r, c], rng.normal(size=(batch, space.size - 1))]))
+          for c in range(n)] for r in range(n)]
+    b = [jets.TaylorValue(space, rng.normal(size=(batch, space.size)))
+         for _ in range(n)]
+    return a, b
+
+
+def _scaled_system(a, b, factor):
+    return [[v * factor for v in row] for row in a], [v * factor for v in b]
+
+
+def test_jet_solve_does_not_depend_on_the_scale_of_the_system():
+    a, b = _random_jet_system(np.random.default_rng(59))
+    want = geometry._solve_jet_system(a, b)
+    # a power of two scales every elimination step exactly
+    got = geometry._solve_jet_system(*_scaled_system(a, b, 2.0**-60))
+    for w, g in zip(want, got):
+        assert g.coeffs.tobytes() == w.coeffs.tobytes()
+    # far below the jets' near-zero pivot test, which the solve must not reach
+    got = geometry._solve_jet_system(*_scaled_system(a, b, 1e-20))
+    for w, g in zip(want, got):
+        assert np.abs(g.coeffs - w.coeffs).max() <= 1e-12 * np.abs(w.coeffs).max()
+
+
+def test_jet_solve_refuses_a_subnormal_system():
+    a, b = _random_jet_system(np.random.default_rng(61))
+    with pytest.raises(DegenerateMetricError, match="underflows"):
+        geometry._solve_jet_system(*_scaled_system(a, b, 1e-310))
