@@ -33,16 +33,20 @@ batch holding that point at k.  :meth:`FinslerField.jet`,
 through that contract directly.  The contraction that forms L is a
 stacked ``matmul`` call, which makes one BLAS call per sample, as a
 one-point call does (over one contiguous copy of the whole batch);
-:func:`rcond`, the one degeneracy measure, runs on the whole stack, since
-LAPACK factors each matrix of a stack alone.  Two spray routes exist:
+:func:`rcond` runs on the whole stack, since LAPACK factors each matrix
+of a stack alone.  One verdict decides whether g is degenerate, for the
+jet solve and :func:`metric_tensor` alike: non-finite entries (overflow),
+a largest entry below the smallest normal float (underflow), or an rcond
+not above ``RCOND_MIN``.  Two spray routes exist:
 
 * closed-form sprays supplied by the catalog (cheap; fiber order 3 is
   enough for the Berwald tensor), and
 * the variational route, which derives the spray from the field itself,
   ``G^i = 1/4 g^{ih} (y^r d_r dot_h F^2 - d_h F^2)``, needing fiber
   order 5 and base order 1.  This is the oracle the closed forms are
-  checked against.  It runs on the whole batch at once; the only
-  chunking is that of the batched jet product (``MUL_CHUNK_ELEMENTS``).
+  checked against.  It runs on the whole batch at once, and its jet
+  linear solve is one stacked elimination on one coefficient array; the
+  only chunking is that of the batched jet product (``MUL_CHUNK_ELEMENTS``).
 """
 
 from __future__ import annotations
@@ -98,16 +102,21 @@ def rcond(m):
 
 
 def _first_degenerate(m):
-    """What is wrong with the first of m's matrices whose rcond is not
-    above RCOND_MIN, or None: a nan rcond means non-finite entries."""
+    """What is wrong with the first of m's matrices that is degenerate, or
+    None: non-finite entries (a nan rcond), a largest entry below the
+    smallest normal float, or an rcond not above RCOND_MIN."""
     ratio = np.atleast_1d(rcond(m))
-    bad = ~(ratio > RCOND_MIN)
+    big = np.atleast_1d(np.abs(m).max(axis=(-2, -1)))
+    under = big < np.finfo(float).tiny
+    bad = ~(ratio > RCOND_MIN) | under
     if not bad.any():
         return None
-    first = ratio[np.argmax(bad)]
-    if np.isnan(first):
+    s = np.argmax(bad)
+    if np.isnan(ratio[s]):
         return "g has non-finite entries (overflow)"
-    return f"det(g) ~ 0, sigma_min/sigma_max = {first:.3e}"
+    if under[s]:
+        return f"g underflows (largest entry {big[s]:.3e})"
+    return f"det(g) ~ 0, sigma_min/sigma_max = {ratio[s]:.3e}"
 
 
 class FinslerField:
@@ -288,62 +297,48 @@ class SprayField:
 # ---------------------------------------------------------------------------
 
 
-def _select(hit, p, q):
-    return TaylorValue(p.space, np.where(hit, p.coeffs, q.coeffs))
-
-
-def _swap_rows(a, b, col, piv):
-    """Exchange rows ``col`` and ``piv[s]`` of every sample s, in place:
-    the per-sample row permutation of one pivot step."""
-    # Not np.unique(piv): its first call imports numpy.ma (about 1 MB).
-    for r in range(col + 1, len(b)):
-        hit = (piv == r)[:, None]
-        if not hit.any():
-            continue
-        for c in range(len(b)):
-            a[col][c], a[r][c] = (
-                _select(hit, a[r][c], a[col][c]), _select(hit, a[col][c], a[r][c])
-            )
-        b[col], b[r] = _select(hit, b[r], b[col]), _select(hit, b[col], b[r])
+def _stacked_product(space, p, q):
+    """The jet products p * q of two broadcasting stacks of coefficient
+    arrays of ``space``, as one batched product, so each keeps its bits."""
+    p, q = np.broadcast_arrays(p, q)
+    flat = [TaylorValue(space, v.reshape(-1, space.size)) for v in (p, q)]
+    return (flat[0] * flat[1]).coeffs.reshape(p.shape)
 
 
 def _solve_jet_system(a, b, context=""):
-    """Solve A X = B for jet entries by Gaussian elimination.
+    """Solve A X = B for jet entries of one space by Gaussian elimination.
 
-    The matrix entries are batched jets.  A matrix whose constant part is
-    degenerate (:func:`rcond` not above RCOND_MIN) raises, giving the
-    first such sample's sigma_min/sigma_max, or saying that its g has
-    non-finite entries.  Each sample's A and B are then scaled by the
-    power of two that puts A's largest constant entry in [0.5, 1): every
-    step scales exactly, so X keeps its bits and the pivots do not depend
-    on A's scale; a sample whose largest entry is subnormal raises.
-    Pivots are each sample's largest constant term, so samples may
-    exchange different rows.
+    A and B are one coefficient array of shape (n, n + 1, N, size), B
+    last; unbatched entries broadcast, and an unbatched system runs as a
+    batch of one and returns unbatched jets.  A system whose constant
+    part is degenerate raises with the verdict of :func:`_first_degenerate`.
+    Each sample's system is scaled by the power of two that puts A's
+    largest constant entry in [0.5, 1), which is exact, so X keeps its
+    bits and the pivots do not depend on A's scale.  Each sample pivots on
+    its own largest constant term; a step forms its row factors
+    ``a[r][col] * inv`` and its row updates ``factor * a[col][c]`` as one
+    batched product each, and X is ``b[i] * a[i][i].reciprocal()``.
     """
-    n = len(b)
-    const = np.array([[entry.value for entry in row] for row in a])
-    first = _first_degenerate(np.moveaxis(const, -1, 0))
-    if first is not None:
+    n, space = len(b), b[0].space
+    entries = [v for row, rhs in zip(a, b) for v in (*row, rhs)]
+    shape = np.broadcast_shapes(*(v.coeffs.shape for v in entries))
+    c = np.reshape([np.broadcast_to(v.coeffs, shape) for v in entries],
+                   (n, n + 1, -1, space.size))
+    const = c[:, :n, :, 0]
+    if (first := _first_degenerate(np.moveaxis(const, -1, 0))) is not None:
         raise DegenerateMetricError(f"degenerate metric{context}: {first}")
-    big = np.abs(const).max(axis=(0, 1))
-    if (tiny := big < np.finfo(float).tiny).any():
-        raise DegenerateMetricError(f"degenerate metric{context}: g underflows "
-                                    f"(largest entry {big[tiny][0]:.3e})")
-    scale = np.ldexp(1.0, -np.frexp(big)[1])
-    a = [[entry * scale for entry in row] for row in a]
-    b = [entry * scale for entry in b]
+    c *= np.ldexp(1.0, -np.frexp(np.abs(const).max(axis=(0, 1)))[1])[:, None]
+    samples, invs = np.arange(c.shape[2]), []
     for col in range(n):
-        mags = np.abs([a[r][col].value for r in range(col, n)])
-        _swap_rows(a, b, col, col + np.argmax(mags, axis=0))
-        inv = a[col][col].reciprocal()
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col] * inv
-            for c in range(col + 1, n):
-                a[r][c] = a[r][c] - factor * a[col][c]
-            b[r] = b[r] - factor * b[col]
-    return [b[i] * a[i][i].reciprocal() for i in range(n)]
+        piv = col + np.argmax(np.abs(c[col:, col, :, 0]), axis=0)
+        pair = np.array([np.full_like(piv, col), piv])
+        c[pair, :, samples] = c[pair[::-1], :, samples]
+        invs.append(TaylorValue(space, c[col, col]).reciprocal().coeffs)
+        others = [r for r in range(n) if r != col]
+        factor = _stacked_product(space, c[others, col], invs[-1])
+        c[others, col + 1:] -= _stacked_product(space, factor[:, None], c[col, col + 1:])
+    x = _stacked_product(space, c[:, n], np.array(invs))  # a[i][i] is pivot i
+    return [TaylorValue(space, xi.reshape(shape)) for xi in x]
 
 
 def _ad_spray_jets(field, x, y, order):

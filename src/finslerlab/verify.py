@@ -59,12 +59,11 @@ import logging
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import jets
-from .catalog import ClosedFormSpray
 from .geometry import (
     DegenerateMetricError,
     ad_spray_field,
@@ -560,13 +559,7 @@ def perturbed_projective_factor(cfs, eps):
             norm2 = yj * yj if norm2 is None else norm2 + yj * yj
         return cfs.p(x, y_jets) + (y_jets[1] * y_jets[1] / jets.sqrt(norm2)) * eps
 
-    return ClosedFormSpray(
-        n=cfs.n,
-        g1=cfs.g1,
-        p=p,
-        label=f"{cfs.label}+eps*(y2)^2/|y|",
-        domain_guard=cfs.domain_guard,
-    )
+    return replace(cfs, p=p, label=f"{cfs.label}+eps*(y2)^2/|y|")
 
 
 def compare_sprays(spray_a, spray_b, plan=None):

@@ -405,6 +405,16 @@ def test_a_subnormal_metric_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_metric_that_underflows_to_zero_is_named_as_underflow(tmp_path, capsys):
+    # F^2 ~ 1e-400: g is exactly 0, which is not a small det(g)
+    out = tmp_path / "r.json"
+    assert run(["classify", "--metric", "class1", "--f", "1e-200*exp(x1)",
+                "--points", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "underflows" in err and "det(g)" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("profile", sorted(verify.TOL_PROFILES))
 def test_tol_profile_sets_the_tolerances_and_not_the_samples(profile, tmp_path):
     tol = verify.TOL_PROFILES[profile]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -232,6 +233,18 @@ def test_non_finite_metric_not_called_a_small_det():
     degenerate = [str(w.message) for w in caught
                   if issubclass(w.category, DegenerateMetricWarning)]
     assert degenerate == ["degenerate metric tensor: g has non-finite entries (overflow)"]
+
+
+def test_underflowing_metric_named_as_underflow():
+    tiny = FinslerField(3, lambda xs, ys: jets.sqrt(ys[0] * ys[0] + ys[1] * ys[1]
+                                                    + ys[2] * ys[2]) * 1e-170,
+                        lambda x, y: True, "tiny")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        metric_tensor(tiny, X0, np.array([0.3, 1.0, 0.8]))
+    # F^2 ~ 1e-340 is below the smallest subnormal, so g is exactly 0
+    assert [str(w.message) for w in caught] == [
+        "degenerate metric tensor: g underflows (largest entry 0.000e+00)"]
 
 
 def test_rcond_is_scale_free():
@@ -610,6 +623,47 @@ def test_jet_solve_pivots_each_sample_as_a_batch_of_one():
         ref = np.linalg.solve(const[s], rhs[s, :, 0])
         got = np.array([v.value[s] for v in sol])
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_jet_solve_runs_an_unbatched_system_as_a_batch_of_one():
+    c = jets.jet_space(0, 1, 0, 1).constant
+    sol = geometry._solve_jet_system([[c(2), c(1)], [c(1), c(3)]], [c(1), c(1)])
+    assert [v.batch for v in sol] == [None, None]
+    assert [v.coeffs.tolist() for v in sol] == [[0.4, 0.0], [0.2, 0.0]]
+
+
+def _per_entry_jet_solve(a, b):
+    # the per-entry elimination the stacked solve replaces, for one sample
+    n = len(b)
+    scale = 2.0 ** -math.frexp(max(abs(v.value) for row in a for v in row))[1]
+    a = [[v * scale for v in row] for row in a]
+    b = [v * scale for v in b]
+    for col in range(n):
+        piv = col + int(np.argmax([abs(a[r][col].value) for r in range(col, n)]))
+        a[col], a[piv], b[col], b[piv] = a[piv], a[col], b[piv], b[col]
+        inv = a[col][col].reciprocal()
+        for r in range(n):
+            if r != col:
+                factor = a[r][col] * inv
+                a[r] = a[r][:col + 1] + [a[r][c] - factor * a[col][c]
+                                         for c in range(col + 1, n)]
+                b[r] = b[r] - factor * b[col]
+    return [b[i] * a[i][i].reciprocal() for i in range(n)]
+
+
+def test_stacked_jet_solve_equals_the_per_entry_elimination_bitwise():
+    space = jets.jet_space(0, 2, 0, 2)
+    coeffs = np.random.default_rng(67).normal(size=(4, 5, 6, space.size))
+    a = [[jets.TaylorValue(space, coeffs[r, c]) for c in range(4)] for r in range(4)]
+    b = [jets.TaylorValue(space, coeffs[r, 4]) for r in range(4)]
+    got = geometry._solve_jet_system(a, b)
+    for s in range(6):
+        want = _per_entry_jet_solve(
+            [[jets.TaylorValue(space, v.coeffs[s]) for v in row] for row in a],
+            [jets.TaylorValue(space, v.coeffs[s]) for v in b],
+        )
+        for g, w in zip(got, want):
+            assert g.coeffs[s].tobytes() == w.coeffs.tobytes()
 
 
 # ---------------------------------------------------------------------------

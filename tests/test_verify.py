@@ -1,7 +1,11 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -900,3 +904,24 @@ def test_g_rcond_column_of_a_riemannian_field(quadratic):
     for row in report.samples:
         assert row["g_rcond"] == pytest.approx(0.5, abs=1e-12), row["index"]
     assert report.residuals["g_rcond_min"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_verify_imports_jets_and_geometry_alone():
+    # verify builds on jets and geometry alone; the perturbed spray is a copy
+    src = Path(verify.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, finslerlab.verify; "
+         "print(sorted(m for m in sys.modules if m.startswith('finslerlab.')))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.strip() == str(
+        ["finslerlab.geometry", "finslerlab.jets", "finslerlab.verify"])
+
+
+def test_perturbed_projective_factor_copies_the_rest_of_the_spray():
+    cfs = catalog.closed_form_spray(default_spec("class1"))
+    pert = perturbed_projective_factor(cfs, 0.1)
+    assert type(pert) is ClosedFormSpray
+    assert (pert.n, pert.g1, pert.domain_guard) == (cfs.n, cfs.g1, cfs.domain_guard)
+    assert pert.label == f"{cfs.label}+eps*(y2)^2/|y|"

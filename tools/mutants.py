@@ -102,9 +102,17 @@ MUTANTS = [
      "        return fp, fv, self.phi_jet(y_jets)",
      "spray inputs read f' as f and f as f'"),
     (PKG + "geometry.py",
-     "    b = [entry * scale for entry in b]",
-     "    b = list(b)",
+     "    c *= np.ldexp(",
+     "    c[:, :n] *= np.ldexp(",
      "jet solve scales A but not B"),
+    (PKG + "geometry.py",
+     "    bad = ~(ratio > RCOND_MIN) | under",
+     "    bad = ~(ratio > RCOND_MIN)",
+     "degeneracy verdict without its underflow clause"),
+    (PKG + "geometry.py",
+     "        pair = np.array([np.full_like(piv, col), piv])",
+     "        pair = np.array([np.full_like(piv, col), np.full_like(piv, piv[0])])",
+     "every sample swaps rows with sample 0's pivot"),
 ]
 
 
