@@ -82,9 +82,9 @@ class RiemannSetup:
         space = jet_space(1, 0, 1, 0)
         fj = self.f(space.seed_x(0, x1))
         fv = fj.value
-        if np.any(fv <= 0.0):
+        if not np.all(fv > 0.0):  # a NaN f is not positive either
             every = np.broadcast_to(fv, x1.shape)
-            s = np.argmax(every <= 0.0) if x1.ndim else ...
+            s = np.argmax(~(every > 0.0)) if x1.ndim else ...
             raise ValueError(
                 f"f(x^1) must be positive, got {every[s]} at x^1={x1[s]}"
             )

@@ -37,10 +37,12 @@ kernels run an unbatched value as one sample.
   scalar operands may be per-sample arrays of shape ``(N,)``.  Two batched
   operands must have the same number of samples; a batch of one does not
   broadcast against a larger one (:class:`JetUsageError`).
-* Series coefficients of the elementary functions are computed per sample
-  in Python floats with the scalar ``math`` code (numpy's SIMD
-  transcendentals may round differently); only their exact recurrences
-  (``+ - * /``) run on whole arrays.
+* Every elementary function follows one recipe: its scalar values (the
+  ``math`` transcendentals and ``**``) run per sample in Python floats
+  through :func:`scalar_map`, since numpy's SIMD transcendentals and
+  array ``**`` may round differently; the recurrence of its series
+  coefficients (``+ - * /``) runs on whole arrays, and
+  :func:`compose_series` composes the series with the nilpotent part.
 * Domain checks run over the whole batch and raise for the first sample
   that fails, with that sample's constant term.
 * Where the computation branches on a sample's value, :func:`branch`
@@ -460,7 +462,9 @@ def _shift(coeffs, other):
 def scalar_map(fn, values):
     """``fn`` applied to a float, or to each sample of a (N,) array, in
     Python floats: numpy's SIMD ``**`` and transcendentals may round
-    differently from the scalar code a single point runs."""
+    differently from the scalar code a single point runs.  The one
+    per-sample step of every elementary function: its ``math`` values
+    and powers go through here, its recurrence runs on whole arrays."""
     if np.ndim(values) == 0:
         return fn(float(values))
     return np.array([fn(v) for v in np.asarray(values, dtype=float).tolist()])
@@ -731,24 +735,6 @@ def _series_order(space):
     return space.x_cap + space.y_cap
 
 
-def _univariate_reciprocal(b):
-    """Coefficients of 1/p(t) given coefficients of p(t), p(0) != 0."""
-    m = len(b) - 1
-    c = np.empty(m + 1)
-    c[0] = 1.0 / b[0]
-    for k in range(1, m + 1):
-        c[k] = -np.dot(b[1 : k + 1], c[k - 1 :: -1]) / b[0]
-    return c
-
-
-def _series(a, coefficients):
-    """Compose ``coefficients(a0, m)``, the scalar Taylor coefficients of
-    a univariate function at one constant term, with a's nilpotent part."""
-    m = _series_order(a.space)
-    u = scalar_map(lambda a0: coefficients(a0, m), a.value)
-    return compose_series(u, a._nilpotent())
-
-
 def sqrt(a):
     a0 = a.value
     raise_if_singular(a0 <= SINGULAR_TOL, "sqrt of non-positive constant term", a0)
@@ -761,18 +747,13 @@ def exp(a):
     return compose_series(u, a._nilpotent())
 
 
-def _ln_coefficients(a0, m):
-    u = np.empty(m + 1)
-    u[0] = math.log(a0)
-    for k in range(1, m + 1):
-        u[k] = (-1.0) ** (k + 1) / (k * a0**k)
-    return u
-
-
 def ln(a):
     a0 = a.value
     raise_if_singular(a0 <= SINGULAR_TOL, "ln of non-positive constant term", a0)
-    return _series(a, _ln_coefficients)
+    u = [scalar_map(math.log, a0)]
+    for k in range(1, _series_order(a.space) + 1):
+        u.append((-1.0) ** (k + 1) / (k * scalar_map(lambda v: v**k, a0)))
+    return compose_series(u, a._nilpotent())
 
 
 def power(a, r):
@@ -825,34 +806,22 @@ def _int_power(a, n):
     return acc
 
 
-def _inverse_square_coefficients(a0, m, sign, u0):
-    """Taylor coefficients at a0 of the antiderivative of 1/(1 + sign t^2)
-    that takes the value u0 there: arctan for sign 1, arctanh for -1."""
-    g = np.zeros(m + 1)
-    g[0] = 1.0 + sign * (a0 * a0)
-    if m >= 1:
-        g[1] = sign * (2.0 * a0)
-    if m >= 2:
-        g[2] = sign
-    g = _univariate_reciprocal(g)  # series of 1/(1 + sign t^2) at a0
-    u = np.empty(m + 1)
-    u[0] = u0
-    for k in range(1, m + 1):
-        u[k] = g[k - 1] / k
-    return u
-
-
-def _arctan_coefficients(a0, m):
-    return _inverse_square_coefficients(a0, m, 1.0, math.atan(a0))
+def _inverse_square(a, sign, u0):
+    """arctan (sign 1) or arctanh (sign -1) of a, whose value at a's
+    constant term a0 is u0.  Term k >= 1 is c[k-1]/k: c is the series of
+    1/g, and g = 1 + sign t^2 at a0 has only the terms g0, g1 and sign."""
+    a0 = a.value
+    g0 = 1.0 + sign * (a0 * a0)
+    g1 = sign * (2.0 * a0)
+    u, c = [u0], [0.0, 1.0 / g0]  # c_{-1} = 0 and c_0
+    for k in range(1, _series_order(a.space) + 1):
+        u.append(c[-1] / k)
+        c.append(-(g1 * c[-1] + sign * c[-2]) / g0)
+    return compose_series(u, a._nilpotent())
 
 
 def arctan(a):
-    return _series(a, _arctan_coefficients)
-
-
-def _arctanh_coefficients(a0, m):
-    u0 = math.atanh(a0) if abs(a0) < 1.0 else 0.5 * math.log((a0 + 1.0) / (a0 - 1.0))
-    return _inverse_square_coefficients(a0, m, -1.0, u0)
+    return _inverse_square(a, 1.0, scalar_map(math.atan, a.value))
 
 
 def arctanh(a):
@@ -861,18 +830,23 @@ def arctanh(a):
     a0 = a.value
     raise_if_singular(abs(abs(a0) - 1.0) <= SINGULAR_TOL,
                       "arctanh at |constant term| = 1", a0)
-    return _series(a, _arctanh_coefficients)
+    u0 = scalar_map(lambda v: math.atanh(v) if abs(v) < 1.0
+                    else 0.5 * math.log((v + 1.0) / (v - 1.0)), a0)
+    return _inverse_square(a, -1.0, u0)
 
 
-def _trig_coefficients(a0, m, phase):
-    s0, c0 = math.sin(a0), math.cos(a0)
+def _trig(a, phase):
+    """sin for phase 0, cos for phase 1; derivatives cycle sin, cos, -sin, -cos."""
+    s0, c0 = scalar_map(math.sin, a.value), scalar_map(math.cos, a.value)
     cycle = (s0, c0, -s0, -c0)
-    return np.array([cycle[(k + phase) % 4] / math.factorial(k) for k in range(m + 1)])
+    u = [cycle[(k + phase) % 4] / math.factorial(k)
+         for k in range(_series_order(a.space) + 1)]
+    return compose_series(u, a._nilpotent())
 
 
 def sin(a):
-    return _series(a, lambda a0, m: _trig_coefficients(a0, m, 0))
+    return _trig(a, 0)
 
 
 def cos(a):
-    return _series(a, lambda a0, m: _trig_coefficients(a0, m, 1))
+    return _trig(a, 1)

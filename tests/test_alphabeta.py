@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from finslerlab.alphabeta import (
     shen_class_spray_field,
 )
 from finslerlab.jets import SingularPointError
+from finslerlab.verify import SamplePlan, compare_sprays, draw_samples
 
 from conftest import admissible_points, default_spec
 
@@ -269,3 +271,28 @@ def test_block_sprays_ignore_a_constant_factor_of_f(quadratic, f):
                 scale = np.abs(want.coeffs).max()
                 assert np.abs(got.coeffs - want.coeffs).max() <= 1e-12 * scale, (
                     name, order)
+
+
+def _exp_nan_past(cut):
+    """exp(x^1), but NaN wherever x^1 > cut."""
+    def f(t):
+        return jets.exp(t) * np.where(np.asarray(t.value) > cut, np.nan, 1.0)
+    return f
+
+
+def test_a_nan_f_is_refused_naming_the_first_nan_sample():
+    setup = product_setup(_exp_nan_past(0.2))
+    with pytest.raises(ValueError, match=r"got nan at x\^1=0\.5$"):
+        setup.f_values(np.array([0.1, -0.3, 0.5, 0.7]))
+    with pytest.raises(ValueError, match=r"got nan at x\^1=0\.25$"):
+        setup.f_values(0.25)
+    spec = catalog.make_spec("class3", f=_exp_nan_past(0.2))
+    field = catalog.build_finsler(spec)
+    closed = catalog.closed_form_spray(spec).as_spray_field()
+    eq5 = ab_spray_field(catalog.phi_function(spec), spec.setup,
+                         domain_guard=field.domain_guard)
+    plan = SamplePlan(n_points=20, seed=7)
+    x1 = np.array([x[0] for x, _ in draw_samples(field.domain_guard, 3, plan)])
+    first = x1[x1 > 0.2][0]
+    with pytest.raises(ValueError, match=re.escape(f"got nan at x^1={first}")):
+        compare_sprays(closed, eq5, plan)

@@ -563,6 +563,105 @@ def test_compose_series_work_budget(signature, monkeypatch):
     assert sum(counted) < top * len(sp.mul_table[0])
 
 
+# The per-sample series coefficients the array recurrences replace: each
+# function ran its whole recurrence in Python floats at one constant term
+# a0, up to order m, and inverted 1 + sign t^2 with a per-sample np.dot.
+
+
+def _reference_inverse_square(a0, m, sign, u0):
+    g = np.zeros(m + 1)
+    g[0] = 1.0 + sign * (a0 * a0)
+    if m >= 1:
+        g[1] = sign * (2.0 * a0)
+    if m >= 2:
+        g[2] = sign
+    c = np.empty(m + 1)  # the series of 1/g
+    c[0] = 1.0 / g[0]
+    for k in range(1, m + 1):
+        c[k] = -np.dot(g[1:k + 1], c[k - 1::-1]) / g[0]
+    u = np.empty(m + 1)
+    u[0] = u0
+    for k in range(1, m + 1):
+        u[k] = c[k - 1] / k
+    return u
+
+
+def _reference_ln(a0, m):
+    u = np.empty(m + 1)
+    u[0] = math.log(a0)
+    for k in range(1, m + 1):
+        u[k] = (-1.0) ** (k + 1) / (k * a0**k)
+    return u
+
+
+def _reference_trig(a0, m, phase):
+    s0, c0 = math.sin(a0), math.cos(a0)
+    cycle = (s0, c0, -s0, -c0)
+    return np.array([cycle[(k + phase) % 4] / math.factorial(k) for k in range(m + 1)])
+
+
+REFERENCE_SERIES = {
+    "ln": (jets.ln, _reference_ln),
+    "arctan": (jets.arctan, lambda a0, m: _reference_inverse_square(
+        a0, m, 1.0, math.atan(a0))),
+    "arctanh": (jets.arctanh, lambda a0, m: _reference_inverse_square(
+        a0, m, -1.0, math.atanh(a0) if abs(a0) < 1.0
+        else 0.5 * math.log((a0 + 1.0) / (a0 - 1.0)))),
+    "sin": (jets.sin, lambda a0, m: _reference_trig(a0, m, 0)),
+    "cos": (jets.cos, lambda a0, m: _reference_trig(a0, m, 1)),
+}
+
+
+def _reference_series(name, a):
+    coefficients = REFERENCE_SERIES[name][1]
+    m = a.space.x_cap + a.space.y_cap
+    u = jets.scalar_map(lambda a0: coefficients(a0, m), a.value)
+    return jets.compose_series(u, a._nilpotent())
+
+
+def _series_operand(sp, batch, constant_terms, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(sp.size,) if batch is None else (batch, sp.size))
+    c[..., 0] = constant_terms(rng, c[..., 0].shape)
+    return jets.TaylorValue(sp, c)
+
+
+SERIES_CONSTANT_TERMS = {
+    "ln": lambda rng, shape: rng.uniform(0.05, 4.0, size=shape),
+    "arctan": lambda rng, shape: rng.normal(scale=2.0, size=shape),
+    "arctanh": lambda rng, shape: rng.uniform(-0.95, 0.95, size=shape),
+    "sin": lambda rng, shape: rng.normal(scale=3.0, size=shape),
+    "cos": lambda rng, shape: rng.normal(scale=3.0, size=shape),
+}
+
+
+@pytest.mark.parametrize("signature", [(0, 0, 0, 0), (1, 0, 1, 0), (0, 3, 0, 3),
+                                       (1, 4, 1, 2), (1, 3, 1, 5), (0, 4, 0, 5)])
+@pytest.mark.parametrize("batch", [None, 1, 7, 64])
+def test_elementary_functions_match_the_per_sample_coefficients_bitwise(
+        signature, batch):
+    sp = jet_space(*signature)
+    for seed, (name, (fn, _)) in enumerate(REFERENCE_SERIES.items()):
+        a = _series_operand(sp, batch, SERIES_CONSTANT_TERMS[name], seed)
+        got, want = fn(a), _reference_series(name, a)
+        assert got.space is sp and got.coeffs.shape == a.coeffs.shape
+        assert got.coeffs.tobytes() == want.coeffs.tobytes(), name
+
+
+def test_arctanh_mixed_branches_match_the_per_sample_coefficients_bitwise():
+    sp = jet_space(1, 4, 1, 2)
+    inside = [0.0, -0.0, 0.3, -0.7, 0.999]
+    outside = [1.001, -1.5, 2.5, -40.0, 1e8]
+
+    def mixed(rng, shape):
+        return rng.permutation(np.resize(inside + outside, shape))
+
+    a = _series_operand(sp, 64, mixed, 73)
+    assert (np.abs(a.value) < 1.0).any() and (np.abs(a.value) > 1.0).any()
+    got = jets.arctanh(a)
+    assert got.coeffs.tobytes() == _reference_series("arctanh", a).coeffs.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # faces: y-only and x-only values in their own small spaces
 # ---------------------------------------------------------------------------

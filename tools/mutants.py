@@ -1,4 +1,4 @@
-"""Run the test suite against hand-written one-line mutants of the verifier.
+"""Run the test suite against hand-written one-line mutants of the program.
 
 Usage, from the root of a checkout:
 
@@ -14,7 +14,7 @@ must occur exactly once in the file) by the new one there, and runs
     number  file  killed by <first failing test> | survived  seconds
 
 The checkout itself is never edited.  A mutant that survives is a check
-of the verifier that no test states a known answer for.  The whole table
+of the program that no test states a known answer for.  The whole table
 takes several minutes; it is a tool to run by hand, not a test.
 """
 
@@ -113,6 +113,14 @@ MUTANTS = [
      "        pair = np.array([np.full_like(piv, col), piv])",
      "        pair = np.array([np.full_like(piv, col), np.full_like(piv, piv[0])])",
      "every sample swaps rows with sample 0's pivot"),
+    (PKG + "jets.py",
+     "(-1.0) ** (k + 1)",
+     "(-1.0) ** k",
+     "ln's series with every sign flipped"),
+    (PKG + "jets.py",
+     "sign * c[-2]",
+     "c[-2]",
+     "arctanh's series recurrence with arctan's sign"),
 ]
 
 
