@@ -39,7 +39,9 @@ defaults, profile, parameter rules and any setup it fixes;
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -134,6 +136,13 @@ class MetricClassSpec:
     def label(self):
         ps = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
         return f"{self.class_id}({ps})" if ps else self.class_id
+
+    @cached_property
+    def _guard(self):
+        """The sampling guard, one object per spec: the field and the
+        closed spray share it, so a draw made for one serves the other
+        (see :mod:`finslerlab.verify`)."""
+        return _domain_guard(self)
 
 
 # ---------------------------------------------------------------------------
@@ -450,21 +459,18 @@ def _profile(spec):
 # ---------------------------------------------------------------------------
 
 
-def build_finsler(spec):
-    """FinslerField for a catalog spec, with its admissibility guard.
-
-    F = f(x^1) psi(y^1, sqrt(phi(yhat))) depends on x^1 alone, declared as
-    ``x_deps=(0,)``; the guard keeps yhat away from the phi(yhat) = 0 cone
-    before the profile's own test.
-    """
+def _domain_guard(spec):
+    """The float admissibility test of a spec's samples.  A block entry's
+    guard keeps yhat away from the phi(yhat) = 0 cone before the
+    profile's own test; ``shen_r3_eq1``'s keeps (y^2, y^3) away from 0."""
     if spec.entry.profile is None:
-        return _field_shen_r3_eq1(spec)
+        def guard(x, y):
+            y = np.asarray(y, float)
+            return float(y[1] ** 2 + y[2] ** 2) >= PHI_MARGIN * float(y @ y)
+
+        return guard
     prof = _profile(spec)
     setup = spec.setup
-
-    def evaluate(xs, ys):
-        phi = setup.phi_jet(ys)
-        return prof.psi(setup.f(xs[0]), ys[0], jets.sqrt(phi), phi)
 
     def guard(x, y):
         y = np.asarray(y, float)
@@ -476,7 +482,25 @@ def build_finsler(spec):
             return False
         return prof.admits(y[0], math.sqrt(phi), phi, s2)
 
-    return FinslerField(setup.n, evaluate, guard, spec.label + prof.suffix,
+    return guard
+
+
+def build_finsler(spec):
+    """FinslerField for a catalog spec, with the spec's guard.
+
+    F = f(x^1) psi(y^1, sqrt(phi(yhat))) depends on x^1 alone, declared as
+    ``x_deps=(0,)``.
+    """
+    if spec.entry.profile is None:
+        return _field_shen_r3_eq1(spec)
+    prof = _profile(spec)
+    setup = spec.setup
+
+    def evaluate(xs, ys):
+        phi = setup.phi_jet(ys)
+        return prof.psi(setup.f(xs[0]), ys[0], jets.sqrt(phi), phi)
+
+    return FinslerField(setup.n, evaluate, spec._guard, spec.label + prof.suffix,
                         x_deps=(0,))
 
 
@@ -490,11 +514,7 @@ def _field_shen_r3_eq1(spec):
         v = jets.exp(xs[0]) * jets.sqrt(u2)
         return psi(1.0, ys[0], v, v * v)
 
-    def guard(x, y):
-        y = np.asarray(y, float)
-        return float(y[1] ** 2 + y[2] ** 2) >= PHI_MARGIN * float(y @ y)
-
-    return FinslerField(3, evaluate, guard, spec.label, x_deps=(0,))
+    return FinslerField(3, evaluate, spec._guard, spec.label, x_deps=(0,))
 
 
 def phi_function(spec):
@@ -532,13 +552,21 @@ class ClosedFormSpray:
         return [self.g1(x, y_jets)] + [pj * y_jets[mu] for mu in range(1, self.n)]
 
     def as_spray_field(self):
-        def jets_fn(x, y, order):
-            _, y_jets = seeded_arguments(self.n, x, y, 0, order)
-            return self.components(x, y_jets)
+        """The spray as a SprayField, the same one for as long as it is
+        held, so that the jets it keeps serve every caller.  It is held
+        here by a weak reference: its program refers to this spray, and a
+        cycle would keep both, and their jets, until a collection."""
+        field = self.__dict__.get("_spray_field", lambda: None)()
+        if field is None:
+            def jets_fn(x, y, order):
+                _, y_jets = seeded_arguments(self.n, x, y, 0, order)
+                return self.components(x, y_jets)
 
-        return SprayField(
-            self.n, jets_fn, label=self.label, domain_guard=self.domain_guard
-        )
+            field = SprayField(
+                self.n, jets_fn, label=self.label, domain_guard=self.domain_guard
+            )
+            object.__setattr__(self, "_spray_field", weakref.ref(field))
+        return field
 
 
 def closed_form_spray(spec):
@@ -562,9 +590,8 @@ def closed_form_spray(spec):
         fv, fp, phi = setup.spray_inputs(x, y_jets)
         return (y_jets[0] + jets.sqrt(phi) * kappa) * (fp / fv)
 
-    guard = build_finsler(spec).domain_guard
     return ClosedFormSpray(
-        setup.n, g1, p, label=f"closed:{spec.label}", domain_guard=guard
+        setup.n, g1, p, label=f"closed:{spec.label}", domain_guard=spec._guard
     )
 
 

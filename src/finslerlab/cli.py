@@ -6,9 +6,11 @@
 
 Exit codes: 0 when the run succeeds and the verdict matches the expected
 one (from --expect, falling back to the catalog's declared verdict),
-2 on a verdict mismatch, 1 on any error (invalid configuration, f not
-finite and positive on the sampled range, singular metric, sampler
-starvation).
+2 on a verdict mismatch, 1 on any error (a usage error, invalid
+configuration, f not finite and positive on the sampled range, singular
+metric, sampler starvation).  A value of ``--x-range`` or ``--quadratic``
+may begin with a minus sign in either form, ``--x-range -1,1`` or
+``--x-range=-1,1``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import csv
 import io
 import os
+import re
 import sys
 
 import numpy as np
@@ -29,8 +32,17 @@ from .verify import SamplePlan, TOL_PROFILES, verdict_slug
 __all__ = ["main", "run_classify", "list_catalog"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with the usage error on exit code 1, the error
+    code, instead of 2, which means a verdict mismatch here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finslerlab",
         description="Landsberg/Berwald classification of catalog Finsler metrics",
     )
@@ -267,8 +279,27 @@ def run_classify(args):
 _PARSER = build_parser()
 
 
+#: Options whose value may begin with a minus sign (a negative first
+#: entry), which argparse would read as an option of its own.
+_SIGNED_OPTIONS = ("--x-range", "--quadratic")
+_SIGNED_VALUE = re.compile(r"-[\d.]")
+
+
+def _join_signed_values(argv):
+    """``argv`` with ``--x-range -1,1`` written as ``--x-range=-1,1``, and
+    likewise for each option of ``_SIGNED_OPTIONS``."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and _SIGNED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _PARSER.parse_args(_join_signed_values(argv))
     try:
         return args.func(args)
     except (

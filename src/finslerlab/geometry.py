@@ -141,6 +141,12 @@ class FinslerField:
     the set is never detected from values.  :meth:`jet` still seeds every
     coordinate, so its layout (and any multi-index read from it) does
     not depend on the declaration.
+
+    ``evaluate`` must be a pure function of its arguments: the field keeps
+    the last batch it evaluated at each (caps, ``x_deps``), keyed by the
+    shapes and bytes of x and y, and serves that jet again to a call on
+    the same batch (so the variational spray and :func:`point_tensors`
+    share one evaluation).  The kept jets live as long as the field.
     """
 
     def __init__(self, n, evaluate, domain_guard=None, label="", x_deps=None):
@@ -151,6 +157,7 @@ class FinslerField:
         )
         self.label = label
         self.x_deps = tuple(range(n)) if x_deps is None else self._checked_deps(x_deps)
+        self._kept = {}  # (x_cap, y_cap, x_deps) -> (batch key, ys, jet)
 
     def _checked_deps(self, x_deps):
         deps = tuple(x_deps)
@@ -178,11 +185,19 @@ class FinslerField:
     def jet(self, x, y, x_cap, y_cap):
         """Evaluate on freshly seeded arguments at the given caps, with all
         n x coordinates seeded whatever ``x_deps`` declares."""
-        return self._jet(x, y, x_cap, y_cap, range(self.n))
+        return self._jet(x, y, x_cap, y_cap, range(self.n))[1]
 
     def _jet(self, x, y, x_cap, y_cap, x_deps):
-        xs, ys = seeded_arguments(self.n, x, y, x_cap, y_cap, x_deps)
-        return _batched_like(self.evaluate(xs, ys), np.asarray(x))
+        """(ys, F) with F evaluated on the arguments seeded in the
+        coordinates ``x_deps`` and ys their fiber part; the last batch of
+        each (caps, x_deps) is kept and served again."""
+        key, batch = (x_cap, y_cap, tuple(x_deps)), _batch_key(x, y)
+        kept = self._kept.get(key)
+        if kept is None or kept[0] != batch:
+            xs, ys = seeded_arguments(self.n, x, y, x_cap, y_cap, x_deps)
+            f = _batched_like(self.evaluate(xs, ys), np.asarray(x))
+            kept = self._kept[key] = (batch, ys, f)
+        return kept[1:]
 
     def value(self, x, y):
         """F at (x, y): shape (N,), or a float for one point.  Evaluated
@@ -227,6 +242,13 @@ def seeded_arguments(n, x, y, x_cap, y_cap, x_deps=None):
     return xs, ys
 
 
+def _batch_key(x, y):
+    """What the fields and sprays key a kept batch by: the shapes and the
+    bytes of x and y."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape, y.shape, x.tobytes(), y.tobytes()
+
+
 def _batched_like(value, x):
     """``value`` spread over the samples of ``x`` when a program returns a
     sample-independent jet (a constant spray, say) for a batch."""
@@ -269,6 +291,11 @@ class SprayField:
     :meth:`jets` or :meth:`values` hands it a batch of one.  The optional
     ``domain_guard`` is inherited from whatever field or setup produced
     the spray so sampling can respect the same admissible cone.
+
+    ``jets_fn`` must be a pure function of ``(x, y, order)``: the spray
+    keeps the last batch of jets it computed at each order, keyed by the
+    shapes and bytes of x and y, and serves them again to a call on the
+    same batch, for as long as the spray lives.
     """
 
     def __init__(self, n, jets_fn, label="", domain_guard=None):
@@ -278,13 +305,21 @@ class SprayField:
         self.domain_guard = domain_guard if domain_guard is not None else (
             lambda x, y: bool(np.linalg.norm(y) > 0)
         )
+        self._kept = {}  # order -> (batch key, jets)
 
     def __repr__(self):
         return f"SprayField(n={self.n}, label={self.label!r})"
 
     @_on_batches
     def jets(self, x, y, order):
-        return [_batched_like(g, x) for g in self._jets_fn(x, y, order)]
+        """The n spray jets at fiber order ``order``; the last batch of
+        each order is kept and served again, as a new list."""
+        batch = _batch_key(x, y)
+        kept = self._kept.get(order)
+        if kept is None or kept[0] != batch:
+            gs = [_batched_like(g, x) for g in self._jets_fn(x, y, order)]
+            kept = self._kept[order] = (batch, gs)
+        return list(kept[1])
 
     @_on_batches
     def values(self, x, y):
@@ -349,8 +384,7 @@ def _ad_spray_jets(field, x, y, order):
     are exact zeros); with none declared the right-hand side is zero.
     """
     n, deps = field.n, field.x_deps
-    xs, ys = seeded_arguments(n, x, y, 1, order + 2, deps)
-    f_jet = field.evaluate(xs, ys)
+    ys, f_jet = field._jet(x, y, 1, order + 2, deps)
     f2 = f_jet * f_jet
     ys_mid = [ysi.truncate(0, order + 1) for ysi in ys]
     rhs = []
@@ -463,7 +497,7 @@ def point_tensors(field, spray, x, y):
     0.0 for the rest), the spray tensors from one spray jet at order 3.
     Raises ValueError, before the spray is evaluated, unless F > 0 (naming
     the first sample where it is not)."""
-    fj = field._jet(x, y, 1, 2, field.x_deps)
+    fj = field._jet(x, y, 1, 2, field.x_deps)[1]
     F = fj.value
     bad = ~(F > 0.0)
     if bad.any():

@@ -18,6 +18,14 @@ It then reduces each residual to ``{"max", "at_sample"}``: starting from
 so the first sample that reaches the maximum wins and a NaN never
 replaces a value.
 
+The entry points of one job share their draw: ``_run_plan`` keeps the
+last one, keyed by the guard object itself (weakly held, so the draw
+goes with the guard) and the dimension, seed, x range, exclusion angle
+and guard retries, and serves a plan of at most as many points its
+prefix, which is exact since sample i depends only on (seed, i).  So a
+guard must be a pure function of (x, y).  Nothing is kept by plan values
+alone: a new field or catalog spec has a new guard and draws anew.
+
 Each residual is one array formula over the batched (N, ...) arrays of
 :func:`~finslerlab.geometry.point_tensors`: a max|.| is one reduction
 over the sample's axes, and the contractions (G^j_i ell_j in the
@@ -59,6 +67,7 @@ import logging
 import math
 import numbers
 import time
+import weakref
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -215,6 +224,36 @@ def draw_samples(domain_guard, n, plan):
     return points
 
 
+#: The last draw of :func:`_draw`: (a weak reference to its guard, its
+#: draw settings, its points), forgotten when the guard is.
+_NO_DRAW = (lambda: None, None, [])
+_last_draw = _NO_DRAW
+
+
+def _forget(ref):
+    global _last_draw
+    if _last_draw[0] is ref:
+        _last_draw = _NO_DRAW
+
+
+def _draw(guard, n, plan):
+    """``draw_samples(guard, n, plan)``, or the first ``plan.n_points`` of
+    the last draw when that was made with this guard object and the same
+    draw settings and holds as many points (see the module docstring)."""
+    global _last_draw
+    settings = (n, plan.seed, tuple(map(float, plan.x_range)),
+                plan.exclusion_angle, plan.guard_retries)
+    ref, last_settings, pts = _last_draw
+    if ref() is guard and last_settings == settings and len(pts) >= plan.n_points:
+        return pts[:plan.n_points]
+    pts = draw_samples(guard, n, plan)
+    try:
+        _last_draw = (weakref.ref(guard, _forget), settings, pts)
+    except TypeError:  # a guard without weak references is never shared
+        _last_draw = _NO_DRAW
+    return pts
+
+
 #: What a batched pass may raise where the per-sample order would meet a
 #: different error first: SingularPointError, and the OverflowError or
 #: ZeroDivisionError of a sample's scalar series code, are
@@ -231,7 +270,7 @@ def _run_plan(guard, parts, plan, rows_of, keys):
     if len({part.n for part in parts}) > 1:
         raise ValueError("different dimensions: " + ", ".join(
             f"{part.label!r} has n = {part.n}" for part in parts))
-    pts = draw_samples(guard, parts[0].n, plan)
+    pts = _draw(guard, parts[0].n, plan)
     x = np.array([p for p, _ in pts])
     y = np.array([q for _, q in pts])
     try:
@@ -563,10 +602,12 @@ def perturbed_projective_factor(cfs, eps):
 
 
 def compare_sprays(spray_a, spray_b, plan=None):
-    """Max over samples and components of the relative spray deviation."""
-
-    def guard(x, y):
-        return spray_a.domain_guard(x, y) and spray_b.domain_guard(x, y)
+    """Max over samples and components of the relative spray deviation,
+    over the samples both sprays' guards admit."""
+    guard = spray_a.domain_guard
+    if spray_b.domain_guard is not guard:
+        def guard(x, y):
+            return spray_a.domain_guard(x, y) and spray_b.domain_guard(x, y)
 
     def rows_of(x, y):
         deviation = _deviation(spray_a.values(x, y), spray_b.values(x, y))

@@ -426,3 +426,32 @@ def test_tol_profile_sets_the_tolerances_and_not_the_samples(profile, tmp_path):
     assert floor == pytest.approx(tol.berwald_floor, rel=1e-15, abs=0)
     assert doc["samples"] == ref["samples"]
     assert doc["verdict"] == "Landsberg, non-Berwald"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--metric", "class1", "--points", "abc"],
+    ["classify", "--metric", "class1", "--no-such-flag"],
+    [],
+], ids=["bad-value", "unknown-flag", "no-command"])
+def test_a_usage_error_exits_one_with_the_usage_text(argv, capsys):
+    # 2 means "verdict mismatch"; a usage error is an error
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: finslerlab") and "error: " in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--x-range", "-1,1"),
+    ("--quadratic", "-0.3,1,1,0"),
+])
+def test_a_negative_first_value_reads_as_its_equals_form(option, value, tmp_path):
+    base = ["classify", "--metric", "class1", "--points", "5"]
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert main(base + [option, value, "--out", str(spaced)]) == 0
+    assert main(base + [f"{option}={value}", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    default = tmp_path / "default.json"  # and the value is not ignored
+    assert main(base + ["--out", str(default)]) == 0
+    assert spaced.read_bytes() != default.read_bytes()

@@ -825,3 +825,111 @@ def test_jet_solve_refuses_a_subnormal_system():
     a, b = _random_jet_system(np.random.default_rng(61))
     with pytest.raises(DegenerateMetricError, match="underflows"):
         geometry._solve_jet_system(*_scaled_system(a, b, 1e-310))
+
+
+# ---------------------------------------------------------------------------
+# kept batches: a field and a spray serve their last batch again
+# ---------------------------------------------------------------------------
+
+
+def _batches(field):
+    """Named (x, y) batches: A, B with A's x and other directions, one
+    point of A, and that point as a batch of one."""
+    x, y = _plan_arrays(field, 8, seed=53)
+    _, y_other = _plan_arrays(field, 8, seed=54)
+    return {"A": (x, y), "B": (x, y_other), "one": (x[3], y[3]),
+            "batch of one": (x[3:4], y[3:4])}
+
+
+def _bytes(values):
+    return [(v.space, v.coeffs.tobytes()) for v in values]
+
+
+def _assert_kept_like_fresh(calls, kept_call, fresh_call, computed):
+    """Each (batch, key) of ``calls`` gives through ``kept_call`` the bits
+    ``fresh_call`` gives, and is computed again exactly when its batch is
+    not the last one computed at its key (``computed`` counts)."""
+    last = {}
+    for name, key in calls:
+        before = len(computed)
+        got = kept_call(name, key)
+        assert _bytes(got) == _bytes(fresh_call(name, key)), (name, key)
+        assert len(computed) - before == (last.get(key) != name), (name, key)
+        last[key] = name
+
+
+@pytest.mark.parametrize("metric_id", ["class3", "shen_r3_eq1"])
+def test_a_field_serves_its_last_batch_per_caps_and_recomputes_any_other(metric_id):
+    spec = default_spec(metric_id)
+    evaluated = []
+    base = catalog.build_finsler(spec)
+
+    def evaluate(xs, ys):
+        evaluated.append(1)
+        return base.evaluate(xs, ys)
+
+    field = FinslerField(base.n, evaluate, base.domain_guard, "kept", base.x_deps)
+    batches = _batches(field)
+    deps, every = field.x_deps, tuple(range(field.n))
+    calls = [("A", (1, 2, deps)), ("B", (1, 2, deps)), ("A", (1, 2, deps)),
+             ("A", (1, 2, deps)), ("A", (0, 2, deps)), ("A", (1, 2, deps)),
+             ("A", (1, 2, every)), ("one", (1, 2, deps)), ("A", (1, 2, deps)),
+             ("batch of one", (1, 2, deps)), ("one", (1, 2, deps)),
+             ("A", (1, 5, deps)), ("B", (1, 5, deps)), ("B", (1, 2, deps))]
+
+    def jets_of(jet_fn):  # the fiber arguments and F
+        def call(name, key):
+            ys, f = jet_fn(*batches[name], *key)
+            return [*ys, f]
+
+        return call
+
+    _assert_kept_like_fresh(
+        calls, jets_of(field._jet),
+        jets_of(lambda *a: catalog.build_finsler(spec)._jet(*a)), evaluated)
+
+
+@pytest.mark.parametrize("route", ["closed", "variational"])
+def test_a_spray_serves_its_last_batch_per_order_and_recomputes_any_other(route):
+    spec = default_spec("class1")
+
+    def fresh():
+        if route == "closed":
+            return catalog.closed_form_spray(spec).as_spray_field()
+        return ad_spray_field(catalog.build_finsler(spec))
+
+    computed = []
+
+    def jets_fn(x, y, order):
+        computed.append(1)
+        return fresh().jets(x, y, order)
+
+    spray = geometry.SprayField(3, jets_fn, "kept")
+    batches = _batches(catalog.build_finsler(spec))
+    calls = [("A", 0), ("B", 0), ("A", 0), ("A", 0), ("A", 3), ("A", 0),
+             ("one", 0), ("A", 0), ("batch of one", 0), ("B", 3), ("A", 3)]
+    _assert_kept_like_fresh(
+        calls, lambda name, order: spray.jets(*batches[name], order),
+        lambda name, order: fresh().jets(*batches[name], order), computed)
+
+
+def test_a_kept_spray_hands_out_a_new_list_each_call():
+    spray = catalog.closed_form_spray(default_spec("class1")).as_spray_field()
+    x, y = _batches(catalog.build_finsler(default_spec("class1")))["A"]
+    first = spray.jets(x, y, 2)
+    want = _bytes(first)
+    first[0] = first[1]  # a caller may edit its list
+    assert _bytes(spray.jets(x, y, 2)) == want
+
+
+def test_the_variational_spray_seeds_its_arguments_once(monkeypatch):
+    field = catalog.build_finsler(default_spec("class3"))
+    x, y = _plan_arrays(field, 5, seed=55)
+    seeded = []
+    seed = geometry.seeded_arguments
+    monkeypatch.setattr(geometry, "seeded_arguments",
+                        lambda *a, **k: seeded.append(a[3:5]) or seed(*a, **k))
+    ad_spray_field(field).jets(x, y, 3)
+    assert seeded == [(1, 5)]
+    point_tensors(field, ad_spray_field(field), x, y)  # (1, 2) and the kept (1, 5)
+    assert seeded == [(1, 5), (1, 2)]

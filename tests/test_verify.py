@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -925,3 +926,173 @@ def test_perturbed_projective_factor_copies_the_rest_of_the_spray():
     assert type(pert) is ClosedFormSpray
     assert (pert.n, pert.g1, pert.domain_guard) == (cfs.n, cfs.g1, cfs.domain_guard)
     assert pert.label == f"{cfs.label}+eps*(y2)^2/|y|"
+
+
+# ---------------------------------------------------------------------------
+# one job evaluates once: a shared draw, and kept field and spray jets
+# ---------------------------------------------------------------------------
+
+
+def _job_parts(spec):
+    field = catalog.build_finsler(spec)
+    cfs = catalog.closed_form_spray(spec)
+    eq5 = alphabeta.ab_spray_field(catalog.phi_function(spec), spec.setup,
+                                   domain_guard=field.domain_guard)
+    return {"field": field, "cfs": cfs, "closed": cfs.as_spray_field(),
+            "variational": geometry.ad_spray_field(field), "eq5": eq5}
+
+
+def _cross_job(spec, fresh=False):
+    """The calls of one cross-oracle benchmark job: the spray triple on a
+    20-point plan, then the Landsberg-via-P and metrizability checks on 15
+    points of the same seed.  ``fresh`` builds every call's parts anew,
+    from a copy of ``spec``."""
+    compare, check = SamplePlan(n_points=20, seed=5), SamplePlan(n_points=15, seed=5)
+    shared = _job_parts(spec)
+
+    def parts():
+        return _job_parts(dataclasses.replace(spec)) if fresh else shared
+
+    return (
+        compare_sprays(parts()["closed"], parts()["variational"], compare),
+        compare_sprays(parts()["closed"], parts()["eq5"], compare),
+        compare_sprays(parts()["variational"], parts()["eq5"], compare),
+        landsberg_via_p(parts()["cfs"], parts()["field"], check),
+        check_metrizability(parts()["field"], parts()["closed"], check),
+    )
+
+
+def _batch_of(values):
+    return tuple(v.value.tobytes() for v in values)
+
+
+@pytest.mark.parametrize("metric_id, quadratic", [("class2", "product"),
+                                                  ("shen_eq8", "mixed4")])
+def test_one_cross_oracle_job_draws_once_and_evaluates_each_batch_once(
+        metric_id, quadratic, monkeypatch):
+    spec = catalog.make_spec(metric_id, quadratic=quadratic)
+    want = _cross_job(spec, fresh=True)
+    draws, evaluations, components = [], [], []
+    draw = verify.draw_samples
+    evaluate = geometry.FinslerField.evaluate
+    closed_components = ClosedFormSpray.components
+
+    def counting_draw(guard, n, plan):
+        draws.append(plan.n_points)
+        return draw(guard, n, plan)
+
+    def counting_evaluate(self, xs, ys):
+        caps = (xs[0].space.x_cap, ys[0].space.y_cap)
+        evaluations.append((_batch_of(xs) + _batch_of(ys), caps))
+        return evaluate(self, xs, ys)
+
+    def counting_components(self, x, y_jets):
+        components.append((x.tobytes(), _batch_of(y_jets), y_jets[0].space.y_cap))
+        return closed_components(self, x, y_jets)
+
+    monkeypatch.setattr(verify, "draw_samples", counting_draw)
+    monkeypatch.setattr(geometry.FinslerField, "evaluate", counting_evaluate)
+    monkeypatch.setattr(ClosedFormSpray, "components", counting_components)
+    assert _cross_job(spec) == want
+    assert draws == [20]
+    # F at caps (1, 2) on the 20 and the 15 points; G^i at order 0 on the
+    # 20 points and at order 3 on the 15
+    assert sorted(caps for _, caps in evaluations) == [(1, 2), (1, 2)]
+    assert len(set(evaluations)) == 2
+    assert sorted(order for *_, order in components) == [0, 3]
+    assert len(set(components)) == 2
+
+
+def _drawn(guard, n, plan):
+    """The (x, y) arrays ``_run_plan`` evaluates for (guard, n, plan)."""
+    got = []
+    verify._run_plan(guard, (geometry.SprayField(n, None, "part"),), plan,
+                     lambda x, y: got.append((x, y)) or [{}] * len(x), ())
+    return got[0]
+
+
+def _admits_y2(x, y):
+    return y[1] > -0.5
+
+
+def _admits_y3(x, y):
+    return y[2] > 0.0
+
+
+def test_a_draw_serves_only_its_guard_settings_and_length(monkeypatch):
+    same_test = lambda x, y: y[1] > -0.5  # noqa: E731 - _admits_y2, another object
+    plan = SamplePlan(n_points=8, seed=3)
+    calls = [
+        (_admits_y2, 3, plan, True),
+        (_admits_y2, 3, SamplePlan(n_points=5, seed=3), False),  # a prefix
+        (_admits_y3, 3, SamplePlan(n_points=5, seed=3), True),   # another guard
+        (_admits_y2, 3, SamplePlan(n_points=5, seed=3), True),
+        (_admits_y2, 3, plan, True),                             # longer
+        (same_test, 3, plan, True),
+        (_admits_y2, 3, plan, True),
+        (_admits_y2, 4, plan, True),
+        (_admits_y2, 3, SamplePlan(n_points=8, seed=4), True),
+        (_admits_y2, 3, SamplePlan(n_points=8, seed=4, x_range=(0.0, 1.0)), True),
+        (_admits_y2, 3, SamplePlan(n_points=8, seed=4, exclusion_angle=0.3), True),
+        (_admits_y2, 3, SamplePlan(n_points=8, seed=4, exclusion_angle=0.3,
+                                   guard_retries=300), True),
+        (_admits_y2, 3, SamplePlan(n_points=7, seed=4, exclusion_angle=0.3,
+                                   guard_retries=300), False),
+    ]
+    draws = []
+    draw = verify.draw_samples
+    monkeypatch.setattr(verify, "draw_samples",
+                        lambda *args: draws.append(1) or draw(*args))
+    for guard, n, plan_, drawn in calls:
+        before = len(draws)
+        x, y = _drawn(guard, n, plan_)
+        pts = draw(guard, n, plan_)
+        assert x.tobytes() == np.array([p for p, _ in pts]).tobytes()
+        assert y.tobytes() == np.array([q for _, q in pts]).tobytes()
+        assert len(draws) - before == drawn
+
+
+def test_a_draw_is_not_served_to_fewer_guard_retries():
+    def rare(x, y):  # about one attempt in five
+        return y[1] > 0.5
+
+    assert len(_drawn(rare, 3, SamplePlan(n_points=6, seed=1))[0]) == 6
+    with pytest.raises(SamplerStarvationError):
+        _drawn(rare, 3, SamplePlan(n_points=6, seed=1, guard_retries=1))
+
+
+def test_a_draw_is_forgotten_with_its_guard():
+    guard = lambda x, y: True  # noqa: E731
+    _drawn(guard, 3, SamplePlan(n_points=4))
+    assert verify._last_draw[0]() is guard
+    del guard
+    assert verify._last_draw is verify._NO_DRAW
+
+
+def test_a_spec_has_one_guard_and_a_closed_spray_one_spray_field():
+    for metric_id in ("class1", "shen_eq8", "example33"):
+        spec = default_spec(metric_id)
+        cfs = catalog.closed_form_spray(spec)
+        assert cfs.domain_guard is catalog.build_finsler(spec).domain_guard
+        assert cfs.as_spray_field() is cfs.as_spray_field()
+    spec = default_spec("shen_r3_eq1")
+    assert catalog.build_finsler(spec).domain_guard is \
+        catalog.build_finsler(spec).domain_guard
+
+
+def test_compare_sprays_calls_a_shared_guard_once_per_attempt():
+    spec = default_spec("class1")
+    calls = []
+    guard = catalog.build_finsler(spec).domain_guard
+
+    def counted(x, y):
+        calls.append(1)
+        return guard(x, y)
+
+    plan = SamplePlan(n_points=10, seed=2)
+    cfs = dataclasses.replace(catalog.closed_form_spray(spec), domain_guard=counted)
+    compare_sprays(cfs.as_spray_field(), cfs.as_spray_field(), plan)
+    attempts = len(calls)
+    calls.clear()
+    verify.draw_samples(counted, 3, plan)
+    assert attempts == len(calls) >= plan.n_points

@@ -121,6 +121,14 @@ MUTANTS = [
      "sign * c[-2]",
      "c[-2]",
      "arctanh's series recurrence with arctan's sign"),
+    (PKG + "geometry.py",
+     "    return x.shape, y.shape, x.tobytes(), y.tobytes()",
+     "    return x.shape, y.shape, x.tobytes()",
+     "kept field and spray jets keyed without y"),
+    (PKG + "verify.py",
+     "    if ref() is guard and last_settings == settings",
+     "    if ref() is not None and last_settings == settings",
+     "a kept draw served to another guard object"),
 ]
 
 
