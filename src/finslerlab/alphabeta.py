@@ -88,7 +88,7 @@ class RiemannSetup:
             raise ValueError(
                 f"f(x^1) must be positive, got {every[s]} at x^1={x1[s]}"
             )
-        return fv, fj.extract((1,))
+        return fv, fj.dx(0).value
 
     def phi_value(self, yhat):
         yhat = np.asarray(yhat, float)
@@ -182,18 +182,23 @@ def _q_w_theta_jets(phi, s0, order):
     return q, w, theta
 
 
+def _checked_s(s):
+    """s itself, or a ValueError unless |s| < 1."""
+    if not abs(s) < 1.0:
+        raise ValueError(f"|s| = {abs(s)} outside (-1, 1)")
+    return s
+
+
 def q_theta(phi, s):
     """(Q(s), Theta(s)) derived from phi by jets (no hand derivatives)."""
-    if abs(s) >= 1.0:
-        raise ValueError(f"|s| = {abs(s)} outside (-1, 1)")
-    q, _, theta = _q_w_theta_jets(phi, s, 0)
+    q, _, theta = _q_w_theta_jets(phi, _checked_s(s), 0)
     return q.value, theta.value
 
 
 def q_aux(phi, s):
     """(Q, Q', Q'/(Q - sQ'), Theta) at s, all from phi by jets."""
-    q, w, theta = _q_w_theta_jets(phi, s, 1)
-    return q.value, q.extract((1,)), w.value, theta.value
+    q, w, theta = _q_w_theta_jets(phi, _checked_s(s), 1)
+    return q.value, q.dy(0).value, w.value, theta.value
 
 
 def ab_spray_field(phi, setup, domain_guard=None, label=""):
@@ -241,6 +246,8 @@ def shen_class_spray_field(c1, c3, setup, domain_guard=None):
     with k = f'/f^2.  Kept independent of the per-class closed forms so
     it can serve as a cross-oracle against them.
     """
+    if not np.isfinite([c1, c3]).all():
+        raise ValueError(f"c1 and c3 must be finite, got c1 = {c1}, c3 = {c3}")
     if c1 == 0.0:
         raise ValueError("c1 must be non-zero")
     if 1.0 + c3 <= 0.0:

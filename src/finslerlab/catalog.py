@@ -39,8 +39,7 @@ defaults, profile, parameter rules and any setup it fixes;
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -538,35 +537,28 @@ def phi_function(spec):
 
 
 @dataclass(frozen=True)
-class ClosedFormSpray:
-    """Special-form spray: G^1 quadratic in y, G^mu = P y^mu."""
+class ClosedFormSpray(SprayField):
+    """Special-form spray: G^1 quadratic in y, G^mu = P y^mu.  As a
+    SprayField it provides the program ``_jets_fn`` and its own ``_kept``
+    dict, which a ``dataclasses.replace`` copy starts empty."""
 
     n: int
     g1: object  # callable (x_values, y_jets) -> TaylorValue
     p: object   # callable (x_values, y_jets) -> TaylorValue
-    label: str = ""
-    domain_guard: object = None
+    label: str
+    domain_guard: object
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def components(self, x, y_jets):
         pj = self.p(x, y_jets)
         return [self.g1(x, y_jets)] + [pj * y_jets[mu] for mu in range(1, self.n)]
 
-    def as_spray_field(self):
-        """The spray as a SprayField, the same one for as long as it is
-        held, so that the jets it keeps serve every caller.  It is held
-        here by a weak reference: its program refers to this spray, and a
-        cycle would keep both, and their jets, until a collection."""
-        field = self.__dict__.get("_spray_field", lambda: None)()
-        if field is None:
-            def jets_fn(x, y, order):
-                _, y_jets = seeded_arguments(self.n, x, y, 0, order)
-                return self.components(x, y_jets)
+    def _jets_fn(self, x, y, order):
+        return self.components(x, seeded_arguments(self.n, x, y, 0, order)[1])
 
-            field = SprayField(
-                self.n, jets_fn, label=self.label, domain_guard=self.domain_guard
-            )
-            object.__setattr__(self, "_spray_field", weakref.ref(field))
-        return field
+    def as_spray_field(self):
+        """The spray itself, which is a SprayField."""
+        return self
 
 
 def closed_form_spray(spec):

@@ -242,7 +242,7 @@ def run_classify(args):
     if args.oracle_ad or not spec.entry.has_closed_form:
         spray = None  # classify derives the variational spray
     else:
-        spray = catalog.closed_form_spray(spec).as_spray_field()
+        spray = catalog.closed_form_spray(spec)
     paths = [args.out, args.out + ".csv"][: 1 + bool(args.csv)] if args.out else []
     try:
         _check_writable(paths)  # before the plan, which may run for minutes

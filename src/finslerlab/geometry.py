@@ -146,7 +146,8 @@ class FinslerField:
     the last batch it evaluated at each (caps, ``x_deps``), keyed by the
     shapes and bytes of x and y, and serves that jet again to a call on
     the same batch (so the variational spray and :func:`point_tensors`
-    share one evaluation).  The kept jets live as long as the field.
+    share one evaluation).  The kept jets live as long as the field; a
+    subclass may provide ``_evaluate`` and its own ``_kept`` dict itself.
     """
 
     def __init__(self, n, evaluate, domain_guard=None, label="", x_deps=None):
@@ -157,7 +158,7 @@ class FinslerField:
         )
         self.label = label
         self.x_deps = tuple(range(n)) if x_deps is None else self._checked_deps(x_deps)
-        self._kept = {}  # (x_cap, y_cap, x_deps) -> (batch key, ys, jet)
+        self._kept = {}  # (x_cap, y_cap, x_deps) -> (batch, (ys, jet))
 
     def _checked_deps(self, x_deps):
         deps = tuple(x_deps)
@@ -191,13 +192,11 @@ class FinslerField:
         """(ys, F) with F evaluated on the arguments seeded in the
         coordinates ``x_deps`` and ys their fiber part; the last batch of
         each (caps, x_deps) is kept and served again."""
-        key, batch = (x_cap, y_cap, tuple(x_deps)), _batch_key(x, y)
-        kept = self._kept.get(key)
-        if kept is None or kept[0] != batch:
+        def compute():
             xs, ys = seeded_arguments(self.n, x, y, x_cap, y_cap, x_deps)
-            f = _batched_like(self.evaluate(xs, ys), np.asarray(x))
-            kept = self._kept[key] = (batch, ys, f)
-        return kept[1:]
+            return ys, _batched_like(self.evaluate(xs, ys), np.asarray(x))
+
+        return _keep(self._kept, (x_cap, y_cap, tuple(x_deps)), x, y, compute)
 
     def value(self, x, y):
         """F at (x, y): shape (N,), or a float for one point.  Evaluated
@@ -242,11 +241,15 @@ def seeded_arguments(n, x, y, x_cap, y_cap, x_deps=None):
     return xs, ys
 
 
-def _batch_key(x, y):
-    """What the fields and sprays key a kept batch by: the shapes and the
-    bytes of x and y."""
+def _keep(store, key, x, y, compute):
+    """The value kept in ``store`` at ``key`` if it was computed on these
+    x and y (same shapes and bytes), else ``compute()``, kept in its place."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return x.shape, y.shape, x.tobytes(), y.tobytes()
+    batch = x.shape, y.shape, x.tobytes(), y.tobytes()
+    kept = store.get(key)
+    if kept is None or kept[0] != batch:
+        kept = store[key] = (batch, compute())
+    return kept[1]
 
 
 def _batched_like(value, x):
@@ -295,7 +298,8 @@ class SprayField:
     ``jets_fn`` must be a pure function of ``(x, y, order)``: the spray
     keeps the last batch of jets it computed at each order, keyed by the
     shapes and bytes of x and y, and serves them again to a call on the
-    same batch, for as long as the spray lives.
+    same batch, for as long as the spray lives; a subclass (a closed-form
+    spray) may provide ``_jets_fn`` and its own ``_kept`` dict itself.
     """
 
     def __init__(self, n, jets_fn, label="", domain_guard=None):
@@ -305,7 +309,7 @@ class SprayField:
         self.domain_guard = domain_guard if domain_guard is not None else (
             lambda x, y: bool(np.linalg.norm(y) > 0)
         )
-        self._kept = {}  # order -> (batch key, jets)
+        self._kept = {}  # order -> (batch, jets)
 
     def __repr__(self):
         return f"SprayField(n={self.n}, label={self.label!r})"
@@ -314,12 +318,8 @@ class SprayField:
     def jets(self, x, y, order):
         """The n spray jets at fiber order ``order``; the last batch of
         each order is kept and served again, as a new list."""
-        batch = _batch_key(x, y)
-        kept = self._kept.get(order)
-        if kept is None or kept[0] != batch:
-            gs = [_batched_like(g, x) for g in self._jets_fn(x, y, order)]
-            kept = self._kept[order] = (batch, gs)
-        return list(kept[1])
+        return list(_keep(self._kept, order, x, y, lambda: [
+            _batched_like(g, x) for g in self._jets_fn(x, y, order)]))
 
     @_on_batches
     def values(self, x, y):

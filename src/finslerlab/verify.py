@@ -554,10 +554,9 @@ def landsberg_via_p(cfs, field, plan=None):
     disagreement, over the sample plan.
     """
     n = cfs.n
-    spray = cfs.as_spray_field()
 
     def rows_of(x, y):
-        pt = point_tensors(field, spray, x, y)
+        pt = point_tensors(field, cfs, x, y)
         # special-form check: G^1 must be quadratic in the fiber
         if (_max_abs(pt.Gijkh[:, 0]) > 1e-9 * np.fmax(1.0, np.abs(pt.G[:, 0]))).any():
             raise SpecialFormError(
@@ -584,7 +583,7 @@ def landsberg_via_p(cfs, field, plan=None):
             return _rows({key: m / scale for key, m in maxima.items()})
 
     return _run_plan(
-        cfs.domain_guard or field.domain_guard, (cfs, field), plan or SamplePlan(),
+        cfs.domain_guard, (cfs, field), plan or SamplePlan(),
         rows_of, ("via_p", "general", "agreement"),
     )[1]
 

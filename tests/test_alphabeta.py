@@ -296,3 +296,28 @@ def test_a_nan_f_is_refused_naming_the_first_nan_sample():
     first = x1[x1 > 0.2][0]
     with pytest.raises(ValueError, match=re.escape(f"got nan at x^1={first}")):
         compare_sprays(closed, eq5, plan)
+
+
+def test_q_aux_refuses_s_outside_the_unit_interval_as_q_theta_does():
+    # class1's phi has no real value at s = 1.5: the refusal comes before
+    # any jet, with q_theta's message
+    phi = catalog.phi_function(default_spec("class1"))
+    with pytest.raises(ValueError, match=re.escape("|s| = 1.5 outside (-1, 1)")):
+        q_aux(phi, 1.5)
+    # a profile defined everywhere is refused at |s| >= 1 all the same
+    smooth = PhiFunction(lambda t: t * t * 0.1 + 1.0, label="1 + s^2/10")
+    for s in (1.5, -1.0):
+        with pytest.raises(ValueError, match="outside"):
+            q_theta(smooth, s)
+        with pytest.raises(ValueError, match=re.escape(f"|s| = {abs(s)} outside")):
+            q_aux(smooth, s)
+    q, qp, _, theta = q_aux(smooth, 0.5)
+    assert (q, theta) == q_theta(smooth, 0.5)
+    assert math.isfinite(qp)
+
+
+@pytest.mark.parametrize("c1, c3", [
+    (math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (1.0, math.inf), (-math.inf, 0.5)])
+def test_shen_class_spray_refuses_non_finite_constants(c1, c3):
+    with pytest.raises(ValueError, match="c1 and c3 must be finite"):
+        shen_class_spray_field(c1, c3, product_setup())

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import logging
 import math
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from finslerlab.verify import (
     report_to_json,
 )
 
-from conftest import default_spec
+from conftest import admissible_points, default_spec
 
 PLAN = SamplePlan(n_points=20, seed=7)
 
@@ -1096,3 +1098,56 @@ def test_compare_sprays_calls_a_shared_guard_once_per_attempt():
     calls.clear()
     verify.draw_samples(counted, 3, plan)
     assert attempts == len(calls) >= plan.n_points
+
+
+def test_a_closed_spray_copy_evaluates_a_batch_its_original_keeps(monkeypatch):
+    spec = default_spec("class2")
+    cfs = catalog.closed_form_spray(spec)
+    pts = admissible_points(catalog.build_finsler(spec), 8)
+    x, y = np.array([p for p, _ in pts]), np.array([q for _, q in pts])
+    calls = []
+    components = ClosedFormSpray.components
+
+    def counting(self, x, y_jets):
+        calls.append(self.label)
+        return components(self, x, y_jets)
+
+    monkeypatch.setattr(ClosedFormSpray, "components", counting)
+    original = cfs.jets(x, y, 3)
+    cfs.jets(x, y, 3)
+    assert calls == [cfs.label]  # the second call is served the kept jets
+    copies = [perturbed_projective_factor(cfs, 1e-3),
+              dataclasses.replace(cfs, label="copy")]
+    for copy in copies:
+        calls.clear()
+        got = copy.jets(x, y, 3)
+        assert calls == [copy.label]  # a copy keeps nothing of its original
+        fresh = copy._jets_fn(x, y, 3)  # the program itself, nothing kept
+        assert all(np.array_equal(g.coeffs, f.coeffs) for g, f in zip(got, fresh))
+    # the perturbed P differs from the original's; the relabelled copy does not
+    perturbed = copies[0].jets(x, y, 3)
+    assert not np.array_equal(perturbed[1].coeffs, original[1].coeffs)
+    assert all(np.array_equal(g.coeffs, o.coeffs)
+               for g, o in zip(copies[1].jets(x, y, 3), original))
+
+
+def test_a_closed_spray_with_kept_jets_is_freed_by_reference_counting():
+    spec = default_spec("class1")
+    field = catalog.build_finsler(spec)
+    cfs = catalog.closed_form_spray(spec)
+    landsberg_via_p(cfs, field, SamplePlan(n_points=6, seed=0))
+    assert cfs._kept  # the job's jets are kept
+    ref = weakref.ref(cfs)
+    gc.disable()
+    try:
+        del cfs  # no cycle holds the spray or its jets
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_closed_spray_is_its_own_spray_field():
+    for metric_id in ("class1", "shen_eq8", "example33"):
+        cfs = catalog.closed_form_spray(default_spec(metric_id))
+        assert isinstance(cfs, geometry.SprayField)
+        assert cfs.as_spray_field() is cfs

@@ -122,13 +122,21 @@ MUTANTS = [
      "c[-2]",
      "arctanh's series recurrence with arctan's sign"),
     (PKG + "geometry.py",
-     "    return x.shape, y.shape, x.tobytes(), y.tobytes()",
-     "    return x.shape, y.shape, x.tobytes()",
+     "    batch = x.shape, y.shape, x.tobytes(), y.tobytes()",
+     "    batch = x.shape, y.shape, x.tobytes()",
      "kept field and spray jets keyed without y"),
     (PKG + "verify.py",
      "    if ref() is guard and last_settings == settings",
      "    if ref() is not None and last_settings == settings",
      "a kept draw served to another guard object"),
+    (PKG + "catalog.py",
+     "field(default_factory=dict, init=False",
+     "field(default_factory=lambda kept={}: kept, init=False",
+     "every closed spray shares one dict of kept jets"),
+    (PKG + "catalog.py",
+     "        return (y_jets[0] + jets.sqrt(phi) * kappa) * (fp / fv)",
+     "        return (y_jets[0] + jets.sqrt(phi + 1e-14) * kappa) * (fp / fv)",
+     "closed spray's P homogeneous only up to 1e-14"),
 ]
 
 
