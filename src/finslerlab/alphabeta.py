@@ -95,10 +95,12 @@ class RiemannSetup:
         return float(yhat @ self.c @ yhat)
 
     def phi_jet(self, y_jets):
+        """c[lam, mu] y^lam y^mu summed over lam <= mu: c is symmetric, so
+        an off-diagonal pair is one jet product with its coefficient doubled."""
         acc = None
         for lam in range(self.n - 1):
-            for mu in range(self.n - 1):
-                cc = self.c[lam, mu]
+            for mu in range(lam, self.n - 1):
+                cc = self.c[lam, mu] if lam == mu else self.c[lam, mu] * 2.0
                 if cc == 0.0:
                     continue
                 term = (y_jets[1 + lam] * y_jets[1 + mu]) * cc
@@ -201,7 +203,7 @@ def q_aux(phi, s):
     return q.value, q.dy(0).value, w.value, theta.value
 
 
-def ab_spray_field(phi, setup, domain_guard=None, label=""):
+def ab_spray_field(phi, setup, domain_guard=None):
     """Spray of F = alpha phi(beta/alpha) in the block setup.
 
     With s_ij = 0 the general spray formula collapses to
@@ -231,10 +233,10 @@ def ab_spray_field(phi, setup, domain_guard=None, label=""):
             out.append(galpha[i] + theta_y * r00 * bracket)
         return out
 
-    return setup.spray_field(components, label or f"ab:{phi.label}", domain_guard)
+    return setup.spray_field(components, f"ab:{phi.label}", domain_guard)
 
 
-def shen_class_spray_field(c1, c3, setup, domain_guard=None):
+def shen_class_spray_field(c1, c3, setup):
     """Spray of the two-constant Landsberg class over the block setup.
 
     Literal deformation form (b^2 = 1):
@@ -264,6 +266,4 @@ def shen_class_spray_field(c1, c3, setup, domain_guard=None):
         brackets = [y1 - beta * b1 + root * (c3 / c1 * b1), *y_jets[1:]]
         return [g + front * bracket for g, bracket in zip(galpha, brackets)]
 
-    return setup.spray_field(
-        components, f"shen-class(c1={c1}, c3={c3})", domain_guard
-    )
+    return setup.spray_field(components, f"shen-class(c1={c1}, c3={c3})")

@@ -159,22 +159,22 @@ def _parse_x_range(text):
     )
 
 
-def _check_f_positive(f_ast, x_range):
+def _check_f_positive(f, x_range):
     grid = np.linspace(x_range[0], x_range[1], 33)
     x1 = jet_space(1, 0, 1, 0)
     try:
-        f = exprlang.evaluate(f_ast, x1.seed_x(0, grid))
+        fj = f(x1.seed_x(0, grid))
     except OverflowError:
         raise ValueError("f(x1) overflows on the sampled range") from None
     except SingularPointError:
         for t in grid:  # the batch may name a later point than the first
             try:
-                exprlang.evaluate(f_ast, x1.seed_x(0, t))
+                f(x1.seed_x(0, t))
             except SingularPointError as exc:
                 raise ValueError(f"f(x1) must be defined on the sampled range; "
                                  f"f({t:g}) is undefined: {exc}") from None
         raise
-    vals = np.broadcast_to(f.value, grid.shape)  # a constant f is unbatched
+    vals = np.broadcast_to(fj.value, grid.shape)  # a constant f is unbatched
     bad = ~(np.isfinite(vals) & (vals > 0.0))
     if bad.any():
         k = int(np.argmax(bad))
@@ -226,17 +226,15 @@ def run_classify(args):
         x_range=_parse_x_range(args.x_range),
         tolerances=TOL_PROFILES[args.tol_profile],
     )
-    f_ast = exprlang.parse_expr(args.f)
-    _check_f_positive(f_ast, plan.x_range)
+    f = exprlang.compile_expr(args.f)
+    _check_f_positive(f, plan.x_range)
     entry = catalog.CATALOG.get(args.metric)  # None: make_spec names the id
     spec = catalog.make_spec(
         args.metric,
         params=_parse_params(args.param),
         quadratic=_parse_quadratic(args.quadratic),
         dim=args.dim,
-        f=None if entry is not None and entry.profile is None else (
-            lambda t: exprlang.evaluate(f_ast, t)
-        ),
+        f=None if entry is not None and entry.profile is None else f,
     )
     field = catalog.build_finsler(spec)
     if args.oracle_ad or not spec.entry.has_closed_form:

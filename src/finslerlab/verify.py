@@ -19,9 +19,9 @@ so the first sample that reaches the maximum wins and a NaN never
 replaces a value.
 
 The entry points of one job share their draw: ``_run_plan`` keeps the
-last one, keyed by the guard object itself (weakly held, so the draw
-goes with the guard) and the dimension, seed, x range, exclusion angle
-and guard retries, and serves a plan of at most as many points its
+last one under its guard object in a one-entry weak dictionary (so the
+draw goes with the guard), with the dimension, seed, x range, exclusion
+angle and guard retries, and serves a plan of at most as many points its
 prefix, which is exact since sample i depends only on (seed, i).  So a
 guard must be a pure function of (x, y).  Nothing is kept by plan values
 alone: a new field or catalog spec has a new guard and draws anew.
@@ -224,33 +224,27 @@ def draw_samples(domain_guard, n, plan):
     return points
 
 
-#: The last draw of :func:`_draw`: (a weak reference to its guard, its
-#: draw settings, its points), forgotten when the guard is.
-_NO_DRAW = (lambda: None, None, [])
-_last_draw = _NO_DRAW
-
-
-def _forget(ref):
-    global _last_draw
-    if _last_draw[0] is ref:
-        _last_draw = _NO_DRAW
+#: The last draw of :func:`_draw`, under its guard: {guard: (draw
+#: settings, points)}, one entry at most, forgotten when the guard is.
+#: Keys compare by equality, which for a function is identity.
+_last_draw = weakref.WeakKeyDictionary()
 
 
 def _draw(guard, n, plan):
     """``draw_samples(guard, n, plan)``, or the first ``plan.n_points`` of
     the last draw when that was made with this guard object and the same
     draw settings and holds as many points (see the module docstring)."""
-    global _last_draw
     settings = (n, plan.seed, tuple(map(float, plan.x_range)),
                 plan.exclusion_angle, plan.guard_retries)
-    ref, last_settings, pts = _last_draw
-    if ref() is guard and last_settings == settings and len(pts) >= plan.n_points:
+    try:
+        last_settings, pts = _last_draw.get(guard, (None, []))
+    except TypeError:  # a guard without hash or weak references is never shared
+        return draw_samples(guard, n, plan)
+    if last_settings == settings and len(pts) >= plan.n_points:
         return pts[:plan.n_points]
     pts = draw_samples(guard, n, plan)
-    try:
-        _last_draw = (weakref.ref(guard, _forget), settings, pts)
-    except TypeError:  # a guard without weak references is never shared
-        _last_draw = _NO_DRAW
+    _last_draw.clear()
+    _last_draw[guard] = settings, pts
     return pts
 
 

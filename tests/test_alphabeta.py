@@ -43,6 +43,30 @@ def test_setup_validation():
     assert big.c[0, 0] == 1e13 and big.c[0, 1] == big.c[1, 0]
 
 
+@pytest.mark.parametrize("quadratic, products",
+                         [("product", 1), ("euclid", 2), ("mixed4", 2)])
+def test_phi_jet_forms_one_product_per_pair_of_fiber_indices(
+        quadratic, products, monkeypatch):
+    setup = catalog.make_setup(quadratic)
+    y = np.random.default_rng(11).normal(size=(7, setup.n))
+    y_jets = geometry.seeded_arguments(setup.n, np.zeros_like(y), y, 0, 3)[1]
+    want = None  # the sum over every ordered pair (lam, mu), row-major
+    for lam in range(setup.n - 1):
+        for mu in range(setup.n - 1):
+            if setup.c[lam, mu] != 0.0:
+                term = (y_jets[1 + lam] * y_jets[1 + mu]) * setup.c[lam, mu]
+                want = term if want is None else want + term
+    calls = []
+    product = jets._product
+    monkeypatch.setattr(jets, "_product",
+                        lambda *args: calls.append(1) or product(*args))
+    got = setup.phi_jet(y_jets)
+    # one product per pair lam <= mu with c != 0; c[mu, lam] doubles it
+    assert len(calls) == products
+    assert got.space is want.space
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
 def test_riemann_spray_constant_f():
     setup = product_setup(f=lambda t: t.space.constant(2.0))
     assert np.abs(setup.riemann_spray_field().values(X0, Y111)).max() == 0.0

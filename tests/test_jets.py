@@ -148,6 +148,24 @@ def test_fiber_tensor_order_above_cap():
         v.fiber_tensor(4)
 
 
+def test_a_refused_table_or_space_is_refused_on_every_call():
+    sp = jet_space(1, 2, 1, 3)
+    for refused in (lambda: sp.diff_table("y", sp.n_y),
+                    lambda: sp._fiber_table(sp.y_cap + 1),
+                    lambda: jet_space(-1, 1, 1, 1)):
+        for _ in range(2):
+            with pytest.raises(JetUsageError):
+                refused()
+
+
+def test_each_index_table_is_built_once_per_space():
+    sp = jet_space(1, 2, 1, 3)
+    for table in (lambda: sp.mul_table, lambda: sp.series_table,
+                  lambda: sp.diff_table("x", 0), lambda: sp.diff_table("y", 1),
+                  lambda: sp._fiber_table(2), lambda: sp.fiber_face.embed_table(sp)):
+        assert table() is table()
+
+
 def test_integer_power_with_nonpositive_base():
     sp = jet_space(0, 1, 0, 3)
     y = sp.seed_y(0, -1.5)

@@ -1066,9 +1066,35 @@ def test_a_draw_is_not_served_to_fewer_guard_retries():
 def test_a_draw_is_forgotten_with_its_guard():
     guard = lambda x, y: True  # noqa: E731
     _drawn(guard, 3, SamplePlan(n_points=4))
-    assert verify._last_draw[0]() is guard
+    assert list(verify._last_draw) == [guard]
     del guard
-    assert verify._last_draw is verify._NO_DRAW
+    assert len(verify._last_draw) == 0
+
+
+def test_a_guard_without_hash_or_weak_references_draws_afresh(monkeypatch):
+    class NoWeakReferences:
+        __slots__ = ()
+
+        def __call__(self, x, y):
+            return y[1] > -0.5
+
+    class NoHash:
+        __hash__ = None
+
+        def __call__(self, x, y):
+            return y[1] > -0.5
+
+    draws = []
+    draw = verify.draw_samples
+    monkeypatch.setattr(verify, "draw_samples",
+                        lambda *args: draws.append(1) or draw(*args))
+    plan = SamplePlan(n_points=5, seed=2)
+    want = draw(_admits_y2, 3, plan)
+    for guard in (NoWeakReferences(), NoHash()):
+        for _ in range(2):
+            x, _ = _drawn(guard, 3, plan)
+            assert x.tobytes() == np.array([p for p, _ in want]).tobytes()
+    assert len(draws) == 4
 
 
 def test_a_spec_has_one_guard_and_a_closed_spray_one_spray_field():

@@ -126,8 +126,8 @@ MUTANTS = [
      "    batch = x.shape, y.shape, x.tobytes()",
      "kept field and spray jets keyed without y"),
     (PKG + "verify.py",
-     "    if ref() is guard and last_settings == settings",
-     "    if ref() is not None and last_settings == settings",
+     "_last_draw.get(guard, (None, []))",
+     "next(iter(_last_draw.values()), (None, []))",
      "a kept draw served to another guard object"),
     (PKG + "catalog.py",
      "field(default_factory=dict, init=False",
@@ -137,6 +137,14 @@ MUTANTS = [
      "        return (y_jets[0] + jets.sqrt(phi) * kappa) * (fp / fv)",
      "        return (y_jets[0] + jets.sqrt(phi + 1e-14) * kappa) * (fp / fv)",
      "closed spray's P homogeneous only up to 1e-14"),
+    (PKG + "jets.py",
+     "    @functools.cache\n    def diff_table(",
+     "    def diff_table(",
+     "derivative tables rebuilt on every call"),
+    (PKG + "alphabeta.py",
+     "            for mu in range(lam, self.n - 1):",
+     "            for mu in range(lam, min(lam + 2, self.n - 1)):",
+     "phi(yhat) without the pairs two fiber indices apart"),
 ]
 
 
