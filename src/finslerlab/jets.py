@@ -13,8 +13,7 @@ Monomials are enumerated in graded lexicographic order (ascending total
 degree, then ascending exponent tuple) separately for the x-group and the
 y-group; the combined index is ``(x_monomial, y_monomial)`` with the
 y-index varying fastest.  The layout is fixed per :class:`JetSpace`, and
-spaces and their index tables are cached (``functools.cache``), so
-coefficient positions are deterministic.
+spaces are cached, so coefficient positions are deterministic.
 
 Stored coefficients are Taylor coefficients, i.e. ``coeff(kappa) =
 (d^kappa f)(point) / kappa!``; :meth:`TaylorValue.extract` multiplies the
@@ -245,6 +244,11 @@ class JetSpace:
         ])
         facts = np.array([math.factorial(e) for e in range(max(x_cap, y_cap) + 1)])
         self.factorial = np.prod(facts[self.exponents], axis=1)
+        self._mul_table = None
+        self._series_table = None
+        self._diff_tables = {}
+        self._fiber_tables = {}
+        self._embed_tables = {}
 
     def __repr__(self):
         return (
@@ -267,64 +271,74 @@ class JetSpace:
         exps[:, space.n_x: space.n_x + self.n_y] = self.exponents[:, self.n_x:]
         return exps
 
-    # -- index tables, cached per space --------------------------------
-    # Properties over a cached function, not ``cached_property``: a
-    # property's getter can be wrapped from outside, as a tracer does.
+    # -- lazily built index tables -------------------------------------
+    # Kept on the space itself: perfbench's untraced warm-up check
+    # counts the tables it finds in each space's attributes.
 
     @property
-    @functools.cache
     def mul_table(self):
-        n_ym = len(self.y_monomials)
-        xs = self._x_index.pair_sums()
-        ys = self._y_index.pair_sums()
-        valid = (xs[:, None, :, None] >= 0) & (ys[None, :, None, :] >= 0)
-        # np.nonzero walks the (i, j) grid row-major, so pairs are sorted
-        # by (i, j); together with bincount's in-order accumulation this
-        # makes products (and hence truncation consistency) bit-reproducible.
-        I, J = np.nonzero(valid.reshape(self.size, self.size))
-        (xi, yi), (xj, yj) = divmod(I, n_ym), divmod(J, n_ym)
-        K = xs[xi, xj] * n_ym + ys[yi, yj]
-        return I, J, K
+        if self._mul_table is None:
+            n_ym = len(self.y_monomials)
+            xs = self._x_index.pair_sums()
+            ys = self._y_index.pair_sums()
+            valid = (xs[:, None, :, None] >= 0) & (ys[None, :, None, :] >= 0)
+            # np.nonzero walks the (i, j) grid row-major, so pairs are
+            # sorted by (i, j); together with bincount's in-order
+            # accumulation this makes products (and hence truncation
+            # consistency) bit-reproducible.
+            I, J = np.nonzero(valid.reshape(self.size, self.size))
+            (xi, yi), (xj, yj) = divmod(I, n_ym), divmod(J, n_ym)
+            K = xs[xi, xj] * n_ym + ys[yi, yj]
+            self._mul_table = (I, J, K)
+        return self._mul_table
 
     @property
-    @functools.cache
     def series_table(self):
         """(I, J, K, ends): the ``mul_table`` pairs with j != 0, stably
         sorted by the total degree of their output monomial K; the pairs
         whose output has degree <= d are the first ``ends[d]``."""
-        I, J, K = self.mul_table
-        keep = J != 0
-        degree = self.exponents.sum(axis=1)[K[keep]]
-        order = np.argsort(degree, kind="stable")
-        ends = np.searchsorted(degree[order], np.arange(_series_order(self) + 1),
-                               side="right")
-        return I[keep][order], J[keep][order], K[keep][order], ends
+        if self._series_table is None:
+            I, J, K = self.mul_table
+            keep = J != 0
+            degree = self.exponents.sum(axis=1)[K[keep]]
+            order = np.argsort(degree, kind="stable")
+            ends = np.searchsorted(degree[order], np.arange(_series_order(self) + 1),
+                                   side="right")
+            self._series_table = (I[keep][order], J[keep][order], K[keep][order], ends)
+        return self._series_table
 
-    @functools.cache
     def diff_table(self, group, index):
         """(target_space, src_positions, multipliers) for one d/dv; the
         target lacks the group when its cap drops to 0."""
-        x = group == "x"
-        if not 0 <= index < (self.n_x if x else self.n_y):
-            raise JetUsageError(f"{group} index {index} out of range for {self}")
-        target = jet_space(self.n_x, self.n_y, self.x_cap - x, self.y_cap - (not x))
-        var = index if x else self.n_x + index
-        bumped = target._exponents_in(self)
-        bumped[:, var] += 1
-        return target, self._positions(bumped), bumped[:, var].astype(float)
+        key = (group, index)
+        tab = self._diff_tables.get(key)
+        if tab is None:
+            x = group == "x"
+            if not 0 <= index < (self.n_x if x else self.n_y):
+                raise JetUsageError(f"{group} index {index} out of range for {self}")
+            target = jet_space(self.n_x, self.n_y, self.x_cap - x, self.y_cap - (not x))
+            var = index if x else self.n_x + index
+            bumped = target._exponents_in(self)
+            bumped[:, var] += 1
+            tab = (target, self._positions(bumped), bumped[:, var].astype(float))
+            self._diff_tables[key] = tab
+        return tab
 
-    @functools.cache
     def _fiber_table(self, k):
         """(positions, factorials), each of shape (n_y,)*k: entry ``axes``
         is the pure-y monomial that counts how often each y index occurs."""
-        if not 0 <= k <= self.y_cap:
-            raise JetUsageError(f"fiber order {k} exceeds y_cap of {self}")
-        shape = (self.n_y,) * k
-        axes = np.indices(shape).reshape(k, self.n_y**k).T
-        exps = np.zeros((len(axes), self.n_x + self.n_y), dtype=np.intp)
-        exps[:, self.n_x:] = (axes[:, :, None] == np.arange(self.n_y)).sum(axis=1)
-        pos = self._positions(exps).reshape(shape)
-        return pos, self.factorial[pos]
+        tab = self._fiber_tables.get(k)
+        if tab is None:
+            if not 0 <= k <= self.y_cap:
+                raise JetUsageError(f"fiber order {k} exceeds y_cap of {self}")
+            shape = (self.n_y,) * k
+            axes = np.indices(shape).reshape(k, self.n_y**k).T
+            exps = np.zeros((len(axes), self.n_x + self.n_y), dtype=np.intp)
+            exps[:, self.n_x:] = (axes[:, :, None] == np.arange(self.n_y)).sum(axis=1)
+            pos = self._positions(exps).reshape(shape)
+            tab = (pos, self.factorial[pos])
+            self._fiber_tables[k] = tab
+        return tab
 
     @property
     def base_face(self):
@@ -336,11 +350,14 @@ class JetSpace:
         """The space of this space's y group alone: (0, n_y, 0, y_cap)."""
         return jet_space(0, self.n_y, 0, self.y_cap)
 
-    @functools.cache
     def embed_table(self, target):
         """(target, positions): where each monomial of this space sits in
         ``target``, a space holding every variable group of this one."""
-        return target, target._positions(self._exponents_in(target))
+        tab = self._embed_tables.get(target)
+        if tab is None:
+            tab = (target, target._positions(self._exponents_in(target)))
+            self._embed_tables[target] = tab
+        return tab
 
     # -- constructors ----------------------------------------------------
 

@@ -24,7 +24,9 @@ draw goes with the guard), with the dimension, seed, x range, exclusion
 angle and guard retries, and serves a plan of at most as many points its
 prefix, which is exact since sample i depends only on (seed, i).  So a
 guard must be a pure function of (x, y).  Nothing is kept by plan values
-alone: a new field or catalog spec has a new guard and draws anew.
+alone: a new field or catalog spec has a new guard and draws anew.  Only
+a guard that can be hashed and weakly referenced shares its draw (a
+function can); any other guard draws afresh on every call.
 
 Each residual is one array formula over the batched (N, ...) arrays of
 :func:`~finslerlab.geometry.point_tensors`: a max|.| is one reduction

@@ -138,8 +138,8 @@ MUTANTS = [
      "        return (y_jets[0] + jets.sqrt(phi + 1e-14) * kappa) * (fp / fv)",
      "closed spray's P homogeneous only up to 1e-14"),
     (PKG + "jets.py",
-     "    @functools.cache\n    def diff_table(",
-     "    def diff_table(",
+     "            self._diff_tables[key] = tab\n",
+     "",
      "derivative tables rebuilt on every call"),
     (PKG + "alphabeta.py",
      "            for mu in range(lam, self.n - 1):",
