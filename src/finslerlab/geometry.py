@@ -119,6 +119,11 @@ def _first_degenerate(m):
     return f"det(g) ~ 0, sigma_min/sigma_max = {ratio[s]:.3e}"
 
 
+def _default_guard(x, y):
+    """Admit every sample with y != 0."""
+    return bool(np.linalg.norm(y) > 0)
+
+
 class FinslerField:
     """A scalar function F(x, y) evaluable on Taylor-value arguments.
 
@@ -146,16 +151,13 @@ class FinslerField:
     the last batch it evaluated at each (caps, ``x_deps``), keyed by the
     shapes and bytes of x and y, and serves that jet again to a call on
     the same batch (so the variational spray and :func:`point_tensors`
-    share one evaluation).  The kept jets live as long as the field; a
-    subclass may provide ``_evaluate`` and its own ``_kept`` dict itself.
+    share one evaluation).  The kept jets live as long as the field.
     """
 
     def __init__(self, n, evaluate, domain_guard=None, label="", x_deps=None):
         self.n = n
         self._evaluate = evaluate
-        self.domain_guard = domain_guard if domain_guard is not None else (
-            lambda x, y: bool(np.linalg.norm(y) > 0)
-        )
+        self.domain_guard = _default_guard if domain_guard is None else domain_guard
         self.label = label
         self.x_deps = tuple(range(n)) if x_deps is None else self._checked_deps(x_deps)
         self._kept = {}  # (x_cap, y_cap, x_deps) -> (batch, (ys, jet))
@@ -306,9 +308,7 @@ class SprayField:
         self.n = n
         self._jets_fn = jets_fn
         self.label = label
-        self.domain_guard = domain_guard if domain_guard is not None else (
-            lambda x, y: bool(np.linalg.norm(y) > 0)
-        )
+        self.domain_guard = _default_guard if domain_guard is None else domain_guard
         self._kept = {}  # order -> (batch, jets)
 
     def __repr__(self):

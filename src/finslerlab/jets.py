@@ -119,7 +119,6 @@ __all__ = [
     "SingularPointError",
     "jet_space",
     "joint_space",
-    "seed_variable",
     "scalar_map",
     "raise_if_singular",
     "branch",
@@ -193,16 +192,14 @@ class _MonomialIndex:
         return np.where(ok, self.find(np.where(ok[..., None], sums, 0)), -1)
 
 
-_SPACE_CACHE: dict[tuple[int, int, int, int], "JetSpace"] = {}
-
-
 @functools.cache
 def jet_space(n_x, n_y, x_cap, y_cap):
     """Return the cached :class:`JetSpace` for the given signature, with
     a group that has no variables or cap 0 stored as (0, 0) (see "Faces").
-    ``_SPACE_CACHE`` holds one space per canonical signature; the cache
-    keyed by the signature as given makes a repeated call one lookup."""
-    n_x, n_y, x_cap, y_cap = map(int, (n_x, n_y, x_cap, y_cap))
+    One space exists per canonical signature: any other signature returns
+    ``jet_space`` of its canonical one, so a repeated call is one lookup."""
+    given = (n_x, n_y, x_cap, y_cap)
+    n_x, n_y, x_cap, y_cap = map(int, given)
     if min(n_x, n_y, x_cap, y_cap) < 0:
         raise JetUsageError("dimensions and caps must be non-negative")
     if not (n_x and x_cap):
@@ -210,9 +207,7 @@ def jet_space(n_x, n_y, x_cap, y_cap):
     if not (n_y and y_cap):
         n_y = y_cap = 0
     canonical = (n_x, n_y, x_cap, y_cap)
-    if canonical not in _SPACE_CACHE:
-        _SPACE_CACHE[canonical] = JetSpace(*canonical)
-    return _SPACE_CACHE[canonical]
+    return JetSpace(*canonical) if given == canonical else jet_space(*canonical)
 
 
 class JetSpace:
@@ -245,7 +240,6 @@ class JetSpace:
         facts = np.array([math.factorial(e) for e in range(max(x_cap, y_cap) + 1)])
         self.factorial = np.prod(facts[self.exponents], axis=1)
         self._mul_table = None
-        self._series_table = None
         self._diff_tables = {}
         self._fiber_tables = {}
         self._embed_tables = {}
@@ -263,6 +257,14 @@ class JetSpace:
         yi = self._y_index.find(exps[:, self.n_x:])
         return xi * len(self.y_monomials) + yi
 
+    def _variable(self, group, index):
+        """Variable ``index`` of ``group`` ("x" or "y") as an index into
+        all n_x + n_y variables, x first."""
+        x = group == "x"
+        if not 0 <= index < (self.n_x if x else self.n_y):
+            raise JetUsageError(f"{group} index {index} out of range for {self}")
+        return index if x else self.n_x + index
+
     def _exponents_in(self, space):
         """This space's monomials as exponent rows in the variables of
         ``space``, which has each group of this one: zeros for the rest."""
@@ -271,10 +273,10 @@ class JetSpace:
         exps[:, space.n_x: space.n_x + self.n_y] = self.exponents[:, self.n_x:]
         return exps
 
-    # -- lazily built index tables -------------------------------------
-    # Kept on the space itself: perfbench's untraced warm-up check
-    # counts the tables it finds in each space's attributes.
+    # -- lazily built index tables, kept in the space's attributes --------
+    # perfbench's untraced warm-up check counts the tuples it finds there.
 
+    # A property, not a cached_property: perfbench's tracer wraps its getter.
     @property
     def mul_table(self):
         if self._mul_table is None:
@@ -292,32 +294,29 @@ class JetSpace:
             self._mul_table = (I, J, K)
         return self._mul_table
 
-    @property
+    @functools.cached_property
     def series_table(self):
         """(I, J, K, ends): the ``mul_table`` pairs with j != 0, stably
         sorted by the total degree of their output monomial K; the pairs
         whose output has degree <= d are the first ``ends[d]``."""
-        if self._series_table is None:
-            I, J, K = self.mul_table
-            keep = J != 0
-            degree = self.exponents.sum(axis=1)[K[keep]]
-            order = np.argsort(degree, kind="stable")
-            ends = np.searchsorted(degree[order], np.arange(_series_order(self) + 1),
-                                   side="right")
-            self._series_table = (I[keep][order], J[keep][order], K[keep][order], ends)
-        return self._series_table
+        I, J, K = self.mul_table
+        keep = J != 0
+        degree = self.exponents.sum(axis=1)[K[keep]]
+        order = np.argsort(degree, kind="stable")
+        ends = np.searchsorted(degree[order], np.arange(_series_order(self) + 1),
+                               side="right")
+        return I[keep][order], J[keep][order], K[keep][order], ends
 
+    # Diff, fiber and embed tables: dicts on the space, which the check counts.
     def diff_table(self, group, index):
         """(target_space, src_positions, multipliers) for one d/dv; the
         target lacks the group when its cap drops to 0."""
         key = (group, index)
         tab = self._diff_tables.get(key)
         if tab is None:
+            var = self._variable(group, index)
             x = group == "x"
-            if not 0 <= index < (self.n_x if x else self.n_y):
-                raise JetUsageError(f"{group} index {index} out of range for {self}")
             target = jet_space(self.n_x, self.n_y, self.x_cap - x, self.y_cap - (not x))
-            var = index if x else self.n_x + index
             bumped = target._exponents_in(self)
             bumped[:, var] += 1
             tab = (target, self._positions(bumped), bumped[:, var].astype(float))
@@ -340,12 +339,12 @@ class JetSpace:
             self._fiber_tables[k] = tab
         return tab
 
-    @property
+    @functools.cached_property
     def base_face(self):
         """The space of this space's x group alone: (n_x, 0, x_cap, 0)."""
         return jet_space(self.n_x, 0, self.x_cap, 0)
 
-    @property
+    @functools.cached_property
     def fiber_face(self):
         """The space of this space's y group alone: (0, n_y, 0, y_cap)."""
         return jet_space(0, self.n_y, 0, self.y_cap)
@@ -366,10 +365,20 @@ class JetSpace:
         return TaylorValue(self, _with_constant_term(self.size, value))
 
     def seed_x(self, index, value):
-        return seed_variable(self, "x", index, value)
+        """The coordinate x[index] expanded at ``value`` (a float, or one
+        per sample, shape (N,)): ``value + h``, every other coefficient 0."""
+        return self._seed(self._variable("x", index), value)
 
     def seed_y(self, index, value):
-        return seed_variable(self, "y", index, value)
+        """The coordinate y[index] expanded at ``value``; see :meth:`seed_x`."""
+        return self._seed(self._variable("y", index), value)
+
+    def _seed(self, var, value):
+        exps = [0] * (self.n_x + self.n_y)
+        exps[var] = 1
+        c = _with_constant_term(self.size, value)
+        c[..., self.position[tuple(exps)]] = 1.0
+        return TaylorValue(self, c)
 
 
 def _with_constant_term(size, value):
@@ -379,22 +388,6 @@ def _with_constant_term(size, value):
     c = np.zeros(value.shape + (size,))
     c[..., 0] = value
     return c
-
-
-def seed_variable(space, group, index, value):
-    """Taylor expansion of one coordinate function: value + h, rest 0.
-
-    ``value`` is a float, or an array of shape (N,) for a batch.
-    """
-    if group not in ("x", "y"):
-        raise JetUsageError(f"group must be 'x' or 'y', got {group!r}")
-    if not 0 <= index < (space.n_x if group == "x" else space.n_y):
-        raise JetUsageError(f"{group} index {index} out of range for {space}")
-    c = _with_constant_term(space.size, value)
-    exps = [0] * (space.n_x + space.n_y)
-    exps[index if group == "x" else space.n_x + index] = 1
-    c[..., space.position[tuple(exps)]] = 1.0
-    return TaylorValue(space, c)
 
 
 def joint_space(*spaces):

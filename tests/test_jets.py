@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import operator
@@ -162,7 +163,8 @@ def test_each_index_table_is_built_once_per_space():
     sp = jet_space(1, 2, 1, 3)
     for table in (lambda: sp.mul_table, lambda: sp.series_table,
                   lambda: sp.diff_table("x", 0), lambda: sp.diff_table("y", 1),
-                  lambda: sp._fiber_table(2), lambda: sp.fiber_face.embed_table(sp)):
+                  lambda: sp._fiber_table(2), lambda: sp.fiber_face.embed_table(sp),
+                  lambda: sp.base_face, lambda: sp.fiber_face):
         assert table() is table()
 
 
@@ -798,6 +800,21 @@ def test_a_group_with_no_variables_or_cap_0_is_absent():
     assert jet_space(1, 3, 0, 4) is jet_space(1, 3, 0, 4) is jet_space(0, 3, 0, 4)
     with pytest.raises(JetUsageError, match="non-negative"):
         jet_space(0, 3, -1, 4)
+
+
+def test_every_signature_of_a_space_returns_its_one_canonical_object():
+    fiber = jet_space(0, 2, 0, 3)
+    for signature in ((5, 2, 0, 3), (0, 2, 7, 3), (np.int64(0), 2, 0, np.int32(3)),
+                      (0.0, 2.0, 0, 3.0), (np.intp(4), np.int64(2), 0.0, 3)):
+        assert jet_space(*signature) is fiber, signature
+    # a signature no other test uses: numpy and float arguments first
+    full = jet_space(np.int64(3), 1, 2.0, 1)
+    assert jet_space(3.0, np.int32(1), 2, 1) is full is jet_space(3, 1, 2, 1)
+    for space in (fiber, full):
+        assert all(type(v) is int for v in (space.n_x, space.n_y, space.x_cap, space.y_cap))
+    signatures = [(o.n_x, o.n_y, o.x_cap, o.y_cap)
+                  for o in gc.get_objects() if isinstance(o, jets.JetSpace)]
+    assert len(signatures) == len(set(signatures))
 
 
 @pytest.mark.parametrize("batch", [None, 4])

@@ -195,7 +195,7 @@ def test_every_space_built_by_the_spray_routes_is_canonical():
     for spray in (catalog.closed_form_spray(spec).as_spray_field(), None, eq5):
         classify(field, spray, plan)
     landsberg_via_p(catalog.closed_form_spray(spec), field, plan)
-    for space in jets._SPACE_CACHE.values():
+    for space in (o for o in gc.get_objects() if isinstance(o, jets.JetSpace)):
         assert (space.n_x == 0) == (space.x_cap == 0), space
         assert (space.n_y == 0) == (space.y_cap == 0), space
 

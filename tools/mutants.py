@@ -145,6 +145,10 @@ MUTANTS = [
      "            for mu in range(lam, self.n - 1):",
      "            for mu in range(lam, min(lam + 2, self.n - 1)):",
      "phi(yhat) without the pairs two fiber indices apart"),
+    (PKG + "jets.py",
+     "else jet_space(*canonical)",
+     "else JetSpace(*canonical)",
+     "a non-canonical signature builds a space of its own"),
 ]
 
 
