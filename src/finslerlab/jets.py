@@ -197,8 +197,13 @@ def jet_space(n_x, n_y, x_cap, y_cap):
     """Return the cached :class:`JetSpace` for the given signature, with
     a group that has no variables or cap 0 stored as (0, 0) (see "Faces").
     One space exists per canonical signature: any other signature returns
-    ``jet_space`` of its canonical one, so a repeated call is one lookup."""
+    ``jet_space`` of its canonical one, so a repeated call is one lookup.
+    Each argument must be integral (a float such as 2.0 or a numpy int
+    will do); any other value, NaN and +-inf included, is refused."""
     given = (n_x, n_y, x_cap, y_cap)
+    for name, value in zip(("n_x", "n_y", "x_cap", "y_cap"), given):
+        if not (math.isfinite(value) and value == int(value)):
+            raise JetUsageError(f"{name} must be an integer, got {value!r}")
     n_x, n_y, x_cap, y_cap = map(int, given)
     if min(n_x, n_y, x_cap, y_cap) < 0:
         raise JetUsageError("dimensions and caps must be non-negative")

@@ -4,19 +4,27 @@ Each entry point (:func:`classify`, :func:`check_metrizability`,
 :func:`landsberg_via_p`, :func:`compare_sprays`) keeps only its domain
 guard and its per-sample formulas; one driver, ``_run_plan``, does the
 rest.  It refuses fields and sprays of different dimensions, draws the
-plan's admissible samples and runs the entry point's ``rows_of(x, y)``
+plan's admissible samples and runs the entry point's ``columns_of(x, y)``
 once on the whole batch (see the batch contract in :mod:`finslerlab.jets`),
-so reports are byte-identical to evaluating one point at a time.  If the
-batched pass raises a domain or arithmetic error (``SingularPointError``,
-an ``OverflowError`` of a sample's series code, ``DegenerateMetricError``,
+so reports are byte-identical to evaluating one point at a time.
+``columns_of`` maps the (N, n) arrays x and y to a dict of (N, ...)
+arrays, whose row s depends on sample s alone.  If the batched pass
+raises a domain or arithmetic error (``SingularPointError``, an
+``OverflowError`` of a sample's series code, ``DegenerateMetricError``,
 ``SpecialFormError`` or the ``F > 0`` ``ValueError``), it re-runs the
-samples one at a time through the same code, so the exception that
-escapes is exactly the one the per-sample order meets first; the fallback
-logs one DEBUG record on the ``finslerlab`` logger (silent by default).
-It then reduces each residual to ``{"max", "at_sample"}``: starting from
-``0.0``/``None``, skipping ``None`` and updating only on a strict ``>``,
-so the first sample that reaches the maximum wins and a NaN never
-replaces a value.
+samples one at a time through the same code and joins their one-sample
+columns key by key, so the exception that escapes is exactly the one the
+per-sample order meets first; the fallback logs one DEBUG record on the
+``finslerlab`` logger (silent by default).  A plan's evidence stays in
+these columns up to the report bytes.
+
+One rule, :func:`_reduce`, turns a residual column into ``{"max",
+"at_sample"}``: the largest value above 0.0 and the first sample that
+reaches it, NaN and None skipped, or ``{"max": 0.0, "at_sample": None}``
+when no value is above 0.0.  So a NaN never replaces a maximum, as with
+Python's ``max`` from 0.0.  :func:`classify`'s conformal-rate maximum and
+``g_rcond_min`` are ``np.fmax``/``np.fmin`` reductions of their columns,
+which skip NaN in the same way.
 
 The entry points of one job share their draw: ``_run_plan`` keeps the
 last one under its guard object in a one-entry weak dictionary (so the
@@ -58,8 +66,8 @@ Reproducibility: each sample index gets its own generator stream derived
 from (seed, index), so reports are bit-identical for a fixed plan and
 independent of evaluation order; serialized reports contain no wall-time
 or other volatile data.  :func:`report_to_json` writes the bytes of
-``json.dumps(sort_keys=True, indent=2)``; only the per-sample rows are
-formatted column by column.
+``json.dumps(sort_keys=True, indent=2)``; the ``samples`` rows of a
+:func:`classify` report are written from its columns.
 """
 
 from __future__ import annotations
@@ -258,11 +266,11 @@ def _draw(guard, n, plan):
 _SAMPLE_ERRORS = (ArithmeticError, DegenerateMetricError, ValueError)
 
 
-def _run_plan(guard, parts, plan, rows_of, keys):
-    """The rows of the plan's samples and the ``{"max", "at_sample"}`` of
-    each of ``keys`` over them, as the module docstring describes.
-    ``parts`` are the fields and sprays involved; ``rows_of(x, y)`` maps
-    (N, n) arrays to one dict per sample, keyed by residual name."""
+def _run_plan(guard, parts, plan, columns_of, keys):
+    """The columns of the plan's samples and the :func:`_reduce` of each of
+    ``keys``, as the module docstring describes.  ``parts`` are the fields
+    and sprays involved; ``columns_of(x, y)`` maps (N, n) arrays to a dict
+    of (N, ...) arrays, keyed by name."""
     if len({part.n for part in parts}) > 1:
         raise ValueError("different dimensions: " + ", ".join(
             f"{part.label!r} has n = {part.n}" for part in parts))
@@ -270,31 +278,32 @@ def _run_plan(guard, parts, plan, rows_of, keys):
     x = np.array([p for p, _ in pts])
     y = np.array([q for _, q in pts])
     try:
-        rows = rows_of(x, y)
+        columns = columns_of(x, y)
     except _SAMPLE_ERRORS as exc:
         logger.debug(
             "%s: the batched pass over %d samples raised %s: %s; "
             "evaluating them one at a time",
-            rows_of.__qualname__.partition(".")[0], len(x), type(exc).__name__, exc,
+            columns_of.__qualname__.partition(".")[0], len(x), type(exc).__name__, exc,
         )
-        rows = [row for s in range(len(x)) for row in rows_of(x[s:s + 1], y[s:s + 1])]
-    maxima = {key: {"max": 0.0, "at_sample": None} for key in keys}
-    for i, row in enumerate(rows):
-        for key in keys:
-            if row[key] is not None and row[key] > maxima[key]["max"]:
-                maxima[key] = {"max": row[key], "at_sample": i}
-    return rows, maxima
+        singles = [columns_of(x[s:s + 1], y[s:s + 1]) for s in range(len(x))]
+        columns = {key: np.concatenate([c[key] for c in singles]) for key in singles[0]}
+    return columns, {key: _reduce(columns[key]) for key in keys}
+
+
+def _reduce(column):
+    """``{"max", "at_sample"}`` of an (N,) column: the largest value above
+    0.0 and the first sample that reaches it, NaN and None skipped;
+    ``{"max": 0.0, "at_sample": None}`` when no value is above 0.0."""
+    values = np.asarray(column, dtype=float)  # None -> nan
+    top = np.fmax.reduce(values, initial=0.0)
+    if not top > 0.0:
+        return {"max": 0.0, "at_sample": None}
+    return {"max": float(top), "at_sample": int(np.argmax(values == top))}
 
 
 def _max_abs(a):
     """max |a[s]| of each sample of a batch, shape (N,)."""
     return np.abs(a).reshape(len(a), -1).max(axis=1)
-
-
-def _rows(columns):
-    """One dict per sample from a dict of (N, ...) arrays, with Python values."""
-    lists = [c.tolist() for c in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*lists)]
 
 
 def _deviation(a, b):
@@ -342,6 +351,13 @@ def verdict_slug(verdict):
 
 @dataclass
 class ClassificationReport:
+    """A :func:`classify` verdict with its residual maxima and per-sample
+    rows.  ``samples`` is built once from the plan's (N, ...) columns,
+    which the report keeps in ``_columns`` and :func:`report_to_json`
+    writes in place of the rows; so change a report through
+    ``dataclasses.replace``, whose copy, like a report built by hand, has
+    no columns."""
+
     metric: str
     params: dict
     plan: SamplePlan
@@ -350,6 +366,7 @@ class ClassificationReport:
     samples: list
     spray_label: str
     wall_time: float
+    _columns: dict = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self):
         """Serializable shape; deliberately excludes wall-time so that
@@ -369,71 +386,36 @@ class ClassificationReport:
 
 def report_to_json(report):
     """``json.dumps(report.to_dict(), sort_keys=True, indent=2)`` plus a
-    newline, byte for byte; the ``samples`` rows are written column by
-    column when they share one shape (see :func:`_rows_json`)."""
+    newline, byte for byte.  A :func:`classify` report's ``samples`` are
+    written from its columns (see :func:`_samples_json`); any other report
+    is written by ``json.dumps``."""
     doc = report.to_dict()
-    rows = _rows_json(doc["samples"])
-    if rows is None:
+    if report._columns is None:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     doc["samples"] = []
     # only a top-level key sits on a line of its own after exactly two spaces
     head, _, tail = json.dumps(doc, sort_keys=True, indent=2).partition(
         '\n  "samples": []'
     )
-    return head + '\n  "samples": ' + rows + tail + "\n"
+    return head + '\n  "samples": ' + _samples_json(report._columns) + tail + "\n"
 
 
-def _json_scalars(values):
-    """Each of ``values`` as ``json.dumps`` writes it, or None when one is
-    not a None, bool, int or float (a subclass such as ``np.float64``
-    included).  A column of finite floats is their repr, read directly;
-    any other column is ``json.dumps`` of the whole list, split."""
-    if set(map(type, values)) == {float}:
-        if math.isfinite(sum(values)):  # all finite (or a sum that overflowed)
-            return list(map(float.__repr__, values))
-    elif not all(v is None or isinstance(v, (int, float)) for v in values):
-        return None
-    return json.dumps(values)[1:-1].split(", ")
-
-
-def _rows_json(rows):
-    """The ``samples`` list as ``json.dumps(..., sort_keys=True, indent=2)``
-    writes it at the top level of a report, or None unless the rows share
-    one shape: dicts with the same string keys, each value a scalar or a
-    flat list of one length in every row.  One row template is built from
-    the first row, and each column (a key, or one entry of a list) is
-    formatted once for all rows."""
-    if not rows or any(type(row) is not dict for row in rows):
-        return None
-    keys = sorted(rows[0]) if all(type(k) is str for k in rows[0]) else None
-    if not keys or any(row.keys() != rows[0].keys() for row in rows):
-        return None
-    fields, columns = [], []
-    for key in keys:
-        name = json.dumps(key).replace("%", "%%")
-        values = [row[key] for row in rows]
-        if type(values[0]) is not list:
-            fields.append(f'      {name}: %s')
-            columns.append(values)
-            continue
-        length = len(values[0])
-        if any(type(v) is not list or len(v) != length for v in values):
-            return None
-        if length == 0:
-            fields.append(f'      {name}: []')
-            continue
-        fields.append(
-            f'      {name}: [\n' + ",\n".join(["        %s"] * length) + "\n      ]"
-        )
-        columns.extend(zip(*values))
-    if not columns:  # nothing varies: no template slot to fill per row
-        return None
-    texts = []
-    for column in columns:
-        text = _json_scalars(column)
-        if text is None:
-            return None
-        texts.append(text)
+def _samples_json(columns):
+    """The rows of a dict of (N,) and (N, k) columns as ``json.dumps(...,
+    sort_keys=True, indent=2)`` writes them at the top level of a report:
+    one row template, and each column (a key, or one entry of a list)
+    formatted once for all rows by ``json.dumps``."""
+    fields, texts = [], []
+    for key in sorted(columns):
+        column, name = columns[key], json.dumps(key).replace("%", "%%")
+        if column.ndim == 1:
+            fields.append(f"      {name}: %s")
+            column = column[None]
+        else:
+            column = column.T
+            slots = ",\n".join(["        %s"] * len(column))
+            fields.append(f"      {name}: [\n{slots}\n      ]" if slots else f"      {name}: []")
+        texts.extend(json.dumps(c.tolist())[1:-1].split(", ") for c in column)
     template = "    {\n" + ",\n".join(fields) + "\n    }"
     return "[\n" + ",\n".join(template % row for row in zip(*texts)) + "\n  ]"
 
@@ -442,8 +424,8 @@ def _rows_json(rows):
 _SCALINGS = (0.5, 2.0)
 
 
-def _classify_rows(field, spray, oracle, x, y):
-    """The report rows (without their index) of a batch of samples."""
+def _classify_columns(field, spray, oracle, x, y):
+    """The report columns (without their index) of a batch of samples."""
     pt = point_tensors(field, spray, x, y)
     N = len(x)
     # F and G at every scaling as one stacked batch, F first
@@ -462,8 +444,7 @@ def _classify_rows(field, spray, oracle, x, y):
             np.abs(f_scaled - lam * pt.F) / (lam * np.abs(pt.F)), axis=0, initial=0.0)
         spray_homogeneity = np.fmax.reduce(
             g_dev / np.fmax(1.0, lam**2 * _max_abs(pt.G)), axis=0, initial=0.0)
-        return _rows({
-            "index": np.full(N, None),
+        return {
             "x1": x[:, 0],
             "y": y,
             "F": pt.F,
@@ -477,7 +458,7 @@ def _classify_rows(field, spray, oracle, x, y):
             "spray_mismatch": mismatch,
             "g_rcond": pt.g_rcond,
             "conformal_rate": _max_abs(pt.dxF) / np.abs(pt.F),
-        })
+        }
 
 
 def classify(field, spray=None, plan=None, params=None):
@@ -495,44 +476,46 @@ def classify(field, spray=None, plan=None, params=None):
     if derived:
         spray = ad_spray_field(field)
     oracle = None if derived else ad_spray_field(field)
-    rows, maxima = _run_plan(
+    columns, maxima = _run_plan(
         field.domain_guard, (field, spray), plan,
-        lambda x, y: _classify_rows(field, spray, oracle, x, y), RESIDUAL_KEYS,
+        lambda x, y: _classify_columns(field, spray, oracle, x, y), RESIDUAL_KEYS,
     )
-    for i, row in enumerate(rows):
-        row["index"] = i
-    rate_max = max([0.0] + [row["conformal_rate"] for row in rows])
+    columns = {"index": np.arange(len(columns["x1"])), **columns}
+    rate_max = float(np.fmax.reduce(columns["conformal_rate"], initial=0.0))
     floor_eff = tol.berwald_floor * rate_max
     verdict = decide_verdict(
         maxima["landsberg"]["max"], maxima["berwald"]["max"], floor_eff, tol
     )
     residuals = dict(maxima)
-    residuals["g_rcond_min"] = min([math.inf] + [row["g_rcond"] for row in rows])
+    residuals["g_rcond_min"] = float(np.fmin.reduce(columns["g_rcond"], initial=math.inf))
     residuals["berwald_floor_effective"] = floor_eff
     if derived:
         residuals["spray_mismatch"] = {"max": None, "at_sample": None}
-    return ClassificationReport(
+    lists = [c.tolist() for c in columns.values()]
+    report = ClassificationReport(
         metric=field.label,
         params=dict(params or {}),
         plan=plan,
         residuals=residuals,
         verdict=verdict,
-        samples=rows,
+        samples=[dict(zip(columns, row)) for row in zip(*lists)],
         spray_label=spray.label,
         wall_time=time.perf_counter() - t0,
     )
+    report._columns = columns
+    return report
 
 
 def check_metrizability(field, spray, plan=None):
     """Maxima of the horizontal differential of F and its Euler defect."""
     keys = ("metrizability", "euler")
 
-    def rows_of(x, y):
+    def columns_of(x, y):
         _, horiz, euler = _metrizability_residuals(point_tensors(field, spray, x, y))
-        return _rows(dict(zip(keys, (horiz, euler))))
+        return dict(zip(keys, (horiz, euler)))
 
     return _run_plan(
-        field.domain_guard, (field, spray), plan or SamplePlan(), rows_of, keys
+        field.domain_guard, (field, spray), plan or SamplePlan(), columns_of, keys
     )[1]
 
 
@@ -551,7 +534,7 @@ def landsberg_via_p(cfs, field, plan=None):
     """
     n = cfs.n
 
-    def rows_of(x, y):
+    def columns_of(x, y):
         pt = point_tensors(field, cfs, x, y)
         # special-form check: G^1 must be quadratic in the fiber
         if (_max_abs(pt.Gijkh[:, 0]) > 1e-9 * np.fmax(1.0, np.abs(pt.G[:, 0]))).any():
@@ -576,11 +559,11 @@ def landsberg_via_p(cfs, field, plan=None):
                   "agreement": _max_abs(l_via - l_gen)}
         with np.errstate(invalid="ignore", over="ignore"):
             scale = np.fmax(1.0, np.abs(pt.F))
-            return _rows({key: m / scale for key, m in maxima.items()})
+            return {key: m / scale for key, m in maxima.items()}
 
     return _run_plan(
         cfs.domain_guard, (cfs, field), plan or SamplePlan(),
-        rows_of, ("via_p", "general", "agreement"),
+        columns_of, ("via_p", "general", "agreement"),
     )[1]
 
 
@@ -604,10 +587,9 @@ def compare_sprays(spray_a, spray_b, plan=None):
         def guard(x, y):
             return spray_a.domain_guard(x, y) and spray_b.domain_guard(x, y)
 
-    def rows_of(x, y):
-        deviation = _deviation(spray_a.values(x, y), spray_b.values(x, y))
-        return _rows({"deviation": deviation})
+    def columns_of(x, y):
+        return {"deviation": _deviation(spray_a.values(x, y), spray_b.values(x, y))}
 
     return _run_plan(
-        guard, (spray_a, spray_b), plan or SamplePlan(), rows_of, ("deviation",)
+        guard, (spray_a, spray_b), plan or SamplePlan(), columns_of, ("deviation",)
     )[1]["deviation"]["max"]

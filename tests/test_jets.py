@@ -817,6 +817,19 @@ def test_every_signature_of_a_space_returns_its_one_canonical_object():
     assert len(signatures) == len(set(signatures))
 
 
+@pytest.mark.parametrize("position, value", [
+    (0, 0.9), (0, 1.5), (3, np.float64(2.5)), (1, math.nan), (2, math.inf), (3, -math.inf),
+])
+def test_a_non_integral_argument_is_refused_naming_it(position, value):
+    # 0.9 would truncate to the fiber face, 1.5 to jet_space(1, 2, 1, 3)
+    signature = [1, 2, 1, 3]
+    signature[position] = value
+    name = ("n_x", "n_y", "x_cap", "y_cap")[position]
+    with pytest.raises(JetUsageError) as err:
+        jet_space(*signature)
+    assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+
 @pytest.mark.parametrize("batch", [None, 4])
 def test_a_derivative_that_takes_a_cap_to_0_lands_in_a_face(batch):
     rng = np.random.default_rng(67)

@@ -424,14 +424,14 @@ def test_check_metrizability_equals_the_classify_entries(spray_id):
 
 
 def test_reduction_keeps_the_first_maximum_and_ignores_nan():
-    values = [1.0, math.nan, 2.0, None, 2.0, 0.5]
+    values = np.array([1.0, math.nan, 2.0, None, 2.0, 0.5], dtype=object)
     part = geometry.SprayField(3, None, label="fake")
-    rows, maxima = verify._run_plan(
+    columns, maxima = verify._run_plan(
         lambda x, y: True, (part,), SamplePlan(n_points=len(values)),
-        lambda x, y: [{"r": v, "zero": 0.0} for v in values[:len(x)]],
+        lambda x, y: {"r": values[:len(x)], "zero": np.zeros(len(x))},
         ("r", "zero"),
     )
-    assert len(rows) == len(values)
+    assert len(columns["r"]) == len(values)
     assert maxima == {
         "r": {"max": 2.0, "at_sample": 2},
         "zero": {"max": 0.0, "at_sample": None},
@@ -468,14 +468,14 @@ def test_compare_sprays_falls_back_to_the_per_sample_error():
 
 
 def _plan_passes(monkeypatch, *calls):
-    """(guard, n, plan, rows_of) of every plan the entry point calls hand
-    to the plan driver."""
+    """(guard, n, plan, columns_of) of every plan the entry point calls
+    hand to the plan driver."""
     passes = []
     run_plan = verify._run_plan
 
-    def recording(guard, parts, plan, rows_of, keys):
-        passes.append((guard, parts[0].n, plan, rows_of))
-        return run_plan(guard, parts, plan, rows_of, keys)
+    def recording(guard, parts, plan, columns_of, keys):
+        passes.append((guard, parts[0].n, plan, columns_of))
+        return run_plan(guard, parts, plan, columns_of, keys)
 
     monkeypatch.setattr(verify, "_run_plan", recording)
     for call in calls:
@@ -485,17 +485,20 @@ def _plan_passes(monkeypatch, *calls):
 
 
 def _assert_batch_equals_samples(passes):
-    """rows_of on the whole plan gives the rows of its one-sample calls,
-    float for float (repr tells -0.0, nan and the last bit apart)."""
-    for guard, n, plan, rows_of in passes:
+    """columns_of on the whole plan gives the columns of its one-sample
+    calls joined, with the same keys, float for float (repr tells -0.0, nan
+    and the last bit apart)."""
+    for guard, n, plan, columns_of in passes:
         pts = verify.draw_samples(guard, n, plan)
         x = np.array([p for p, _ in pts])
         y = np.array([q for _, q in pts])
-        batched = rows_of(x, y)
-        one_by_one = [
-            row for s in range(len(x)) for row in rows_of(x[s:s + 1], y[s:s + 1])
-        ]
-        assert repr(batched) == repr(one_by_one)
+        batched = columns_of(x, y)
+        singles = [columns_of(x[s:s + 1], y[s:s + 1]) for s in range(len(x))]
+        for single in singles:
+            assert list(single) == list(batched)
+        for key, column in batched.items():
+            joined = np.concatenate([single[key] for single in singles])
+            assert repr(column.tolist()) == repr(joined.tolist()), key
 
 
 BATCH_PLAN = SamplePlan(n_points=6, seed=11)
@@ -670,7 +673,7 @@ def test_report_json_equals_json_dumps_on_classify_reports(metric_id, quadratic)
         report = classify(field, spray, SMALL_PLAN, params=spec.params)
         assert (spray is None) == all(
             row["spray_mismatch"] is None for row in report.samples)
-        assert verify._rows_json(report.samples) is not None  # the column path
+        assert report._columns is not None  # the column path
         assert report_to_json(report) == _reference_json(report)
 
 
@@ -692,6 +695,41 @@ SPECIAL_ROWS = [
 ]
 
 
+def _column_report(columns):
+    """A hand-built report written from ``columns``, as a classify report
+    is, with the rows they give."""
+    lists = [c.tolist() for c in columns.values()]
+    report = _hand_built([dict(zip(columns, row)) for row in zip(*lists)])
+    report._columns = columns
+    return report
+
+
+SPECIAL_COLUMNS = {
+    "index": np.arange(4),
+    "x1": np.array([math.nan, math.inf, -math.inf, -0.0]),
+    "y": np.array([[5e-324, 1e300], [-1e300, 0.1], [-0.0, -5e-324],
+                   [0.30000000000000004, math.nan]]),
+    "big": np.full(4, 1e308),  # finite values, overflowing sums
+    "spray_mismatch": np.full(4, None),
+    "F": np.array([None, 2.5, -7, 10**30], dtype=object),
+}
+
+
+@pytest.mark.parametrize("key", [None, *SPECIAL_COLUMNS])
+def test_report_json_equals_json_dumps_on_special_columns(key):
+    columns = SPECIAL_COLUMNS if key is None else {key: SPECIAL_COLUMNS[key]}
+    report = _column_report(columns)
+    assert report_to_json(report) == _reference_json(report)
+
+
+def test_a_replace_copy_of_a_classify_report_writes_its_bytes():
+    spec = default_spec("class3")
+    report = classify(catalog.build_finsler(spec), None, SMALL_PLAN, spec.params)
+    copy = dataclasses.replace(report)
+    assert report._columns is not None and copy._columns is None
+    assert report_to_json(copy) == report_to_json(report) == _reference_json(report)
+
+
 @pytest.mark.parametrize("samples, columnwise", [
     (SPECIAL_ROWS, True),
     ([{"a%s\"é": 1.5, "empty": [], "v": [1.0]}] * 2, True),  # escaped keys
@@ -709,9 +747,14 @@ SPECIAL_ROWS = [
     ([[1.0], [2.0]], False),                                 # rows not dicts
 ])
 def test_report_json_equals_json_dumps_on_hand_built_rows(samples, columnwise):
+    # without columns a report is written by json.dumps; rows of one shape
+    # give the same bytes written from their columns
     report = _hand_built(samples)
-    assert (verify._rows_json(samples) is not None) == columnwise
+    assert report._columns is None
     assert report_to_json(report) == _reference_json(report)
+    if columnwise:
+        columns = {key: np.array([row[key] for row in samples]) for key in samples[0]}
+        assert report_to_json(_column_report(columns)) == _reference_json(report)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,7 +1052,7 @@ def _drawn(guard, n, plan):
     """The (x, y) arrays ``_run_plan`` evaluates for (guard, n, plan)."""
     got = []
     verify._run_plan(guard, (geometry.SprayField(n, None, "part"),), plan,
-                     lambda x, y: got.append((x, y)) or [{}] * len(x), ())
+                     lambda x, y: got.append((x, y)) or {}, ())
     return got[0]
 
 

@@ -90,8 +90,8 @@ MUTANTS = [
      "        pt.G, pt.G)",
      "spray mismatch compares the spray with itself"),
     (PKG + "verify.py",
-     '                maxima[key] = {"max": row[key], "at_sample": i}',
-     '                maxima[key] = {"max": row[key], "at_sample": 0}',
+     '"at_sample": int(np.argmax(values == top))}',
+     '"at_sample": 0}',
      "worst sample always reported as sample 0"),
     (PKG + "geometry.py",
      "    return -0.5 * F[:, None, None, None] * (",
@@ -149,6 +149,14 @@ MUTANTS = [
      "else jet_space(*canonical)",
      "else JetSpace(*canonical)",
      "a non-canonical signature builds a space of its own"),
+    (PKG + "verify.py",
+     "    top = np.fmax.reduce(values, initial=0.0)",
+     "    top = np.maximum.reduce(values, initial=0.0)",
+     "a NaN replaces a residual's maximum"),
+    (PKG + "jets.py",
+     "        if not (math.isfinite(value) and value == int(value)):",
+     "        if not math.isfinite(value):",
+     "jet_space truncates a non-integral argument"),
 ]
 
 
