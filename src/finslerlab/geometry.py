@@ -45,8 +45,8 @@ not above ``RCOND_MIN``.  Two spray routes exist:
   ``G^i = 1/4 g^{ih} (y^r d_r dot_h F^2 - d_h F^2)``, needing fiber
   order 5 and base order 1.  This is the oracle the closed forms are
   checked against.  It runs on the whole batch at once, and its jet
-  linear solve is one stacked elimination on one coefficient array; the
-  only chunking is that of the batched jet product (``MUL_CHUNK_ELEMENTS``).
+  linear solve is one stacked elimination on one coefficient array,
+  whose large products run level by level (``MUL_CHUNK_ELEMENTS``).
 """
 
 from __future__ import annotations

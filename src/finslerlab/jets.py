@@ -49,11 +49,19 @@ kernels run an unbatched value as one sample.
   splits the batch by index, so no sample evaluates the branch it would
   not take.
 
-A product gathers its pair products one chunk of samples at a
-time, at most :data:`MUL_CHUNK_ELEMENTS` pair products per chunk (see
-there for why), and accumulates them with one ``bincount`` over keys
-offset by ``sample * size``.  Pairs stay in sample-major, (i, j)-sorted
-order, so each coefficient accumulates exactly the per-sample sequence.
+A product sums, for each output coefficient, its pair products in
+(i, j) order, as one ``bincount`` over keys offset by ``sample * size``,
+so each coefficient accumulates exactly the per-sample sequence.  A
+product whose levels average more than :data:`MUL_CHUNK_ELEMENTS` pair
+products runs level by level instead, on coefficient-major copies of its
+operands: level r holds the r-th pair of every output coefficient with
+more than r pairs, and with outputs ranked by their number of pairs its
+outputs are a prefix of the rows, so a level is one row gather per
+operand, one multiply and one add into that prefix.  Each coefficient
+again starts at 0.0 and adds the same products in the same order; a
+result with a non-finite coefficient is recomputed by ``bincount``, since
+the sign of a NaN sum may differ and its warnings should not.  The levels
+of a pair table are built with it (:func:`_pair_table`).
 
 Series composition
 ------------------
@@ -64,12 +72,12 @@ every degree above ``x_cap + y_cap`` lies outside the caps; so the step
 keeps only the product pairs whose output has total degree <=
 ``x_cap + y_cap - k``, and of those only the pairs with h index j != 0,
 since h's constant term is 0.  The kept pairs come from
-:attr:`JetSpace.series_table`, a stable sort of ``mul_table`` by output
-degree, so each kept coefficient still sums the same pairs in the same
-order, and each dropped pair either feeds a coefficient that a later
-truncation discards or adds a zero product, which leaves a ``bincount``
-sum unchanged.  With finite coefficients the result is bit-identical to
-a Horner loop of full products.
+:attr:`JetSpace.series_table`, one pair table per step, filtered from
+``mul_table`` in its order, so each kept coefficient still sums the same
+pairs in the same order, and each dropped pair either feeds a
+coefficient that a later truncation discards or adds a zero product,
+which leaves a ``bincount`` sum unchanged.  With finite coefficients the
+result is bit-identical to a Horner loop of full products.
 
 Faces
 -----
@@ -86,7 +94,8 @@ two x-free values multiplies 1287 pairs in the fiber face instead of
 first lay each operand out there (:meth:`JetSpace.embed_table`, one
 cached position table per pair of spaces, which truncation reads the
 other way), giving the monomials of the other group exact zero
-coefficients; :func:`branch` merges its parts the same way.  Spaces that
+coefficients (a product with a face operand need not, see below);
+:func:`branch` merges its parts the same way.  Spaces that
 both have a group but disagree on its size or cap raise
 :class:`JetUsageError`.
 
@@ -100,6 +109,19 @@ on the order, and the extra Horner steps of the joint space only feed
 degrees beyond the face's caps (see "Series composition").  With finite
 coefficients, the embedded face result is bit-identical to the result on
 embedded operands, up to the sign of a zero coefficient.
+
+A product with a face operand runs in that face.  A base-face value
+times a fiber-face value is an outer product: each output monomial of
+the joint space has exactly one pair with two non-zero factors, and the
+sum's other pairs only add zeros, so it is ``x_i * y_j + 0.0`` (the
+``+ 0.0`` gives the sum's +0.0 for a -0.0 product).  A value of the
+joint space times a fiber-face value is one fiber-face product whose
+rows are the joint operand's x blocks: for output (x_k, y), every pair
+with two non-zero factors takes x block k, in the same (i, j) order,
+and the pairs from other blocks come before or after with zero
+products.  With finite coefficients both give the joint product's bits,
+the sign of a zero included.  In (1, 4, 1, 5), F = f(x^1) * psi(y)
+multiplies no pair, where the joint product multiplied 3861.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -136,15 +158,18 @@ __all__ = [
 #: singular locus than this raise instead of returning noise.
 SINGULAR_TOL = 1e-14
 
-#: Pair products gathered at once by one chunk of a batched product: 64 KB
-#: of float64, half of glibc's default 128 KB mmap threshold.  Past that
-#: threshold every gather and ``bincount`` temporary is a fresh mapping
-#: and the batched product loses its lead over a per-sample loop.
-#: Measured for 50 samples against that loop: 6.6x at (0,3,0,3) and 4.3x
-#: at (3,3,1,2); 2.9x at (4,4,1,2), but 1.0x unchunked; 1.6x at (3,3,1,5)
-#: and 1.2x at (4,4,1,5), but 0.5x unchunked.  Order-5 products therefore
-#: run in chunks of one to two samples, which also bounds their memory.
-MUL_CHUNK_ELEMENTS = 1 << 13
+#: Pair products per level above which a product runs level by level
+#: (one chunk of the level path).  A level costs four numpy calls, about
+#: 3 us whatever its size, and saves about 4 ns per pair product over
+#: ``bincount``'s scattered adds, so the two break even at 450-650 pair
+#: products per level on every catalog signature (2 to 48 levels).
+#: Measured with ``timeit`` on a shared 2-vCPU x86-64 VM (numpy 2.4.6),
+#: level path / bincount at 50 samples: 0.36x at (1,4,1,5), 0.40x at
+#: (0,4,0,5), 0.62x at (0,4,0,3), 1.0x at (0,3,0,3) (525 per level); 2.0x
+#: at (1,4,1,5) with 3 samples (241 per level).  Below the threshold one
+#: ``bincount`` takes the whole batch: up to 31k pair products it ran at
+#: 0.7-1.0x the time of the sample chunks it replaces.
+MUL_CHUNK_ELEMENTS = 640
 
 
 class JetUsageError(ValueError):
@@ -284,6 +309,9 @@ class JetSpace:
     # A property, not a cached_property: perfbench's tracer wraps its getter.
     @property
     def mul_table(self):
+        """(I, J, K, levels): every product pair (i, j) within the caps,
+        sorted by (i, j), with its output monomial K and the pairs'
+        levels (see :func:`_pair_table`)."""
         if self._mul_table is None:
             n_ym = len(self.y_monomials)
             xs = self._x_index.pair_sums()
@@ -296,21 +324,20 @@ class JetSpace:
             I, J = np.nonzero(valid.reshape(self.size, self.size))
             (xi, yi), (xj, yj) = divmod(I, n_ym), divmod(J, n_ym)
             K = xs[xi, xj] * n_ym + ys[yi, yj]
-            self._mul_table = (I, J, K)
+            self._mul_table = _pair_table(I, J, K, self.size)
         return self._mul_table
 
     @functools.cached_property
     def series_table(self):
-        """(I, J, K, ends): the ``mul_table`` pairs with j != 0, stably
-        sorted by the total degree of their output monomial K; the pairs
-        whose output has degree <= d are the first ``ends[d]``."""
-        I, J, K = self.mul_table
-        keep = J != 0
-        degree = self.exponents.sum(axis=1)[K[keep]]
-        order = np.argsort(degree, kind="stable")
-        ends = np.searchsorted(degree[order], np.arange(_series_order(self) + 1),
-                               side="right")
-        return I[keep][order], J[keep][order], K[keep][order], ends
+        """One pair table per Horner step: entry d holds the ``mul_table``
+        pairs with j != 0 whose output monomial has total degree <= d, in
+        their ``mul_table`` order, with their own levels."""
+        I, J, K, _ = self.mul_table
+        degree = self.exponents.sum(axis=1)[K]
+        return tuple(
+            _pair_table(I[sel], J[sel], K[sel], self.size)
+            for sel in ((J != 0) & (degree <= d) for d in range(_series_order(self) + 1))
+        )
 
     # Diff, fiber and embed tables: dicts on the space, which the check counts.
     def diff_table(self, group, index):
@@ -516,20 +543,77 @@ def _each_sample(fn, *values):
     return TaylorValue(space, np.stack([_embedded(p, space) for p in parts]))
 
 
+def _face_product(space, a, b):
+    """Coefficients of the product of values a and b in ``space``, their
+    joint space; an operand that lacks a group runs in its face.
+
+    Base face x fiber face is an outer product, and ``+ 0.0`` turns its
+    -0.0 into the +0.0 of a ``bincount`` sum.  The full space x the
+    fiber face is one fiber-face product whose rows are the full
+    operand's x blocks, each with the other operand's row of the same
+    sample; the operands keep their order.  See "Faces" for why both
+    give the bits of the product on embedded operands.
+    """
+    A, B = a.space, b.space
+    if A is not B and space.n_x and space.n_y:
+        fiber = space.fiber_face
+        if {A, B} == {space.base_face, fiber}:
+            x, y = (a.coeffs, b.coeffs) if B is fiber else (b.coeffs, a.coeffs)
+            out = x[..., :, None] * y[..., None, :] + 0.0
+            return out.reshape(out.shape[:-2] + (space.size,))
+        if {A, B} == {space, fiber}:
+            batch = np.broadcast_shapes(a.coeffs.shape[:-1], b.coeffs.shape[:-1])
+            blocks = batch + (len(space.x_monomials), fiber.size)
+
+            def rows(v):  # one row per sample and x block
+                c = v.coeffs
+                c = c.reshape(c.shape[:-1] + blocks[-2:]) if v.space is space else c[..., None, :]
+                return np.broadcast_to(c, blocks).reshape(-1, fiber.size)
+
+            return _product(fiber, rows(a), rows(b)).reshape(batch + (space.size,))
+    return _product(space, _embedded(a, space), _embedded(b, space))
+
+
+def _pair_table(I, J, K, size):
+    """(I, J, K, levels): product pairs (i, j), their outputs K, and the
+    same pairs sliced into levels for :func:`_level_product`.
+
+    ``levels`` is ``(pos, [(I_0, J_0), (I_1, J_1), ...])``.  Outputs are
+    ranked by how many pairs they have, most first (ties in index order).
+    Level r holds the r-th pair, in table order, of every output with
+    more than r pairs, in rank order, so its outputs are the first
+    ``len(I_r)`` ranks; ``pos[k]`` is the rank of output k, or the number
+    of outputs with pairs for an output without any.
+    """
+    counts = np.bincount(K, minlength=size)
+    rank = np.empty(size, dtype=np.intp)
+    rank[np.argsort(-counts, kind="stable")] = np.arange(size)
+    by_output = np.argsort(K, kind="stable")
+    ordinal = np.empty_like(K)
+    ordinal[by_output] = np.arange(len(K)) - (np.cumsum(counts) - counts)[K[by_output]]
+    sel = np.lexsort((rank[K], ordinal))
+    I_sel, J_sel = I[sel], J[sel]
+    ends = np.cumsum(np.bincount(ordinal)).tolist()
+    levels = [(I_sel[lo:hi], J_sel[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    pos = np.where(counts > 0, rank, np.count_nonzero(counts))
+    return I, J, K, (pos, levels)
+
+
 def _product(space, a, b, table=None):
     """Coefficients of the truncated product of coefficient arrays a, b,
-    summed over the (I, J, K) pairs of ``table`` (default: ``mul_table``)."""
-    I, J, K = space.mul_table if table is None else table
+    summed over the pairs of ``table`` (default: ``mul_table``)."""
+    I, J, K, (pos, levels) = space.mul_table if table is None else table
     shape = (a if a.ndim >= b.ndim else b).shape
     if not len(K):  # bincount of no weights would return integer zeros
         return np.zeros(shape)
     n = shape[0] if len(shape) == 2 else 1  # one point runs as one sample
-    step = max(1, MUL_CHUNK_ELEMENTS // len(K))
-    if n > step:
-        return np.concatenate([
-            _product(space, _rows(a, lo, step), _rows(b, lo, step), (I, J, K))
-            for lo in range(0, n, step)
-        ])
+    if n * len(K) > MUL_CHUNK_ELEMENTS * len(levels):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _level_product(a, b, n, pos, levels)
+        # A non-finite coefficient comes from a non-finite pair product or
+        # sum; bincount gives it the same bits and numpy's warnings.
+        if np.isfinite(out).all():
+            return out.reshape(shape)
     w = a.take(I, axis=-1) * b.take(J, axis=-1)
     # Sample-major keys: row s accumulates into bins [s * size, (s + 1) *
     # size), in the same (i, j) order as one point.
@@ -537,9 +621,18 @@ def _product(space, a, b, table=None):
     return np.bincount(keys, weights=w.ravel(), minlength=n * space.size).reshape(shape)
 
 
-def _rows(coeffs, lo, count):
-    """Samples lo .. lo+count of a batch; an unbatched operand broadcasts."""
-    return coeffs[lo:lo + count] if coeffs.ndim == 2 else coeffs
+def _level_product(a, b, n, pos, levels):
+    """The product of :func:`_product` level by level, as an (n, size)
+    array: each output row starts at 0.0 and adds its pair products in
+    table order, as ``bincount`` does, so the sums keep their bits."""
+    a, b = (np.ascontiguousarray(c.T) if c.ndim == 2
+            else np.broadcast_to(c[:, None], (len(c), n)) for c in (a, b))
+    acc = np.zeros((len(levels[0][0]) + 1, n))  # the last row stays 0.0
+    for I, J in levels:
+        w = a.take(I, axis=0)
+        w *= b.take(J, axis=0)
+        acc[:len(I)] += w
+    return acc.T.take(pos, axis=1)
 
 
 class TaylorValue:
@@ -627,9 +720,7 @@ class TaylorValue:
     def __mul__(self, other):
         if isinstance(other, TaylorValue):
             space = _operand_space(self, other)
-            return TaylorValue(
-                space, _product(space, _embedded(self, space), _embedded(other, space))
-            )
+            return TaylorValue(space, _face_product(space, self, other))
         return TaylorValue(self.space, self.coeffs * _scalar(other))
 
     __rmul__ = __mul__
@@ -718,14 +809,13 @@ def compose_series(u, h):
     if isinstance(u, np.ndarray):
         u = list(u.T) if u.ndim == 2 else u.tolist()
     space = h.space
-    I, J, K, ends = space.series_table
+    steps = space.series_table
     top = _series_order(space)
     acc = np.zeros(h.coeffs.shape)
     acc[..., 0] = u[-1]
     for k in range(len(u) - 2, -1, -1):
         # k steps follow this one; each raises the degree by at least 1.
-        n = ends[max(top - k, 0)]
-        acc = _shift(_product(space, acc, h.coeffs, (I[:n], J[:n], K[:n])), u[k])
+        acc = _shift(_product(space, acc, h.coeffs, steps[max(top - k, 0)]), u[k])
     return TaylorValue(space, acc)
 
 

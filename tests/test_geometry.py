@@ -713,12 +713,13 @@ def _mixed_pairs(field, xs, ys, monkeypatch):
 
 def test_field_evaluation_work_budget(monkeypatch):
     field = catalog.build_finsler(catalog.make_spec("class3", quadratic="mixed4"))
-    x, y = _plan_arrays(field, 1, seed=49)  # one sample: no product chunks
+    x, y = _plan_arrays(field, 1, seed=49)  # one sample: no product runs by levels
     xs, ys = geometry.seeded_arguments(field.n, x, y, 1, 5, field.x_deps)
     full = jets.jet_space(1, 4, 1, 5)
-    # F = f(x^1) psi(y): only the final product combines the two groups.
+    # F = f(x^1) psi(y): the one product that combines the two groups is
+    # an outer product of the base and fiber faces, with no pair table.
     budget = len(full.mul_table[0])
-    assert _mixed_pairs(field, xs, ys, monkeypatch) == budget
+    assert _mixed_pairs(field, xs, ys, monkeypatch) == 0
     # y seeded into the mixed space multiplies all of psi there.
     ys_mixed = [v.embed(full) for v in ys]
     assert _mixed_pairs(field, xs, ys_mixed, monkeypatch) > 5 * budget

@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -864,3 +865,91 @@ def test_a_group_the_space_lacks_is_refused_naming_the_space():
                        (base, lambda: base.seed_x(0, 1.0).dy(0))):
         with pytest.raises(JetUsageError, match=re.escape(repr(space))):
             use()
+
+
+# ---------------------------------------------------------------------------
+# product kernels: level by level, and in the faces
+# ---------------------------------------------------------------------------
+
+
+def _bincount_product(space, a, b, table, monkeypatch):
+    """``jets._product`` held to its ``bincount`` path."""
+    monkeypatch.setattr(jets, "MUL_CHUNK_ELEMENTS", math.inf)
+    try:
+        return jets._product(space, a, b, table)
+    finally:
+        monkeypatch.undo()
+
+
+# Operand batches: (a's, b's); None is an unbatched operand.
+LEVEL_BATCHES = [(None, None), (1, 1), (50, 50), (256, 256), (600, 600),
+                 (None, 50), (50, None)]
+
+
+@pytest.mark.parametrize("signature", CATALOG_SIGNATURES)
+def test_level_products_equal_bincount_products_bitwise(signature, monkeypatch):
+    sp = jet_space(*signature)
+    rng = np.random.default_rng(67)
+    for table in (sp.mul_table, *sp.series_table):
+        if not len(table[2]):
+            continue
+        for batches in LEVEL_BATCHES:
+            a, b = (rng.normal(size=(sp.size,) if n is None else (n, sp.size))
+                    for n in batches)
+            n = max(c.shape[0] if c.ndim == 2 else 1 for c in (a, b))
+            for finite in (True, False):
+                if not finite:  # non-finite entries sum in the same order
+                    for c in (a, b):
+                        c.flat[rng.integers(c.size, size=3)] = (np.inf, -np.inf, np.nan)
+                want = _bincount_product(sp, a, b, table, monkeypatch)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = jets._level_product(a, b, n, *table[3]).reshape(want.shape)
+                case = (batches, len(table[2]), finite)
+                # The same sums: a NaN where bincount has one, every other
+                # bit equal.  The sign of a NaN may differ, so _product
+                # returns bincount's bits for a non-finite result.
+                assert np.array_equal(np.isnan(got), np.isnan(want)), case
+                assert np.nan_to_num(got).tobytes() == np.nan_to_num(want).tobytes(), case
+
+
+@pytest.mark.parametrize("coefficient", [np.inf, np.nan, 1e200])
+def test_a_non_finite_product_has_the_bits_and_warnings_of_bincount(
+        coefficient, monkeypatch):
+    sp = jet_space(1, 4, 1, 5)
+    a, b = np.random.default_rng(73).normal(size=(2, 50, sp.size))
+    a[3, 7] = b[5, 0] = coefficient
+    a[6, 2], b[6, 9] = np.inf, -np.inf  # an inf - inf sum, with its NaN
+    b[3, 0] = 0.0  # inf * 0.0 is invalid; 1e200 * 1e200 overflows
+    results = []
+    for chunk in (math.inf, 0):  # the bincount path, then the level path
+        monkeypatch.setattr(jets, "MUL_CHUNK_ELEMENTS", chunk)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = (jets.TaylorValue(sp, a) * jets.TaylorValue(sp, b)).coeffs
+        results.append((out.tobytes(), [str(w.message) for w in caught]))
+    assert results[0] == results[1]
+    assert not np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("full", [(1, 3, 1, 5), (1, 4, 1, 5), (4, 4, 1, 2)])
+@pytest.mark.parametrize("batches", [(None, None), (1, 1), (7, 7), (50, 50),
+                                     (None, 50), (50, None)])
+def test_face_products_equal_embedded_products_bitwise(full, batches, monkeypatch):
+    full = jet_space(*full)
+    rng = np.random.default_rng(71)
+
+    def value(space, batch):
+        c = rng.normal(size=(space.size,) if batch is None else (batch, space.size))
+        c[..., 1] = -0.0  # a -0.0 coefficient
+        return jets.TaylorValue(space, c)
+
+    na, nb = batches
+    x, y = value(full.base_face, na), value(full.fiber_face, nb)
+    pairs = [(x, y), (value(full.fiber_face, na), value(full.base_face, nb)),
+             (value(full, na), y), (value(full.fiber_face, na), value(full, nb))]
+    for a, b in pairs:
+        got = a * b
+        assert got.space is full
+        want = _bincount_product(full, a.embed(full).coeffs, b.embed(full).coeffs,
+                                 None, monkeypatch)
+        assert got.coeffs.tobytes() == want.tobytes(), (a.space, b.space)

@@ -157,6 +157,14 @@ MUTANTS = [
      "        if not (math.isfinite(value) and value == int(value)):",
      "        if not math.isfinite(value):",
      "jet_space truncates a non-integral argument"),
+    (PKG + "jets.py",
+     "    for I, J in levels:",
+     "    for I, J in levels[::-1]:",
+     "a product's levels applied in reverse order"),
+    (PKG + "jets.py",
+     "            out = x[..., :, None] * y[..., None, :] + 0.0",
+     "            out = x[..., :, None] * y[..., None, :]",
+     "the outer product of two faces keeps a -0.0"),
 ]
 
 
