@@ -90,7 +90,13 @@ def default_f(t):
 
 
 def make_setup(quadratic="product", dim=None, f=None):
-    """Build the block Riemannian setup for a preset or explicit c matrix."""
+    """Build the block Riemannian setup for a preset or explicit c matrix.
+    ``dim`` must be integral (a float such as 4.0 or a numpy int will do);
+    any other value, NaN and +-inf included, is refused."""
+    if dim is not None:
+        if not (math.isfinite(dim) and dim == int(dim)):
+            raise CatalogError(f"dimension must be an integer, got {dim!r}")
+        dim = int(dim)
     if f is None:
         f = default_f
     if isinstance(quadratic, str):
@@ -100,21 +106,21 @@ def make_setup(quadratic="product", dim=None, f=None):
                 f"choose from {sorted(QUADRATIC_PRESETS)}"
             )
         if quadratic == "euclid":
-            n = 3 if dim is None else int(dim)
+            n = 3 if dim is None else dim
             if n < 3:
                 raise CatalogError("setup needs dimension n >= 3")
             c = np.eye(n - 1)
         else:
             c = QUADRATIC_PRESETS[quadratic]
             n = c.shape[0] + 1
-            if dim is not None and int(dim) != n:
+            if dim is not None and dim != n:
                 raise CatalogError(
                     f"preset {quadratic!r} fixes dimension {n}, got --dim {dim}"
                 )
     else:
         c = np.asarray(quadratic, dtype=float)
         n = c.shape[0] + 1
-        if dim is not None and int(dim) != n:
+        if dim is not None and dim != n:
             raise CatalogError(f"matrix implies dimension {n}, got --dim {dim}")
     return RiemannSetup(n, f, c)
 

@@ -15,6 +15,11 @@ y-group; the combined index is ``(x_monomial, y_monomial)`` with the
 y-index varying fastest.  The layout is fixed per :class:`JetSpace`, and
 spaces are cached, so coefficient positions are deterministic.
 
+Each group's monomials are enumerated within its cap, degree by degree.
+Every monomial has one code, its exponents read as the digits of a
+base-(max cap + 1) number, and every index table finds its positions by
+one ``searchsorted`` in the space's sorted codes.
+
 Stored coefficients are Taylor coefficients, i.e. ``coeff(kappa) =
 (d^kappa f)(point) / kappa!``; :meth:`TaylorValue.extract` multiplies the
 factorial back in exactly once and returns the derivative, and
@@ -130,7 +135,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import product as _iproduct
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -189,32 +194,10 @@ class SingularPointError(ArithmeticError):
 
 
 def _graded_monomials(nvars, cap):
-    """All exponent tuples with ``sum <= cap`` in graded-lex order."""
-    monos = [t for t in _iproduct(range(cap + 1), repeat=nvars) if sum(t) <= cap]
-    monos.sort(key=lambda t: (sum(t), t))
-    return monos
-
-
-class _MonomialIndex:
-    """Exponent rows of one variable group and their inverse: a dense
-    lookup from the base-(cap+1) code of an exponent row to its index."""
-
-    def __init__(self, monomials, nvars, cap):
-        self.cap = cap
-        self.exps = np.array(monomials, dtype=np.intp).reshape(len(monomials), nvars)
-        self.weights = (cap + 1) ** np.arange(nvars, dtype=np.intp)
-        self.lookup = np.full((cap + 1) ** nvars, -1, dtype=np.intp)
-        self.lookup[self.exps @ self.weights] = np.arange(len(monomials))
-
-    def find(self, exps):
-        """Indices of exponent rows that lie within the cap."""
-        return self.lookup[exps @ self.weights]
-
-    def pair_sums(self):
-        """(count, count) index of exps[i] + exps[j], -1 beyond the cap."""
-        sums = self.exps[:, None, :] + self.exps[None, :, :]
-        ok = sums.sum(axis=-1) <= self.cap
-        return np.where(ok, self.find(np.where(ok[..., None], sums, 0)), -1)
+    """All exponent tuples with ``sum <= cap`` in graded-lex order: the
+    variable counts of each d-multiset, whose lex order reversed is ascending."""
+    return [tuple(map(vs.count, range(nvars))) for d in range(cap + 1)
+            for vs in reversed(list(combinations_with_replacement(range(nvars), d)))]
 
 
 @functools.cache
@@ -252,22 +235,22 @@ class JetSpace:
         self.n_y = n_y
         self.x_cap = x_cap
         self.y_cap = y_cap
+        nvars, base = n_x + n_y, max(x_cap, y_cap) + 1
+        if base**nvars > np.iinfo(np.intp).max:  # the largest code is base**nvars - 1
+            raise JetUsageError(f"monomial codes of {self} overflow intp")
         self.x_monomials = _graded_monomials(n_x, x_cap)
         self.y_monomials = _graded_monomials(n_y, y_cap)
-        self.monomials = [
-            xm + ym for xm in self.x_monomials for ym in self.y_monomials
-        ]
+        self.monomials = [xm + ym for xm in self.x_monomials for ym in self.y_monomials]
         self.size = len(self.monomials)
         self.position = {m: i for i, m in enumerate(self.monomials)}
-        self._x_index = _MonomialIndex(self.x_monomials, n_x, x_cap)
-        self._y_index = _MonomialIndex(self.y_monomials, n_y, y_cap)
-        n_ym = len(self.y_monomials)
         #: (size, n_x + n_y) exponent rows in layout order.
-        self.exponents = np.hstack([
-            np.repeat(self._x_index.exps, n_ym, axis=0),
-            np.tile(self._y_index.exps, (len(self.x_monomials), 1)),
-        ])
-        facts = np.array([math.factorial(e) for e in range(max(x_cap, y_cap) + 1)])
+        self.exponents = np.array(self.monomials, dtype=np.intp)
+        self._weights = base ** np.arange(nvars, dtype=np.intp)
+        codes = self.exponents @ self._weights
+        # Codes are distinct; the stable sort is the one _pair_table already runs.
+        self._order = np.argsort(codes, kind="stable")
+        self._codes = codes[self._order]
+        facts = np.array([math.factorial(e) for e in range(base)])
         self.factorial = np.prod(facts[self.exponents], axis=1)
         self._mul_table = None
         self._diff_tables = {}
@@ -280,12 +263,9 @@ class JetSpace:
             f"x_cap={self.x_cap}, y_cap={self.y_cap})"
         )
 
-    def _positions(self, exps):
-        """Layout positions of (k, n_x + n_y) exponent rows within the caps."""
-        exps = np.asarray(exps, dtype=np.intp)
-        xi = self._x_index.find(exps[:, : self.n_x])
-        yi = self._y_index.find(exps[:, self.n_x:])
-        return xi * len(self.y_monomials) + yi
+    def _positions(self, codes):
+        """Layout positions of the monomials with these codes."""
+        return self._order[np.searchsorted(self._codes, codes)]
 
     def _variable(self, group, index):
         """Variable ``index`` of ``group`` ("x" or "y") as an index into
@@ -295,13 +275,10 @@ class JetSpace:
             raise JetUsageError(f"{group} index {index} out of range for {self}")
         return index if x else self.n_x + index
 
-    def _exponents_in(self, space):
-        """This space's monomials as exponent rows in the variables of
-        ``space``, which has each group of this one: zeros for the rest."""
-        exps = np.zeros((self.size, space.n_x + space.n_y), dtype=np.intp)
-        exps[:, : self.n_x] = self.exponents[:, : self.n_x]
-        exps[:, space.n_x: space.n_x + self.n_y] = self.exponents[:, self.n_x:]
-        return exps
+    def _codes_in(self, space):
+        """The codes of this space's monomials in ``space``, which has its groups."""
+        columns = np.r_[: self.n_x, space.n_x: space.n_x + self.n_y]
+        return self.exponents @ space._weights[columns]
 
     # -- lazily built index tables, kept in the space's attributes --------
     # perfbench's untraced warm-up check counts the tuples it finds there.
@@ -313,17 +290,16 @@ class JetSpace:
         sorted by (i, j), with its output monomial K and the pairs'
         levels (see :func:`_pair_table`)."""
         if self._mul_table is None:
-            n_ym = len(self.y_monomials)
-            xs = self._x_index.pair_sums()
-            ys = self._y_index.pair_sums()
-            valid = (xs[:, None, :, None] >= 0) & (ys[None, :, None, :] >= 0)
+            x_ok, y_ok = (np.add.outer(degrees, degrees) <= cap for degrees, cap in (
+                ([sum(m) for m in self.x_monomials], self.x_cap),
+                ([sum(m) for m in self.y_monomials], self.y_cap)))
+            valid = x_ok[:, None, :, None] & y_ok[None, :, None, :]
             # np.nonzero walks the (i, j) grid row-major, so pairs are
             # sorted by (i, j); together with bincount's in-order
             # accumulation this makes products (and hence truncation
             # consistency) bit-reproducible.
             I, J = np.nonzero(valid.reshape(self.size, self.size))
-            (xi, yi), (xj, yj) = divmod(I, n_ym), divmod(J, n_ym)
-            K = xs[xi, xj] * n_ym + ys[yi, yj]
+            K = self._positions((self.exponents[I] + self.exponents[J]) @ self._weights)
             self._mul_table = _pair_table(I, J, K, self.size)
         return self._mul_table
 
@@ -349,24 +325,23 @@ class JetSpace:
             var = self._variable(group, index)
             x = group == "x"
             target = jet_space(self.n_x, self.n_y, self.x_cap - x, self.y_cap - (not x))
-            bumped = target._exponents_in(self)
-            bumped[:, var] += 1
-            tab = (target, self._positions(bumped), bumped[:, var].astype(float))
+            src = self._positions(target._codes_in(self) + self._weights[var])
+            tab = (target, src, self.exponents[src, var].astype(float))
             self._diff_tables[key] = tab
         return tab
 
     def _fiber_table(self, k):
         """(positions, factorials), each of shape (n_y,)*k: entry ``axes``
-        is the pure-y monomial that counts how often each y index occurs."""
+        is the pure-y monomial that counts how often each y index occurs,
+        whose code sums the weights of the y indices in ``axes``."""
         tab = self._fiber_tables.get(k)
         if tab is None:
             if not 0 <= k <= self.y_cap:
                 raise JetUsageError(f"fiber order {k} exceeds y_cap of {self}")
             shape = (self.n_y,) * k
-            axes = np.indices(shape).reshape(k, self.n_y**k).T
-            exps = np.zeros((len(axes), self.n_x + self.n_y), dtype=np.intp)
-            exps[:, self.n_x:] = (axes[:, :, None] == np.arange(self.n_y)).sum(axis=1)
-            pos = self._positions(exps).reshape(shape)
+            axes = np.indices(shape).reshape(k, self.n_y**k)
+            codes = self._weights[self.n_x:][axes].sum(axis=0)
+            pos = self._positions(codes).reshape(shape)
             tab = (pos, self.factorial[pos])
             self._fiber_tables[k] = tab
         return tab
@@ -386,7 +361,7 @@ class JetSpace:
         ``target``, a space holding every variable group of this one."""
         tab = self._embed_tables.get(target)
         if tab is None:
-            tab = (target, target._positions(self._exponents_in(target)))
+            tab = (target, target._positions(self._codes_in(target)))
             self._embed_tables[target] = tab
         return tab
 

@@ -141,6 +141,23 @@ def test_criterion_2_total_runtime():
     assert _timings.get("criterion2", 0.0) < 60.0
 
 
+# Shen's class, and so every (alpha, beta) entry, is Landsberg and
+# non-Berwald in every dimension n >= 3 (Z. Shen, Canad. J. Math. 61, 2009).
+AB_IDS = ["class1", "class2", "class3", "class4", "shen_eq8", "asanov_eq9"]
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("dim", (5, 6))
+@pytest.mark.parametrize("metric_id", AB_IDS)
+def test_criterion_2_every_ab_entry_beyond_the_presets(metric_id, dim, seed):
+    # The closed route only: the variational route's rounding reaches the
+    # Landsberg gate for class3 here, as at the presets (ROADMAP item 1).
+    spec = make_spec(metric_id, quadratic="euclid", dim=dim)
+    spray = closed_form_spray(spec).as_spray_field()
+    report = classify(build_finsler(spec), spray, SamplePlan(seed=seed))
+    assert report.verdict == "Landsberg, non-Berwald"
+
+
 # ---------------------------------------------------------------------------
 # 3. pairwise spray cross-oracle
 # ---------------------------------------------------------------------------

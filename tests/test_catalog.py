@@ -373,6 +373,26 @@ def test_singular_parameters_name_det_g(metric_id, params):
         make_spec(metric_id, params)
 
 
+@pytest.mark.parametrize("quadratic, dim", [
+    ("euclid", 4.5), ("product", 3.5), ("euclid", math.nan), ("euclid", math.inf),
+    ("euclid", np.float64(5.5)),
+])
+def test_a_non_integral_dimension_is_refused_naming_it(quadratic, dim):
+    # 4.5 would build n = 4, 3.5 would pass as the product preset's 3
+    with pytest.raises(CatalogError) as err:
+        make_spec("class3", quadratic=quadratic, dim=dim)
+    assert str(err.value) == f"dimension must be an integer, got {dim!r}"
+
+
+def test_an_integral_float_or_numpy_dimension_is_its_integer():
+    for dim in (5.0, np.int64(5), np.float64(5.0)):
+        setup = make_spec("class3", quadratic="euclid", dim=dim).setup
+        assert setup.n == 5 and type(setup.n) is int
+    assert make_spec("class3", quadratic="product", dim=3.0).setup.n == 3
+    with pytest.raises(CatalogError, match="fixes dimension 3, got --dim 4"):
+        make_spec("class3", quadratic="product", dim=np.int64(4))
+
+
 def test_make_spec_refuses_setup_conflicts():
     euclid5 = make_setup("euclid", dim=5)
     for metric_id in ("example31", "example33", "shen_r3_eq1"):

@@ -346,6 +346,26 @@ CATALOG_SIGNATURES = [
     *[(n, n, 1, k) for n in (3, 4) for k in range(6)],
 ]
 
+# Every JetSpace signature the benchmark's three workloads build.
+WORKLOAD_SIGNATURES = [
+    (0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 0, 2), (1, 0, 1, 0),
+    *[(0, n, 0, k) for n in (3, 4) for k in range(1, 6)],
+    *[(1, n, 1, k) for n in (3, 4) for k in range(1, 6)],
+]
+
+# The index tables are checked on these, and on spaces beyond the presets:
+# dimensions 5 and 6 at fiber order 5, and an x group of cap 2.
+INDEX_SIGNATURES = CATALOG_SIGNATURES + [
+    s for s in WORKLOAD_SIGNATURES + [(0, 5, 0, 5), (1, 6, 1, 5), (2, 2, 2, 2)]
+    if s not in CATALOG_SIGNATURES
+]
+
+
+def _loop_monomials(nvars, cap):
+    """Every exponent tuple within the cap, in graded-lex order."""
+    monos = [t for t in itertools.product(range(cap + 1), repeat=nvars) if sum(t) <= cap]
+    return sorted(monos, key=lambda t: (sum(t), t))
+
 
 def _loop_mul_table(sp):
     nx = sp.n_x
@@ -387,9 +407,15 @@ def _loop_fiber_table(sp, k):
     return pos
 
 
-@pytest.mark.parametrize("signature", CATALOG_SIGNATURES)
+@pytest.mark.parametrize("signature", INDEX_SIGNATURES)
 def test_index_tables_match_monomial_loops(signature):
     sp = jet_space(*signature)
+    assert len(sp.monomials) == (math.comb(sp.n_x + sp.x_cap, sp.x_cap)
+                                 * math.comb(sp.n_y + sp.y_cap, sp.y_cap))
+    assert sp.x_monomials == _loop_monomials(sp.n_x, sp.x_cap)
+    assert sp.y_monomials == _loop_monomials(sp.n_y, sp.y_cap)
+    assert sp.monomials == [xm + ym for xm in sp.x_monomials for ym in sp.y_monomials]
+    assert np.array_equal(sp.exponents, sp.monomials)
     factorial = [math.prod(math.factorial(e) for e in m) for m in sp.monomials]
     assert np.array_equal(sp.factorial, factorial)
     for got, ref in zip(sp.mul_table, _loop_mul_table(sp)):
@@ -829,6 +855,24 @@ def test_a_non_integral_argument_is_refused_naming_it(position, value):
     with pytest.raises(JetUsageError) as err:
         jet_space(*signature)
     assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_a_space_whose_monomial_codes_would_overflow_is_refused_naming_it():
+    # A monomial's code has n_x + n_y digits in base max cap + 1; a code
+    # that wrapped around would silently corrupt every table.
+    bits = np.iinfo(np.intp).bits - 1
+    for signature in [(0, bits, 0, 1), (1, 24, 1, 5)]:  # 2**63 and 6**25
+        name = "JetSpace(n_x={}, n_y={}, x_cap={}, y_cap={})".format(*signature)
+        with pytest.raises(JetUsageError, match=re.escape(f"codes of {name} overflow")):
+            jet_space(*signature)
+    # One variable fewer, the largest code 2**62 - 1 fits.
+    sp = jet_space(0, bits - 1, 0, 1)
+    for got, ref in zip(sp.mul_table, _loop_mul_table(sp)):
+        assert np.array_equal(got, ref)
+    for index in (0, bits // 2, bits - 2):
+        target, src, mult = sp.diff_table("y", index)
+        ref_src, ref_mult = _loop_diff_table(sp, target, index)
+        assert np.array_equal(src, ref_src) and np.array_equal(mult, ref_mult)
 
 
 @pytest.mark.parametrize("batch", [None, 4])

@@ -165,6 +165,14 @@ MUTANTS = [
      "            out = x[..., :, None] * y[..., None, :] + 0.0",
      "            out = x[..., :, None] * y[..., None, :]",
      "the outer product of two faces keeps a -0.0"),
+    (PKG + "jets.py",
+     "np.add.outer(degrees, degrees) <= cap",
+     "np.add.outer(degrees, degrees) < cap",
+     "product pairs whose degrees reach a cap dropped"),
+    (PKG + "jets.py",
+     "base = n_x + n_y, max(x_cap, y_cap) + 1",
+     "base = n_x + n_y, max(x_cap, y_cap)",
+     "monomial codes in base max cap, so two monomials share a code"),
 ]
 
 
