@@ -187,7 +187,7 @@ def _check_f_positive(f, x_range):
 def _csv_table(report):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    n = len(report.samples[0]["y"])
+    n = report.columns["y"].shape[1]
     keys = verify.RESIDUAL_KEYS
     writer.writerow(
         ["index", "x1", *[f"y{i + 1}" for i in range(n)], "F", *keys, "g_rcond"]

@@ -290,15 +290,18 @@ class JetSpace:
         sorted by (i, j), with its output monomial K and the pairs'
         levels (see :func:`_pair_table`)."""
         if self._mul_table is None:
-            x_ok, y_ok = (np.add.outer(degrees, degrees) <= cap for degrees, cap in (
-                ([sum(m) for m in self.x_monomials], self.x_cap),
-                ([sum(m) for m in self.y_monomials], self.y_cap)))
-            valid = x_ok[:, None, :, None] & y_ok[None, :, None, :]
-            # np.nonzero walks the (i, j) grid row-major, so pairs are
-            # sorted by (i, j); together with bincount's in-order
-            # accumulation this makes products (and hence truncation
-            # consistency) bit-reproducible.
-            I, J = np.nonzero(valid.reshape(self.size, self.size))
+            # A group's monomials of degree <= d are a prefix, so row (a, b)
+            # pairs with the columns (c, d), c < nx[a] and d < ny[b].  Listed
+            # row by row, c before d, pairs are sorted by (i, j); with bincount's
+            # in-order sums this makes products bit-reproducible.
+            nx, ny = (np.searchsorted(deg, cap - deg, side="right") for deg, cap in (
+                (np.array([sum(m) for m in self.x_monomials]), self.x_cap),
+                (np.array([sum(m) for m in self.y_monomials]), self.y_cap)))
+            row_ny = np.tile(ny, len(nx))  # ny[b] of each row i = (a, b)
+            counts = np.repeat(nx, len(ny)) * row_ny
+            I = np.repeat(np.arange(self.size), counts)
+            rank = np.arange(len(I)) - np.repeat(np.cumsum(counts) - counts, counts)
+            J = rank // row_ny[I] * len(ny) + rank % row_ny[I]
             K = self._positions((self.exponents[I] + self.exponents[J]) @ self._weights)
             self._mul_table = _pair_table(I, J, K, self.size)
         return self._mul_table

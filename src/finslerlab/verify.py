@@ -66,8 +66,8 @@ Reproducibility: each sample index gets its own generator stream derived
 from (seed, index), so reports are bit-identical for a fixed plan and
 independent of evaluation order; serialized reports contain no wall-time
 or other volatile data.  :func:`report_to_json` writes the bytes of
-``json.dumps(sort_keys=True, indent=2)``; the ``samples`` rows of a
-:func:`classify` report are written from its columns.
+``json.dumps(sort_keys=True, indent=2)``, the ``samples`` rows from the
+report's columns.
 """
 
 from __future__ import annotations
@@ -349,24 +349,27 @@ def verdict_slug(verdict):
     return verdict.lower().replace(",", "").replace(" ", "-")
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassificationReport:
-    """A :func:`classify` verdict with its residual maxima and per-sample
-    rows.  ``samples`` is built once from the plan's (N, ...) columns,
-    which the report keeps in ``_columns`` and :func:`report_to_json`
-    writes in place of the rows; so change a report through
-    ``dataclasses.replace``, whose copy, like a report built by hand, has
-    no columns."""
+    """A :func:`classify` verdict with its residual maxima and the plan's
+    per-sample evidence: ``columns``, a dict of (N,) and (N, k) arrays,
+    ``index`` first.  Reports compare by identity, since arrays have no
+    ``==``."""
 
     metric: str
     params: dict
     plan: SamplePlan
     residuals: dict
     verdict: str
-    samples: list
+    columns: dict
     spray_label: str
     wall_time: float
-    _columns: dict = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def samples(self):
+        """One row per sample: a dict of each column's Python value."""
+        lists = [c.tolist() for c in self.columns.values()]
+        return [dict(zip(self.columns, row)) for row in zip(*lists)]
 
     def to_dict(self):
         """Serializable shape; deliberately excludes wall-time so that
@@ -386,18 +389,14 @@ class ClassificationReport:
 
 def report_to_json(report):
     """``json.dumps(report.to_dict(), sort_keys=True, indent=2)`` plus a
-    newline, byte for byte.  A :func:`classify` report's ``samples`` are
-    written from its columns (see :func:`_samples_json`); any other report
-    is written by ``json.dumps``."""
-    doc = report.to_dict()
-    if report._columns is None:
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    doc["samples"] = []
+    newline, byte for byte, with the ``samples`` written from the report's
+    columns (see :func:`_samples_json`)."""
+    doc = replace(report, columns={}).to_dict()
     # only a top-level key sits on a line of its own after exactly two spaces
     head, _, tail = json.dumps(doc, sort_keys=True, indent=2).partition(
         '\n  "samples": []'
     )
-    return head + '\n  "samples": ' + _samples_json(report._columns) + tail + "\n"
+    return head + '\n  "samples": ' + _samples_json(report.columns) + tail + "\n"
 
 
 def _samples_json(columns):
@@ -491,19 +490,16 @@ def classify(field, spray=None, plan=None, params=None):
     residuals["berwald_floor_effective"] = floor_eff
     if derived:
         residuals["spray_mismatch"] = {"max": None, "at_sample": None}
-    lists = [c.tolist() for c in columns.values()]
-    report = ClassificationReport(
+    return ClassificationReport(
         metric=field.label,
         params=dict(params or {}),
         plan=plan,
         residuals=residuals,
         verdict=verdict,
-        samples=[dict(zip(columns, row)) for row in zip(*lists)],
+        columns=columns,
         spray_label=spray.label,
         wall_time=time.perf_counter() - t0,
     )
-    report._columns = columns
-    return report
 
 
 def check_metrizability(field, spray, plan=None):

@@ -12,10 +12,10 @@ F is positively 1-homogeneous in y and the spray G^i 2-homogeneous, so at
 * the Landsberg tensor L_jkh = -1/2 F ell_i G^i_jkh is unchanged (degree 0).
 
 Each (alpha, beta) catalog entry is checked on the product, euclid and
-mixed4 setups (an example on the one it fixes) with its closed-form
-spray, at the 20 points of the seed-0 plan.  A comparison allows
-``ROUNDING`` relative to the batch's largest entry of the tensor at
-(x, y), or, for L, to each sample's cancellation scale
+mixed4 setups and on euclid at n = 5 (an example on the one it fixes)
+with its closed-form spray, at the 20 points of the seed-0 plan.  A
+comparison allows ``ROUNDING`` relative to the batch's largest entry of
+the tensor at (x, y), or, for L, to each sample's cancellation scale
 |F| max_jkh sum_i |ell_i| |G^i_jkh|: L is a sum of terms of that size
 that cancels to rounding for these metrics, so its own size means
 nothing.
@@ -28,9 +28,10 @@ at c' = A^T c A.  At (x, M^-1 y) the tensors of F' are those of F at
 (x, y), transformed: F' = F, d_xF' = d_xF, ell' = M^T ell,
 g' = M^T g M, G' = M^-1 G, G'^i_jkh = (M^-1)^i_a G^a_bcd M^b_j M^c_k M^d_h
 and L'_jkh = L_bcd M^b_j M^c_k M^d_h.  Each of class1-4, shen_eq8 and
-asanov_eq9 is checked on the product, euclid and mixed4 setups at the 20
-points of the seed-0 plan; the examples fix their setup, and class4 at
-(p, q) = (1, 0) is the same metric as example 3.1.  Every tensor is
+asanov_eq9 is checked on the product, euclid and mixed4 setups and on
+euclid at n = 5, at the 20 points of the seed-0 plan; the examples fix
+their setup, and class4 at (p, q) = (1, 0) is the same metric as
+example 3.1.  Every tensor is
 checked on the closed-form route; G is checked on the variational route
 too, whose F, d_xF, ell and g are the closed route's (the field does not
 depend on the spray).  Each comparison allows a rounding allowance
@@ -61,17 +62,23 @@ SCALINGS = (0.7, 1.3, 1.9)
 ROUNDING = 128 * np.finfo(float).eps
 
 PRESETS = ("product", "euclid", "mixed4")
+
+#: (preset, dimension) by setup name: each preset in its own dimension,
+#: and euclid at n = 5, beyond the presets.
+QUADRATICS = {**{preset: (preset, None) for preset in PRESETS},
+              "euclid_n5": ("euclid", 5)}
 CASES = [
     (metric_id, quadratic)
     for metric_id, entry in catalog.CATALOG.items() if entry.has_closed_form
-    for quadratic in ((entry.fixed[0],) if entry.fixed else PRESETS)
+    for quadratic in ((entry.fixed[0],) if entry.fixed else QUADRATICS)
 ]
 
 
 @functools.lru_cache(maxsize=None)
 def _tensors(metric_id, quadratic):
     """The point tensors at (x, y) and at (x, lam y) for each scaling."""
-    spec = catalog.make_spec(metric_id, quadratic=quadratic)
+    preset, dim = QUADRATICS[quadratic]
+    spec = catalog.make_spec(metric_id, quadratic=preset, dim=dim)
     field = catalog.build_finsler(spec)
     spray = catalog.closed_form_spray(spec)
     pts = admissible_points(field, 20, seed=0)
@@ -111,7 +118,8 @@ def test_landsberg_tensor_is_unchanged_at_its_cancellation_scale(metric_id, quad
 # covariance: y -> M y
 # ---------------------------------------------------------------------------
 
-#: A = I + 0.3 N(0, 1) from this seed: cond(A) 1.9 for n = 3, 2.0 for n = 4.
+#: A = I + 0.3 N(0, 1) from this seed: cond(A) 1.9 for n = 3, 2.0 for n = 4,
+#: 2.8 for n = 5.
 A_SEED = 5
 
 #: (metric id, parameters) by case name: each entry at its defaults, and
@@ -123,13 +131,14 @@ COVARIANCE_ENTRIES = {
     "examples": ("class4", {"p": 1.0, "q": 0.0}),
 }
 COVARIANCE_CASES = [(name, quadratic) for name in COVARIANCE_ENTRIES
-                    for quadratic in PRESETS]
+                    for quadratic in QUADRATICS]
 
 #: The rounding allowance of each spray route.  The closed route's is
 #: ``ROUNDING``: its worst comparison is 26 units of roundoff (g, class3 on
-#: euclid).  The variational spray solves a linear system of order-5 jets
-#: of F^2, which rounds G by up to 452 units here (class3 on mixed4), so
-#: its allowance is 4096 units (9.1e-13).
+#: euclid; 8.9 units at n = 5, Gijkh).  The variational spray solves a
+#: linear system of order-5 jets of F^2, which rounds G by up to 452 units
+#: here (class3 on mixed4; 118 units at n = 5, class1), so its allowance
+#: is 4096 units (9.1e-13).
 ALLOWANCE = {"closed": ROUNDING, "variational": 4096 * np.finfo(float).eps}
 
 
@@ -138,7 +147,8 @@ def _covariant_tensors(case, quadratic, route):
     """(want, got): the tensors of the entry at (x, y), transformed by M,
     and the point tensors of the entry at c' = A^T c A at (x, M^-1 y)."""
     metric_id, params = COVARIANCE_ENTRIES[case]
-    spec = catalog.make_spec(metric_id, params, quadratic=quadratic)
+    preset, dim = QUADRATICS[quadratic]
+    spec = catalog.make_spec(metric_id, params, quadratic=preset, dim=dim)
     n = spec.setup.n
     A = np.eye(n - 1) + 0.3 * np.random.default_rng(A_SEED).normal(size=(n - 1, n - 1))
     M = np.eye(n)

@@ -673,15 +673,15 @@ def test_report_json_equals_json_dumps_on_classify_reports(metric_id, quadratic)
         report = classify(field, spray, SMALL_PLAN, params=spec.params)
         assert (spray is None) == all(
             row["spray_mismatch"] is None for row in report.samples)
-        assert report._columns is not None  # the column path
+        assert next(iter(report.columns)) == "index"
         assert report_to_json(report) == _reference_json(report)
 
 
-def _hand_built(samples):
+def _hand_built(columns):
     return verify.ClassificationReport(
         metric="hand-built", params={"a": 2}, plan=SamplePlan(n_points=3),
         residuals={"r": {"max": math.nan, "at_sample": None}, "q": -math.inf},
-        verdict="indeterminate", samples=samples, spray_label="s%d", wall_time=1.0,
+        verdict="indeterminate", columns=columns, spray_label="s%d", wall_time=1.0,
     )
 
 
@@ -693,15 +693,6 @@ SPECIAL_ROWS = [
     {"index": 2, "x1": 1.0, "y": [0.1, 0.2, 0.30000000000000004], "F": math.inf,
      "big": 0, "flag": None, "np": np.float64(-math.inf)},
 ]
-
-
-def _column_report(columns):
-    """A hand-built report written from ``columns``, as a classify report
-    is, with the rows they give."""
-    lists = [c.tolist() for c in columns.values()]
-    report = _hand_built([dict(zip(columns, row)) for row in zip(*lists)])
-    report._columns = columns
-    return report
 
 
 SPECIAL_COLUMNS = {
@@ -718,7 +709,7 @@ SPECIAL_COLUMNS = {
 @pytest.mark.parametrize("key", [None, *SPECIAL_COLUMNS])
 def test_report_json_equals_json_dumps_on_special_columns(key):
     columns = SPECIAL_COLUMNS if key is None else {key: SPECIAL_COLUMNS[key]}
-    report = _column_report(columns)
+    report = _hand_built(columns)
     assert report_to_json(report) == _reference_json(report)
 
 
@@ -726,35 +717,21 @@ def test_a_replace_copy_of_a_classify_report_writes_its_bytes():
     spec = default_spec("class3")
     report = classify(catalog.build_finsler(spec), None, SMALL_PLAN, spec.params)
     copy = dataclasses.replace(report)
-    assert report._columns is not None and copy._columns is None
+    assert copy.columns is report.columns
     assert report_to_json(copy) == report_to_json(report) == _reference_json(report)
 
 
-@pytest.mark.parametrize("samples, columnwise", [
-    (SPECIAL_ROWS, True),
-    ([{"a%s\"é": 1.5, "empty": [], "v": [1.0]}] * 2, True),  # escaped keys
-    ([{"v": 1e308, "w": [-1e308]}] * 3, True),  # finite values, overflowing sums
-    ([], False),
-    ([{"a": 1.0}, {"b": 1.0}], False),                      # different keys
-    ([{"y": [1.0, 2.0]}, {"y": [1.0]}], False),              # different lengths
-    ([{"y": [1.0, 2.0]}, {"y": 3.0}], False),                # list, then scalar
-    ([{"y": 3.0}, {"y": [1.0, 2.0]}], False),                # scalar, then list
-    ([{"y": [[1.0], [2.0]]}, {"y": [[3.0], [4.0]]}], False),  # nested lists
-    ([{"d": {"max": 1.0}}, {"d": {"max": 2.0}}], False),     # nested dict
-    ([{"s": "text"}], False),
-    ([{"y": []}, {"y": []}], False),
-    ([{}, {}], False),
-    ([[1.0], [2.0]], False),                                 # rows not dicts
+@pytest.mark.parametrize("samples", [
+    SPECIAL_ROWS,
+    [{"a%s\"é": 1.5, "empty": [], "v": [1.0]}] * 2,  # escaped keys
+    [{"v": 1e308, "w": [-1e308]}] * 3,  # finite values, overflowing sums
 ])
-def test_report_json_equals_json_dumps_on_hand_built_rows(samples, columnwise):
-    # without columns a report is written by json.dumps; rows of one shape
-    # give the same bytes written from their columns
-    report = _hand_built(samples)
-    assert report._columns is None
-    assert report_to_json(report) == _reference_json(report)
-    if columnwise:
-        columns = {key: np.array([row[key] for row in samples]) for key in samples[0]}
-        assert report_to_json(_column_report(columns)) == _reference_json(report)
+def test_report_json_equals_json_dumps_on_hand_built_rows(samples):
+    # rows of one shape, written from their columns, give json.dumps's bytes
+    columns = {key: np.array([row[key] for row in samples]) for key in samples[0]}
+    report = _hand_built(columns)
+    doc = {**report.to_dict(), "samples": samples}
+    assert report_to_json(report) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

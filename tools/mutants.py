@@ -166,13 +166,17 @@ MUTANTS = [
      "            out = x[..., :, None] * y[..., None, :]",
      "the outer product of two faces keeps a -0.0"),
     (PKG + "jets.py",
-     "np.add.outer(degrees, degrees) <= cap",
-     "np.add.outer(degrees, degrees) < cap",
+     'np.searchsorted(deg, cap - deg, side="right")',
+     'np.searchsorted(deg, cap - deg, side="left")',
      "product pairs whose degrees reach a cap dropped"),
     (PKG + "jets.py",
      "base = n_x + n_y, max(x_cap, y_cap) + 1",
      "base = n_x + n_y, max(x_cap, y_cap)",
      "monomial codes in base max cap, so two monomials share a code"),
+    (PKG + "verify.py",
+     "_samples_json(report.columns)",
+     '_samples_json({k: c for k, c in report.columns.items() if k != "index"})',
+     "report samples written without their index"),
 ]
 
 
