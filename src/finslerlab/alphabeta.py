@@ -20,12 +20,13 @@ values through ``SprayField.values``): alpha's Levi-Civita spray
 (``RiemannSetup.riemann_spray_field``), the eq. (5) spray of
 alpha phi(beta/alpha) (``ab_spray_field``) and Shen's two-constant class
 (``shen_class_spray_field``).  Each is a formula in f, f' and phi(yhat),
-which ``RiemannSetup.spray_field`` reads through ``spray_inputs``.
+as are the catalog's closed-form sprays; ``RiemannSetup.spray_jets`` applies one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -107,20 +108,18 @@ class RiemannSetup:
                 acc = term if acc is None else acc + term
         return acc
 
-    def spray_inputs(self, x, y_jets):
-        """What every spray over this setup reads of it: (f, f') at x^1,
-        one per sample, and the jet of phi(yhat) from the fiber arguments."""
+    def spray_jets(self, components, x, y, order):
+        """``components(fv, fp, phi, y_jets)``, a spray formula over this
+        setup, at fiber order ``order``: the one place a block spray seeds
+        its fiber arguments and reads f, f' at x^1 and the jet of phi(yhat)."""
+        _, y_jets = seeded_arguments(self.n, x, y, 0, order)
         fv, fp = self.f_values(np.asarray(x)[..., 0])
-        return fv, fp, self.phi_jet(y_jets)
+        return components(fv, fp, self.phi_jet(y_jets), y_jets)
 
     def spray_field(self, components, label, domain_guard=None):
-        """The SprayField of ``components(fv, fp, phi, y_jets)``, a spray
-        formula over this setup, with the fiber arguments seeded once."""
-        def jets_fn(x, y, order):
-            _, y_jets = seeded_arguments(self.n, x, y, 0, order)
-            return components(*self.spray_inputs(x, y_jets), y_jets)
-
-        return SprayField(self.n, jets_fn, label=label, domain_guard=domain_guard)
+        """The SprayField of the spray formula ``components``."""
+        return SprayField(self.n, partial(self.spray_jets, components),
+                          label=label, domain_guard=domain_guard)
 
     def riemann_spray_field(self):
         """Levi-Civita geodesic spray of alpha."""

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import jets
 from .alphabeta import PhiFunction, RiemannSetup
-from .geometry import DegenerateMetricError, FinslerField, SprayField, seeded_arguments
+from .geometry import DegenerateMetricError, FinslerField, SprayField
 
 __all__ = [
     "CatalogError",
@@ -544,23 +544,28 @@ def phi_function(spec):
 
 @dataclass(frozen=True)
 class ClosedFormSpray(SprayField):
-    """Special-form spray: G^1 quadratic in y, G^mu = P y^mu.  As a
-    SprayField it provides the program ``_jets_fn`` and its own ``_kept``
-    dict, which a ``dataclasses.replace`` copy starts empty."""
+    """Special-form spray G^1 quadratic in y, G^mu = P y^mu, over a block
+    setup; ``g1`` and ``p`` are spray formulas (``RiemannSetup.spray_jets``).
+    As a SprayField it provides the program ``_jets_fn`` and its own
+    ``_kept`` dict, which a ``dataclasses.replace`` copy starts empty."""
 
-    n: int
-    g1: object  # callable (x_values, y_jets) -> TaylorValue
-    p: object   # callable (x_values, y_jets) -> TaylorValue
+    setup: RiemannSetup
+    g1: object  # spray formula (fv, fp, phi, y_jets) -> TaylorValue
+    p: object   # spray formula (fv, fp, phi, y_jets) -> TaylorValue
     label: str
     domain_guard: object
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def components(self, x, y_jets):
-        pj = self.p(x, y_jets)
-        return [self.g1(x, y_jets)] + [pj * y_jets[mu] for mu in range(1, self.n)]
+    @property
+    def n(self):
+        return self.setup.n
+
+    def components(self, fv, fp, phi, y_jets):
+        pj = self.p(fv, fp, phi, y_jets)
+        return [self.g1(fv, fp, phi, y_jets)] + [pj * y_mu for y_mu in y_jets[1:]]
 
     def _jets_fn(self, x, y, order):
-        return self.components(x, seeded_arguments(self.n, x, y, 0, order)[1])
+        return self.setup.spray_jets(self.components, x, y, order)
 
     def as_spray_field(self):
         """The spray itself, which is a SprayField."""
@@ -577,19 +582,16 @@ def closed_form_spray(spec):
             "use the variational route"
         )
     kappa, one_plus_c3 = _profile(spec).spray()
-    setup = spec.setup
 
-    def g1(x, y_jets):
-        fv, fp, phi = setup.spray_inputs(x, y_jets)
+    def g1(fv, fp, phi, y_jets):
         y1 = y_jets[0]
         return (y1 * y1 - phi * (1.0 / one_plus_c3)) * (fp / (2.0 * fv))
 
-    def p(x, y_jets):
-        fv, fp, phi = setup.spray_inputs(x, y_jets)
+    def p(fv, fp, phi, y_jets):
         return (y_jets[0] + jets.sqrt(phi) * kappa) * (fp / fv)
 
     return ClosedFormSpray(
-        setup.n, g1, p, label=f"closed:{spec.label}", domain_guard=spec._guard
+        spec.setup, g1, p, label=f"closed:{spec.label}", domain_guard=spec._guard
     )
 
 

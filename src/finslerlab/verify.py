@@ -87,7 +87,6 @@ from .geometry import (
     DegenerateMetricError,
     ad_spray_field,
     point_tensors,
-    seeded_arguments,
 )
 
 logger = logging.getLogger(__name__)
@@ -403,7 +402,7 @@ def _samples_json(columns):
     """The rows of a dict of (N,) and (N, k) columns as ``json.dumps(...,
     sort_keys=True, indent=2)`` writes them at the top level of a report:
     one row template, and each column (a key, or one entry of a list)
-    formatted once for all rows by ``json.dumps``."""
+    formatted once for all rows by ``json.dumps``; ``[]`` if there are none."""
     fields, texts = [], []
     for key in sorted(columns):
         column, name = columns[key], json.dumps(key).replace("%", "%%")
@@ -416,7 +415,8 @@ def _samples_json(columns):
             fields.append(f"      {name}: [\n{slots}\n      ]" if slots else f"      {name}: []")
         texts.extend(json.dumps(c.tolist())[1:-1].split(", ") for c in column)
     template = "    {\n" + ",\n".join(fields) + "\n    }"
-    return "[\n" + ",\n".join(template % row for row in zip(*texts)) + "\n  ]"
+    rows = ",\n".join(template % row for row in zip(*texts))
+    return f"[\n{rows}\n  ]" if len(next(iter(columns.values()), ())) else "[]"
 
 
 #: The scalings y -> lam y of the homogeneity checks.
@@ -528,8 +528,6 @@ def landsberg_via_p(cfs, field, plan=None):
     evaluation, of the general-definition tensor, and of their
     disagreement, over the sample plan.
     """
-    n = cfs.n
-
     def columns_of(x, y):
         pt = point_tensors(field, cfs, x, y)
         # special-form check: G^1 must be quadratic in the fiber
@@ -538,12 +536,12 @@ def landsberg_via_p(cfs, field, plan=None):
                 "G^1 is not quadratic in y; the projective "
                 "shortcut does not apply"
             )
-        pj = cfs.p(x, seeded_arguments(n, x, y, 0, 3)[1])
+        pj = cfs.setup.spray_jets(cfs.p, x, y, 3)
         p2 = pj.fiber_tensor(2)[:, 1:, 1:]
         p3 = pj.fiber_tensor(3)[:, 1:, 1:, 1:]
         ell_mu = pt.ell[:, 1:]
         ell_y = (ell_mu[:, None, :] @ pt.y[:, 1:, None])[:, 0, 0]
-        l_via = np.zeros((len(x), n, n, n))
+        l_via = np.zeros_like(pt.L)
         l_via[:, 1:, 1:, 1:] = -0.5 * pt.F[:, None, None, None] * (
             p3 * ell_y[:, None, None, None]
             + p2[:, :, :, None] * ell_mu[:, None, None, :]
@@ -566,11 +564,11 @@ def landsberg_via_p(cfs, field, plan=None):
 def perturbed_projective_factor(cfs, eps):
     """Negative control: P -> P + eps (y^2)^2 / |y| (still 1-homogeneous)."""
 
-    def p(x, y_jets):
+    def p(fv, fp, phi, y_jets):
         norm2 = None
         for yj in y_jets:
             norm2 = yj * yj if norm2 is None else norm2 + yj * yj
-        return cfs.p(x, y_jets) + (y_jets[1] * y_jets[1] / jets.sqrt(norm2)) * eps
+        return cfs.p(fv, fp, phi, y_jets) + (y_jets[1] * y_jets[1] / jets.sqrt(norm2)) * eps
 
     return replace(cfs, p=p, label=f"{cfs.label}+eps*(y2)^2/|y|")
 

@@ -14,7 +14,7 @@ from finslerlab.catalog import (
     make_setup,
     make_spec,
 )
-from finslerlab.geometry import DegenerateMetricError, ad_spray_field, seeded_arguments
+from finslerlab.geometry import DegenerateMetricError, ad_spray_field
 from finslerlab.jets import jet_space
 
 from conftest import DEFAULT_IDS, admissible_points, default_spec
@@ -102,8 +102,8 @@ def test_closed_form_spray_hand_values_example33():
 def test_closed_form_spray_class2_projective_factor():
     spec = make_spec("class2", {"a": 2.0})
     cfs = closed_form_spray(spec)
-    _, yj = seeded_arguments(3, X0, Y111, 0, 0)
-    assert cfs.p(X0, yj).value == pytest.approx(5.0 / 3.0, rel=1e-14)
+    assert cfs.setup.spray_jets(cfs.p, X0, Y111, 0).value == pytest.approx(
+        5.0 / 3.0, rel=1e-14)
 
 
 def test_class4_kappa_reduces_to_class1():
@@ -113,12 +113,12 @@ def test_class4_kappa_reduces_to_class1():
         cfs4 = closed_form_spray(spec4)
         cfs1 = closed_form_spray(spec1)
         x = np.array([0.2, 0, 0])
-        _, yj = seeded_arguments(3, x, np.array([0.4, 1.1, 0.8]), 0, 0)
-        assert cfs4.p(x, yj).value == pytest.approx(
-            cfs1.p(x, yj).value, rel=1e-14
+        y = np.array([0.4, 1.1, 0.8])
+        assert cfs4.setup.spray_jets(cfs4.p, x, y, 0).value == pytest.approx(
+            cfs1.setup.spray_jets(cfs1.p, x, y, 0).value, rel=1e-14
         )
-        assert cfs4.g1(x, yj).value == pytest.approx(
-            cfs1.g1(x, yj).value, rel=1e-14
+        assert cfs4.setup.spray_jets(cfs4.g1, x, y, 0).value == pytest.approx(
+            cfs1.setup.spray_jets(cfs1.g1, x, y, 0).value, rel=1e-14
         )
 
 
@@ -171,11 +171,10 @@ def test_projective_factor_structure(catalog_spec):
     cfs = closed_form_spray(catalog_spec)
     n = field.n
     for x, y in admissible_points(field, 10, seed=42):
-        _, yj2 = seeded_arguments(n, x, y, 0, 2)
-        pj = cfs.p(x, yj2)
+        pj = cfs.setup.spray_jets(cfs.p, x, y, 2)
         # 1-homogeneity: P(x, 2y) = 2 P(x, y)
-        _, yj0 = seeded_arguments(n, x, 2.0 * y, 0, 0)
-        assert cfs.p(x, yj0).value == pytest.approx(2.0 * pj.value, rel=1e-12)
+        p2y = cfs.setup.spray_jets(cfs.p, x, 2.0 * y, 0)
+        assert p2y.value == pytest.approx(2.0 * pj.value, rel=1e-12)
         # P_{1j} = 0: mixed derivatives with the first fiber slot vanish
         for j in range(n):
             idx = [0] * n

@@ -205,13 +205,13 @@ def test_landsberg_via_p_rejects_cubic_g1():
     field = catalog.build_finsler(spec)
     cfs = catalog.closed_form_spray(spec)
 
-    def bad_g1(x, y_jets):
-        base = cfs.g1(x, y_jets)
+    def bad_g1(fv, fp, phi, y_jets):
+        base = cfs.g1(fv, fp, phi, y_jets)
         return base + y_jets[1] * y_jets[1] * y_jets[1] * 1e-3
 
     from finslerlab.catalog import ClosedFormSpray
 
-    bad = ClosedFormSpray(3, bad_g1, cfs.p, "cubic", cfs.domain_guard)
+    bad = ClosedFormSpray(cfs.setup, bad_g1, cfs.p, "cubic", cfs.domain_guard)
     with pytest.raises(SpecialFormError):
         landsberg_via_p(bad, field, SamplePlan(n_points=3, seed=1))
 
@@ -293,16 +293,16 @@ def _spray_singular_at_sample_3():
     y = np.array([p[1] for p in pts])
     c_spray = y[3, 0]
 
-    def g1(x, y_jets):
+    def g1(fv, fp, phi, y_jets):
         return y_jets[0] * y_jets[0] * 0.1
 
-    def p(x, y_jets):
+    def p(fv, fp, phi, y_jets):
         d = y_jets[0] - c_spray
         return y_jets[0] * 0.1 + jets.ln(d * d) * 0.0
 
     from finslerlab.catalog import ClosedFormSpray
 
-    cfs = ClosedFormSpray(3, g1, p, "singular-spray", base.domain_guard)
+    cfs = ClosedFormSpray(setup, g1, p, "singular-spray", base.domain_guard)
     return plan, x, y, base, cfs
 
 
@@ -445,13 +445,13 @@ def test_compare_sprays_falls_back_to_the_per_sample_error():
     plan, x, y, base, cfs = _spray_singular_at_sample_3()
     c_a = y[8, 0]
 
-    def p(x, y_jets):
+    def p(fv, fp, phi, y_jets):
         d = y_jets[0] - c_a
         return y_jets[0] * 0.1 + (d * d).reciprocal() * 0.0
 
     from finslerlab.catalog import ClosedFormSpray
 
-    spray_a = ClosedFormSpray(3, cfs.g1, p, "divides-at-8", base.domain_guard)
+    spray_a = ClosedFormSpray(cfs.setup, cfs.g1, p, "divides-at-8", base.domain_guard)
     spray_a = spray_a.as_spray_field()
     spray_b = cfs.as_spray_field()
     with pytest.raises(jets.SingularPointError) as batched:
@@ -713,6 +713,17 @@ def test_report_json_equals_json_dumps_on_special_columns(key):
     assert report_to_json(report) == _reference_json(report)
 
 
+@pytest.mark.parametrize("columns", [
+    {"index": np.arange(0), "y": np.zeros((0, 3))},  # columns without rows
+    {},  # no columns
+], ids=["no-rows", "no-columns"])
+def test_report_json_of_a_report_without_rows_equals_json_dumps(columns):
+    report = _hand_built(columns)
+    text = report_to_json(report)
+    assert text == _reference_json(report)
+    assert json.loads(text)["samples"] == []
+
+
 def test_a_replace_copy_of_a_classify_report_writes_its_bytes():
     spec = default_spec("class3")
     report = classify(catalog.build_finsler(spec), None, SMALL_PLAN, spec.params)
@@ -906,8 +917,9 @@ def test_spray_homogeneity_column_of_a_degree_three_spray():
     field = catalog.build_finsler(spec)
     cfs = catalog.closed_form_spray(spec)
     cubic = ClosedFormSpray(
-        cfs.n, lambda x, ys: cfs.g1(x, ys) * _norm_jet(ys),
-        lambda x, ys: cfs.p(x, ys) * _norm_jet(ys), "G|y|", cfs.domain_guard,
+        cfs.setup, lambda *formula: cfs.g1(*formula) * _norm_jet(formula[-1]),
+        lambda *formula: cfs.p(*formula) * _norm_jet(formula[-1]), "G|y|",
+        cfs.domain_guard,
     )
     for row in classify(field, cubic.as_spray_field(), KNOWN_PLAN).samples:
         assert np.linalg.norm(row["y"]) == pytest.approx(1.0, abs=1e-15)
@@ -994,10 +1006,11 @@ def test_one_cross_oracle_job_draws_once_and_evaluates_each_batch_once(
         metric_id, quadratic, monkeypatch):
     spec = catalog.make_spec(metric_id, quadratic=quadratic)
     want = _cross_job(spec, fresh=True)
-    draws, evaluations, components = [], [], []
+    draws, evaluations, components, f_reads, phi_reads = [], [], [], [], []
     draw = verify.draw_samples
     evaluate = geometry.FinslerField.evaluate
     closed_components = ClosedFormSpray.components
+    f_values, phi_jet = alphabeta.RiemannSetup.f_values, alphabeta.RiemannSetup.phi_jet
 
     def counting_draw(guard, n, plan):
         draws.append(plan.n_points)
@@ -1008,13 +1021,23 @@ def test_one_cross_oracle_job_draws_once_and_evaluates_each_batch_once(
         evaluations.append((_batch_of(xs) + _batch_of(ys), caps))
         return evaluate(self, xs, ys)
 
-    def counting_components(self, x, y_jets):
-        components.append((x.tobytes(), _batch_of(y_jets), y_jets[0].space.y_cap))
-        return closed_components(self, x, y_jets)
+    def counting_components(self, fv, fp, phi, y_jets):
+        components.append((fv.tobytes(), _batch_of(y_jets), y_jets[0].space.y_cap))
+        return closed_components(self, fv, fp, phi, y_jets)
+
+    def counting_f_values(self, x1):
+        f_reads.append(len(x1))
+        return f_values(self, x1)
+
+    def counting_phi_jet(self, y_jets):
+        phi_reads.append((len(y_jets[0].value), y_jets[0].space.y_cap))
+        return phi_jet(self, y_jets)
 
     monkeypatch.setattr(verify, "draw_samples", counting_draw)
     monkeypatch.setattr(geometry.FinslerField, "evaluate", counting_evaluate)
     monkeypatch.setattr(ClosedFormSpray, "components", counting_components)
+    monkeypatch.setattr(alphabeta.RiemannSetup, "f_values", counting_f_values)
+    monkeypatch.setattr(alphabeta.RiemannSetup, "phi_jet", counting_phi_jet)
     assert _cross_job(spec) == want
     assert draws == [20]
     # F at caps (1, 2) on the 20 and the 15 points; G^i at order 0 on the
@@ -1023,6 +1046,12 @@ def test_one_cross_oracle_job_draws_once_and_evaluates_each_batch_once(
     assert len(set(evaluations)) == 2
     assert sorted(order for *_, order in components) == [0, 3]
     assert len(set(components)) == 2
+    # the setup is read once per batch: phi(yhat) by each F evaluation and
+    # each spray batch (the closed spray at orders 0 and 3, the eq. (5)
+    # spray at order 0, P in landsberg_via_p at order 3), f and f' by each
+    # spray batch
+    assert sorted(phi_reads) == [(15, 2), (15, 3), (15, 3), (20, 0), (20, 0), (20, 2)]
+    assert sorted(f_reads) == [15, 15, 20, 20]
 
 
 def _drawn(guard, n, plan):
@@ -1165,9 +1194,9 @@ def test_a_closed_spray_copy_evaluates_a_batch_its_original_keeps(monkeypatch):
     calls = []
     components = ClosedFormSpray.components
 
-    def counting(self, x, y_jets):
+    def counting(self, fv, fp, phi, y_jets):
         calls.append(self.label)
-        return components(self, x, y_jets)
+        return components(self, fv, fp, phi, y_jets)
 
     monkeypatch.setattr(ClosedFormSpray, "components", counting)
     original = cfs.jets(x, y, 3)

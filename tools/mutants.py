@@ -6,7 +6,8 @@ Usage, from the root of a checkout:
     python3 tools/mutants.py 3 17       # mutants 3 and 17 only
 
 Each mutant is a (file, old text, new text, why) entry.  For each one the
-tool copies ``src/``, ``tests/``, ``perfbench/``, ``BENCHMARK.json`` and
+tool copies ``src/``, ``tests/``, ``tools/`` (the golden report test runs
+``tools/report_digests.py``), ``perfbench/``, ``BENCHMARK.json`` and
 ``pyproject.toml`` to a temporary directory, replaces the old text (which
 must occur exactly once in the file) by the new one there, and runs
 ``pytest -x`` in that copy.  It prints one line per mutant:
@@ -29,7 +30,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "perfbench", "BENCHMARK.json", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "perfbench", "BENCHMARK.json", "pyproject.toml")
 PKG = "src/finslerlab/"
 
 MUTANTS = [
@@ -98,9 +99,9 @@ MUTANTS = [
      "    return -0.25 * F[:, None, None, None] * (",
      "Landsberg tensor's factor -1/2 -> -1/4"),
     (PKG + "alphabeta.py",
-     "        return fv, fp, self.phi_jet(y_jets)",
-     "        return fp, fv, self.phi_jet(y_jets)",
-     "spray inputs read f' as f and f as f'"),
+     "        return components(fv, fp, self.phi_jet(y_jets), y_jets)",
+     "        return components(fp, fv, self.phi_jet(y_jets), y_jets)",
+     "spray formulas read f' as f and f as f'"),
     (PKG + "geometry.py",
      "    c *= np.ldexp(",
      "    c[:, :n] *= np.ldexp(",
@@ -177,6 +178,14 @@ MUTANTS = [
      "_samples_json(report.columns)",
      '_samples_json({k: c for k, c in report.columns.items() if k != "index"})',
      "report samples written without their index"),
+    (PKG + "alphabeta.py",
+     "        fv, fp = self.f_values(np.asarray(x)[..., 0])\n",
+     "        fv, fp = self.f_values(np.asarray(x)[..., 0])\n" * 2,
+     "a spray batch reads f and f' twice"),
+    (PKG + "verify.py",
+     "        return scale, horiz / scale, euler / scale",
+     "        return scale, horiz * (1.0 / scale), euler / scale",
+     "metrizability residual divided through a reciprocal (last bits move)"),
 ]
 
 
