@@ -19,8 +19,9 @@ Each spray has one constructor, returning a :class:`SprayField` (float
 values through ``SprayField.values``): alpha's Levi-Civita spray
 (``RiemannSetup.riemann_spray_field``), the eq. (5) spray of
 alpha phi(beta/alpha) (``ab_spray_field``) and Shen's two-constant class
-(``shen_class_spray_field``).  Each is a formula in f, f' and phi(yhat),
-as are the catalog's closed-form sprays; ``RiemannSetup.spray_jets`` applies one.
+(``shen_class_spray_field``).  Each is a formula in lambda = f'/f and
+phi(yhat), as are the catalog's closed-form sprays, so G = lambda(x^1) H(y),
+linear in lambda bit for bit; ``RiemannSetup.spray_jets`` applies one.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ import numpy as np
 
 from . import jets
 from .geometry import RCOND_MIN, SprayField, rcond, seeded_arguments
-from .jets import (TaylorValue, branch, compose_series, jet_space,
-                   raise_if_singular, scalar_map)
+from .jets import TaylorValue, branch, compose_series, jet_space, raise_if_singular
 
 __all__ = [
     "RiemannSetup",
@@ -109,15 +109,15 @@ class RiemannSetup:
         return acc
 
     def spray_jets(self, components, x, y, order):
-        """``components(fv, fp, phi, y_jets)``, a spray formula over this
-        setup, at fiber order ``order``: the one place a block spray seeds
-        its fiber arguments and reads f, f' at x^1 and the jet of phi(yhat)."""
+        """``components(rate, phi, y_jets)``, a spray formula over this setup,
+        at fiber order ``order``: the one place a block spray seeds its fiber
+        arguments and reads f, f' at x^1 (``rate`` = f'/f) and phi(yhat)'s jet."""
         _, y_jets = seeded_arguments(self.n, x, y, 0, order)
         fv, fp = self.f_values(np.asarray(x)[..., 0])
-        return components(fv, fp, self.phi_jet(y_jets), y_jets)
+        return components(fp / fv, self.phi_jet(y_jets), y_jets)
 
     def spray_field(self, components, label, domain_guard=None):
-        """The SprayField of the spray formula ``components``."""
+        """The SprayField of the spray formula ``components`` (:meth:`spray_jets`)."""
         return SprayField(self.n, partial(self.spray_jets, components),
                           label=label, domain_guard=domain_guard)
 
@@ -126,15 +126,11 @@ class RiemannSetup:
         return self.spray_field(_riemann_components, "riemann-alpha")
 
 
-def _riemann_components(fv, fp, phi, y_jets):
-    """Levi-Civita spray of alpha from f, f' and the jet of phi(yhat)."""
-    fv2 = scalar_map(lambda v: v**2, fv)
-    fv3 = scalar_map(lambda v: v**3, fv)
+def _riemann_components(rate, phi, y_jets):
+    """Levi-Civita spray of alpha from lambda = f'/f and the jet of phi(yhat):
+    G^1 = ((y^1)^2 - phi) lambda/2, G^mu = y^1 y^mu lambda."""
     y1 = y_jets[0]
-    alpha2 = (y1 * y1 + phi) * fv2
-    g1 = (y1 * y1 * (2 * fv2) - alpha2) * (fp / (2 * fv3))
-    ratio = fp / fv
-    return [g1] + [y1 * y_mu * ratio for y_mu in y_jets[1:]]
+    return [(y1 * y1 - phi) * (rate * 0.5)] + [y1 * y_mu * rate for y_mu in y_jets[1:]]
 
 
 @dataclass(frozen=True)
@@ -209,28 +205,23 @@ def ab_spray_field(phi, setup, domain_guard=None):
 
         G^i = G_alpha^i + Theta r_00 (y^i / alpha + Q'/(Q - sQ') b^i),
 
-    where r_00 = (alpha^2 - beta^2) f'/f^2 = f' phi(yhat).
+    where r_00 = (alpha^2 - beta^2) f'/f^2 = f' phi(yhat).  As alpha = f w and
+    b^1 = 1/f, the term is Theta phi lambda (y^i/w + delta^i_1 Q'/(Q - sQ')).
     """
-    def components(fv, fp, phi_y, y_jets):
+    def components(rate, phi_y, y_jets):
         y1 = y_jets[0]
-        w2 = y1 * y1 + phi_y
-        w = jets.sqrt(w2)
-        s_jet = y1 / w  # beta/alpha; the conformal factor cancels
+        w = jets.sqrt(y1 * y1 + phi_y)  # alpha / f
+        s_jet = y1 / w  # beta/alpha
         s0 = s_jet.value
         raise_if_singular(abs(s0) >= 1.0, "direction outside the phi domain", s0)
         _, wj, thetaj = _q_w_theta_jets(phi, s0, y1.space.y_cap)
         h = s_jet - s0
         w_y = compose_series(wj.coeffs, h)
         theta_y = compose_series(thetaj.coeffs, h)
-        r00 = phi_y * fp
-        galpha = _riemann_components(fv, fp, phi_y, y_jets)
-        out = []
-        for i in range(setup.n):
-            bracket = y_jets[i] / (w * fv)
-            if i == 0:
-                bracket = bracket + w_y * (1.0 / fv)
-            out.append(galpha[i] + theta_y * r00 * bracket)
-        return out
+        front = theta_y * (phi_y * rate)  # Theta r_00 / f
+        galpha = _riemann_components(rate, phi_y, y_jets)
+        brackets = [y1 / w + w_y, *(y_mu / w for y_mu in y_jets[1:])]
+        return [g + front * bracket for g, bracket in zip(galpha, brackets)]
 
     return setup.spray_field(components, f"ab:{phi.label}", domain_guard)
 
@@ -244,8 +235,10 @@ def shen_class_spray_field(c1, c3, setup):
             + (c1 k sqrt(alpha^2 - beta^2) / (2 (1 + c3)))
               * (y^i - beta b^i + (c3/c1) sqrt(alpha^2 - beta^2) b^i),
 
-    with k = f'/f^2.  Kept independent of the per-class closed forms so
-    it can serve as a cross-oracle against them.
+    with k = f'/f^2.  Substituting sqrt(alpha^2 - beta^2) = f sqrt(phi), k =
+    lambda/f and beta b^1 = y^1 gives the front factor sqrt(phi) lambda c1 /
+    (2 (1 + c3)) and the G^1 bracket (c3/c1) sqrt(phi).  Kept independent of
+    the per-class closed forms so it can serve as a cross-oracle against them.
     """
     if not np.isfinite([c1, c3]).all():
         raise ValueError(f"c1 and c3 must be finite, got c1 = {c1}, c3 = {c3}")
@@ -254,15 +247,11 @@ def shen_class_spray_field(c1, c3, setup):
     if 1.0 + c3 <= 0.0:
         raise ValueError("1 + c3 must be positive")
 
-    def components(fv, fp, phi_y, y_jets):
-        k = fp / scalar_map(lambda v: v**2, fv)
-        y1 = y_jets[0]
-        root = jets.sqrt(phi_y) * fv  # sqrt(alpha^2 - beta^2)
-        beta = y1 * fv
-        b1 = 1.0 / fv  # b = (1/f, 0, ..., 0): only G^1 has the b-terms
-        front = root * (c1 * k / (2.0 * (1.0 + c3)))
-        galpha = _riemann_components(fv, fp, phi_y, y_jets)
-        brackets = [y1 - beta * b1 + root * (c3 / c1 * b1), *y_jets[1:]]
+    def components(rate, phi_y, y_jets):
+        root = jets.sqrt(phi_y)  # sqrt(alpha^2 - beta^2) / f
+        front = root * (rate * (c1 / (2.0 * (1.0 + c3))))
+        galpha = _riemann_components(rate, phi_y, y_jets)
+        brackets = [root * (c3 / c1), *y_jets[1:]]
         return [g + front * bracket for g, bracket in zip(galpha, brackets)]
 
     return setup.spray_field(components, f"shen-class(c1={c1}, c3={c3})")

@@ -550,8 +550,8 @@ class ClosedFormSpray(SprayField):
     ``_kept`` dict, which a ``dataclasses.replace`` copy starts empty."""
 
     setup: RiemannSetup
-    g1: object  # spray formula (fv, fp, phi, y_jets) -> TaylorValue
-    p: object   # spray formula (fv, fp, phi, y_jets) -> TaylorValue
+    g1: object  # spray formula (rate = f'/f, phi, y_jets) -> TaylorValue
+    p: object   # spray formula (rate = f'/f, phi, y_jets) -> TaylorValue
     label: str
     domain_guard: object
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -560,9 +560,9 @@ class ClosedFormSpray(SprayField):
     def n(self):
         return self.setup.n
 
-    def components(self, fv, fp, phi, y_jets):
-        pj = self.p(fv, fp, phi, y_jets)
-        return [self.g1(fv, fp, phi, y_jets)] + [pj * y_mu for y_mu in y_jets[1:]]
+    def components(self, rate, phi, y_jets):
+        pj = self.p(rate, phi, y_jets)
+        return [self.g1(rate, phi, y_jets)] + [pj * y_mu for y_mu in y_jets[1:]]
 
     def _jets_fn(self, x, y, order):
         return self.setup.spray_jets(self.components, x, y, order)
@@ -574,7 +574,8 @@ class ClosedFormSpray(SprayField):
 
 def closed_form_spray(spec):
     """The published closed-form spray of an entry (error if none exists):
-    P = (y^1 + kappa sqrt(phi)) f'/f and G^1 = ((y^1)^2 - phi/(1+c3)) f'/(2f).
+    P = (y^1 + kappa sqrt(phi)) lambda and G^1 = ((y^1)^2 - phi/(1+c3)) lambda/2,
+    with lambda = f'/f the spray formulas' rate.
     """
     if not spec.entry.has_closed_form:
         raise CatalogError(
@@ -583,12 +584,12 @@ def closed_form_spray(spec):
         )
     kappa, one_plus_c3 = _profile(spec).spray()
 
-    def g1(fv, fp, phi, y_jets):
+    def g1(rate, phi, y_jets):
         y1 = y_jets[0]
-        return (y1 * y1 - phi * (1.0 / one_plus_c3)) * (fp / (2.0 * fv))
+        return (y1 * y1 - phi * (1.0 / one_plus_c3)) * (rate * 0.5)
 
-    def p(fv, fp, phi, y_jets):
-        return (y_jets[0] + jets.sqrt(phi) * kappa) * (fp / fv)
+    def p(rate, phi, y_jets):
+        return (y_jets[0] + jets.sqrt(phi) * kappa) * rate
 
     return ClosedFormSpray(
         spec.setup, g1, p, label=f"closed:{spec.label}", domain_guard=spec._guard

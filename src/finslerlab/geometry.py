@@ -208,7 +208,9 @@ class FinslerField:
 
 def seeded_arguments(n, x, y, x_cap, y_cap, x_deps=None):
     """Seed (x, y) coordinates, shapes (n,) or (N, n), into the two faces
-    of one full jet space; the only way coordinates enter jets.
+    of one full jet space: how points enter the field and spray jets (f(x^1)
+    alone is seeded by ``JetSpace.seed_x`` in ``RiemannSetup.f_values`` and
+    the CLI, s in Q and Theta by ``seed_y``).
 
     The x coordinates listed in ``x_deps`` (default: all n, in increasing
     order) become the x variables of the full space

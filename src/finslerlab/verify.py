@@ -12,9 +12,9 @@ arrays, whose row s depends on sample s alone.  If the batched pass
 raises a domain or arithmetic error (``SingularPointError``, an
 ``OverflowError`` of a sample's series code, ``DegenerateMetricError``,
 ``SpecialFormError`` or the ``F > 0`` ``ValueError``), it re-runs the
-samples one at a time through the same code and joins their one-sample
-columns key by key, so the exception that escapes is exactly the one the
-per-sample order meets first; the fallback logs one DEBUG record on the
+samples one at a time through the same code, so the exception that
+escapes is exactly the one the per-sample order meets first (the batched
+one if no sample raises alone); the fallback logs one DEBUG record on the
 ``finslerlab`` logger (silent by default).  A plan's evidence stays in
 these columns up to the report bytes.
 
@@ -284,8 +284,9 @@ def _run_plan(guard, parts, plan, columns_of, keys):
             "evaluating them one at a time",
             columns_of.__qualname__.partition(".")[0], len(x), type(exc).__name__, exc,
         )
-        singles = [columns_of(x[s:s + 1], y[s:s + 1]) for s in range(len(x))]
-        columns = {key: np.concatenate([c[key] for c in singles]) for key in singles[0]}
+        for s in range(len(x)):
+            columns_of(x[s:s + 1], y[s:s + 1])
+        raise  # no sample raises alone
     return columns, {key: _reduce(columns[key]) for key in keys}
 
 
@@ -564,11 +565,11 @@ def landsberg_via_p(cfs, field, plan=None):
 def perturbed_projective_factor(cfs, eps):
     """Negative control: P -> P + eps (y^2)^2 / |y| (still 1-homogeneous)."""
 
-    def p(fv, fp, phi, y_jets):
+    def p(rate, phi, y_jets):
         norm2 = None
         for yj in y_jets:
             norm2 = yj * yj if norm2 is None else norm2 + yj * yj
-        return cfs.p(fv, fp, phi, y_jets) + (y_jets[1] * y_jets[1] / jets.sqrt(norm2)) * eps
+        return cfs.p(rate, phi, y_jets) + (y_jets[1] * y_jets[1] / jets.sqrt(norm2)) * eps
 
     return replace(cfs, p=p, label=f"{cfs.label}+eps*(y2)^2/|y|")
 

@@ -33,6 +33,8 @@ def test_setup_validation():
         RiemannSetup(3, catalog.default_f, np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         RiemannSetup(2, catalog.default_f, np.eye(1))
+    with pytest.raises(ValueError, match=re.escape("c must be (2, 2), got (3, 3)")):
+        RiemannSetup(3, catalog.default_f, np.eye(3))
     with pytest.raises(ValueError, match="c must be finite"):
         RiemannSetup(3, catalog.default_f, np.array([[np.inf, 0.0], [0.0, 1.0]]))
     # symmetry is judged relative to the size of c, not by an absolute 1e-12
@@ -295,6 +297,39 @@ def test_block_sprays_ignore_a_constant_factor_of_f(quadratic, f):
                 scale = np.abs(want.coeffs).max()
                 assert np.abs(got.coeffs - want.coeffs).max() <= 1e-12 * scale, (
                     name, order)
+
+
+#: The (alpha, beta) entries that take any quadratic preset.
+AB_ENTRIES = [m for m, e in catalog.CATALOG.items() if e.profile and not e.fixed]
+
+
+@pytest.mark.parametrize("spray", ["closed", "riemann", "eq5", "two-constant"])
+@pytest.mark.parametrize("quadratic", ["product", "mixed4"])
+@pytest.mark.parametrize("metric_id", AB_ENTRIES)
+def test_a_block_spray_is_exactly_linear_in_the_conformal_rate(
+        metric_id, quadratic, spray):
+    # G = lambda(x^1) H(y) with lambda = f'/f: exp(2 x^1) has lambda = 2 and
+    # exp(x^1) lambda = 1, both exact, so every coefficient doubles bit for
+    # bit; a constant f has lambda = 0, so every coefficient is 0
+    def jets_over(f):
+        spec = catalog.make_spec(metric_id, quadratic=quadratic, f=f)
+        sprays = {
+            "closed": lambda: catalog.closed_form_spray(spec),
+            "riemann": spec.setup.riemann_spray_field,
+            "eq5": lambda: ab_spray_field(catalog.phi_function(spec), spec.setup),
+            "two-constant": lambda: shen_class_spray_field(1.0, 0.5, spec.setup),
+        }
+        return [g.coeffs for g in sprays[spray]().jets(x, y, 3)]
+
+    spec = catalog.make_spec(metric_id, quadratic=quadratic)
+    pts = admissible_points(catalog.build_finsler(spec), 6, seed=61)
+    x = np.array([p[0] for p in pts])
+    y = np.array([p[1] for p in pts])
+    once = jets_over(jets.exp)
+    for got, want in zip(jets_over(lambda t: jets.exp(t * 2.0)), once):
+        assert got.tobytes() == (want * 2.0).tobytes()
+    assert not any(c.any() for c in jets_over(lambda t: t.space.constant(1.5)))
+    assert all(c.any() for c in once[1:])  # G^mu != 0: the doubling is tested
 
 
 def _exp_nan_past(cut):

@@ -80,6 +80,26 @@ def test_parameter_validation(metric_id, params, exc):
         make_spec(metric_id, params)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_setup("nope"),
+     "unknown quadratic preset 'nope'; choose from ['euclid', 'mixed4', 'product']"),
+    (lambda: make_setup(np.eye(2), dim=4), "matrix implies dimension 3, got --dim 4"),
+    (lambda: make_spec("shen_r3_eq1", quadratic="euclid"),
+     "shen_r3_eq1 fixes its own Riemannian data"),
+    (lambda: make_spec("example31", dim=4), "example31 fixes dimension 3"),
+    (lambda: catalog.phi_function(make_spec("shen_r3_eq1")),
+     "no block-setup (alpha, beta) profile for 'shen_r3_eq1'"),
+    (lambda: expected_berwald_component(
+        make_spec("class1", quadratic=np.array([[2.0, 0.3], [0.3, 1.0]])),
+        np.zeros(3), np.ones(3)),
+     "no published Berwald component for the quadratic form of class1(a=2)"),
+], ids=["preset", "dim", "fixed-setup", "fixed-dim", "phi", "witness"])
+def test_catalog_boundary_errors_name_their_cause(call, message):
+    with pytest.raises(CatalogError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_unknown_entry_and_params():
     with pytest.raises(CatalogError):
         make_spec("class9")

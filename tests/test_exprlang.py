@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,19 @@ def test_derivative_matches_central_difference():
             continue
         checked += 1
         assert abs(got - ref) <= 1e-8 * max(1.0, abs(got), abs(ref))
+
+
+def test_a_syntax_error_names_its_offset_and_the_expected_tokens():
+    with pytest.raises(ExprSyntaxError, match=re.escape(
+            "unexpected '*' at offset 1, expected one of "
+            "['(', 'function', 'number', 'x1']")) as err:
+        parse_expr("*")
+    assert err.value.offset == 1
+    assert err.value.expected == ("(", "function", "number", "x1")
+
+
+def test_trailing_blanks_parse():
+    assert parse_expr("x1  ") == parse_expr("x1") == Var()
 
 
 @pytest.mark.parametrize(

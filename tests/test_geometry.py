@@ -756,6 +756,11 @@ def test_value_at_caps_0_0_equals_the_constant_term_of_a_fiber_jet():
         assert type(one) is float and one == field.jet(x[0], y[0], 0, 1).value
 
 
+def test_seeded_arguments_refuse_a_wrong_coordinate_count():
+    with pytest.raises(jets.JetUsageError, match="^expected 3 coordinates in each group$"):
+        geometry.seeded_arguments(3, np.zeros(4), np.ones(4), 0, 1)
+
+
 def test_seeded_arguments_enter_y_as_constants_at_y_cap_0():
     x, y = np.array([[0.1, 0.2, 0.3]]), np.array([[0.6, 0.0, -0.8]])
     xs, ys = geometry.seeded_arguments(3, x, y, 0, 0)

@@ -41,6 +41,21 @@ def test_seed_errors():
         sp0.seed_x(0, 1.0)
 
 
+def test_usage_errors_name_their_cause():
+    sp = jet_space(0, 1, 0, 2)
+    with pytest.raises(JetUsageError, match=re.escape(
+            "coefficient array has shape (5,), space needs (3,) or (N, 3)")):
+        jets.TaylorValue(sp, np.zeros(5))
+    with pytest.raises(JetUsageError, match="^truncation cannot increase caps$"):
+        sp.seed_y(0, 1.0).truncate(0, 3)
+
+
+def test_an_unbatched_jet_plus_a_per_sample_array_is_a_batch():
+    t = jet_space(0, 1, 0, 2).seed_y(0, 1.0)
+    got = t + np.array([1.0, 2.0, 3.0])
+    assert got.coeffs.tolist() == [[2.0, 1.0, 0.0], [3.0, 1.0, 0.0], [4.0, 1.0, 0.0]]
+
+
 def test_square_of_shifted_variable():
     sp = jet_space(0, 1, 0, 5)
     y = sp.seed_y(0, 2.0)

@@ -205,8 +205,8 @@ def test_landsberg_via_p_rejects_cubic_g1():
     field = catalog.build_finsler(spec)
     cfs = catalog.closed_form_spray(spec)
 
-    def bad_g1(fv, fp, phi, y_jets):
-        base = cfs.g1(fv, fp, phi, y_jets)
+    def bad_g1(rate, phi, y_jets):
+        base = cfs.g1(rate, phi, y_jets)
         return base + y_jets[1] * y_jets[1] * y_jets[1] * 1e-3
 
     from finslerlab.catalog import ClosedFormSpray
@@ -293,10 +293,10 @@ def _spray_singular_at_sample_3():
     y = np.array([p[1] for p in pts])
     c_spray = y[3, 0]
 
-    def g1(fv, fp, phi, y_jets):
+    def g1(rate, phi, y_jets):
         return y_jets[0] * y_jets[0] * 0.1
 
-    def p(fv, fp, phi, y_jets):
+    def p(rate, phi, y_jets):
         d = y_jets[0] - c_spray
         return y_jets[0] * 0.1 + jets.ln(d * d) * 0.0
 
@@ -445,7 +445,7 @@ def test_compare_sprays_falls_back_to_the_per_sample_error():
     plan, x, y, base, cfs = _spray_singular_at_sample_3()
     c_a = y[8, 0]
 
-    def p(fv, fp, phi, y_jets):
+    def p(rate, phi, y_jets):
         d = y_jets[0] - c_a
         return y_jets[0] * 0.1 + (d * d).reciprocal() * 0.0
 
@@ -460,6 +460,21 @@ def test_compare_sprays_falls_back_to_the_per_sample_error():
     with pytest.raises(jets.SingularPointError) as err:
         compare_sprays(spray_a, spray_b, plan)
     assert str(err.value).startswith("ln of non-positive constant term")
+
+
+def test_a_batch_error_that_no_sample_raises_alone_escapes():
+    # the batch contract broken on purpose: every sample evaluates alone,
+    # their batch raises, and the plan driver raises the batch's error
+    closed = catalog.closed_form_spray(default_spec("class1"))
+
+    def jets_fn(x, y, order):
+        if len(x) > 1:
+            raise jets.SingularPointError(f"a batch of {len(x)}", 0.0)
+        return closed.jets(x, y, order)
+
+    broken = geometry.SprayField(3, jets_fn, "batch-only", closed.domain_guard)
+    with pytest.raises(jets.SingularPointError, match=r"^a batch of 6 \("):
+        compare_sprays(broken, closed, SamplePlan(n_points=6, seed=3))
 
 
 # ---------------------------------------------------------------------------
@@ -1021,9 +1036,9 @@ def test_one_cross_oracle_job_draws_once_and_evaluates_each_batch_once(
         evaluations.append((_batch_of(xs) + _batch_of(ys), caps))
         return evaluate(self, xs, ys)
 
-    def counting_components(self, fv, fp, phi, y_jets):
-        components.append((fv.tobytes(), _batch_of(y_jets), y_jets[0].space.y_cap))
-        return closed_components(self, fv, fp, phi, y_jets)
+    def counting_components(self, rate, phi, y_jets):
+        components.append((rate.tobytes(), _batch_of(y_jets), y_jets[0].space.y_cap))
+        return closed_components(self, rate, phi, y_jets)
 
     def counting_f_values(self, x1):
         f_reads.append(len(x1))
@@ -1194,9 +1209,9 @@ def test_a_closed_spray_copy_evaluates_a_batch_its_original_keeps(monkeypatch):
     calls = []
     components = ClosedFormSpray.components
 
-    def counting(self, fv, fp, phi, y_jets):
+    def counting(self, rate, phi, y_jets):
         calls.append(self.label)
-        return components(self, fv, fp, phi, y_jets)
+        return components(self, rate, phi, y_jets)
 
     monkeypatch.setattr(ClosedFormSpray, "components", counting)
     original = cfs.jets(x, y, 3)

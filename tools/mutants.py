@@ -83,8 +83,8 @@ MUTANTS = [
      "    return 0.0 * F",
      "Euler defect zero"),
     (PKG + "catalog.py",
-     "        return (y_jets[0] + jets.sqrt(phi) * kappa) * (fp / fv)",
-     "        return (y_jets[0] + jets.sqrt(phi) * (1.001 * kappa)) * (fp / fv)",
+     "        return (y_jets[0] + jets.sqrt(phi) * kappa) * rate",
+     "        return (y_jets[0] + jets.sqrt(phi) * (1.001 * kappa)) * rate",
      "closed spray's kappa off by 0.1 %"),
     (PKG + "verify.py",
      "        oracle.values(x, y), pt.G)",
@@ -99,9 +99,9 @@ MUTANTS = [
      "    return -0.25 * F[:, None, None, None] * (",
      "Landsberg tensor's factor -1/2 -> -1/4"),
     (PKG + "alphabeta.py",
-     "        return components(fv, fp, self.phi_jet(y_jets), y_jets)",
-     "        return components(fp, fv, self.phi_jet(y_jets), y_jets)",
-     "spray formulas read f' as f and f as f'"),
+     "        return components(fp / fv, self.phi_jet(y_jets), y_jets)",
+     "        return components(fv / fp, self.phi_jet(y_jets), y_jets)",
+     "spray formulas read the conformal rate f'/f upside down"),
     (PKG + "geometry.py",
      "    c *= np.ldexp(",
      "    c[:, :n] *= np.ldexp(",
@@ -135,8 +135,8 @@ MUTANTS = [
      "field(default_factory=lambda kept={}: kept, init=False",
      "every closed spray shares one dict of kept jets"),
     (PKG + "catalog.py",
-     "        return (y_jets[0] + jets.sqrt(phi) * kappa) * (fp / fv)",
-     "        return (y_jets[0] + jets.sqrt(phi + 1e-14) * kappa) * (fp / fv)",
+     "        return (y_jets[0] + jets.sqrt(phi) * kappa) * rate",
+     "        return (y_jets[0] + jets.sqrt(phi + 1e-14) * kappa) * rate",
      "closed spray's P homogeneous only up to 1e-14"),
     (PKG + "jets.py",
      "            self._diff_tables[key] = tab\n",
@@ -186,6 +186,21 @@ MUTANTS = [
      "        return scale, horiz / scale, euler / scale",
      "        return scale, horiz * (1.0 / scale), euler / scale",
      "metrizability residual divided through a reciprocal (last bits move)"),
+    (PKG + "alphabeta.py",
+     "        brackets = [root * (c3 / c1), *y_jets[1:]]\n",
+     "        brackets = [root * (c3 / c1), *y_jets[1:]]\n"
+     "        galpha[0] = galpha[0] + phi_y * 1e-13\n",
+     "two-constant G^1 with a small term free of the conformal rate"),
+    (PKG + "verify.py",
+     "        raise  # no sample raises alone\n",
+     "        singles = [columns_of(x[s:s + 1], y[s:s + 1]) for s in range(len(x))]\n"
+     "        columns = {k: np.concatenate([c[k] for c in singles]) for k in singles[0]}\n",
+     "a batch error no sample raises alone is replaced by joined one-sample columns"),
+    (PKG + "alphabeta.py",
+     "        brackets = [root * (c3 / c1), *y_jets[1:]]\n",
+     "        brackets = [root * (c3 / c1), *y_jets[1:]]\n"
+     "        galpha[0] = galpha[0] + phi_y * (rate * rate * 1e-15)\n",
+     "two-constant G^1 with a small term quadratic in the conformal rate"),
 ]
 
 
