@@ -151,8 +151,6 @@ def test_oracle_ad_route(tmp_path):
     "extra, message",
     [
         (["--param", "a=foo"], "--param a must be a number, got 'foo'"),
-        (["--param", "a"], "--param expects K=V, got 'a'"),
-        (["--quadratic", "1,2,3"], "quadratic matrix needs a square count of entries, got 3"),
         (["--param", "a=2", "--param", "a=3"], "--param a is given more than once"),
         (["--quadratic", "1,x,0,1"], "--quadratic entry 2 must be a number, got 'x'"),
         (["--x-range", "foo"], "--x-range expects LO,HI, got 'foo'"),
@@ -192,6 +190,8 @@ def test_oracle_ad_route(tmp_path):
         (["--f", "x1^x1"], "f(x1) must be defined on the sampled range; f(-0.5) is "
                            "undefined: ln of non-positive constant term (constant "
                            "term -0.5)"),
+        (["--param", "a"], "--param expects K=V, got 'a'"),
+        (["--quadratic", "1,2,3"], "quadratic matrix needs a square count of entries, got 3"),
     ],
 )
 def test_bad_numbers_named_at_the_boundary(extra, message, capsys):
