@@ -46,7 +46,9 @@ not above ``RCOND_MIN``.  Two spray routes exist:
   order 5 and base order 1.  This is the oracle the closed forms are
   checked against.  It runs on the whole batch at once, and its jet
   linear solve is one stacked elimination on one coefficient array,
-  whose large products run level by level (``MUL_CHUNK_ELEMENTS``).
+  whose large products run level by level (``MUL_CHUNK_ELEMENTS``) as
+  stacked products, which multiply each distinct operand row once per
+  level instead of broadcast copies of the stack.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import jets
 from .jets import JetUsageError, TaylorValue, jet_space, joint_space
 
 __all__ = [
@@ -334,14 +337,6 @@ class SprayField:
 # ---------------------------------------------------------------------------
 
 
-def _stacked_product(space, p, q):
-    """The jet products p * q of two broadcasting stacks of coefficient
-    arrays of ``space``, as one batched product, so each keeps its bits."""
-    p, q = np.broadcast_arrays(p, q)
-    flat = [TaylorValue(space, v.reshape(-1, space.size)) for v in (p, q)]
-    return (flat[0] * flat[1]).coeffs.reshape(p.shape)
-
-
 def _solve_jet_system(a, b, context=""):
     """Solve A X = B for jet entries of one space by Gaussian elimination.
 
@@ -354,7 +349,12 @@ def _solve_jet_system(a, b, context=""):
     bits and the pivots do not depend on A's scale.  Each sample pivots on
     its own largest constant term; a step forms its row factors
     ``a[r][col] * inv`` and its row updates ``factor * a[col][c]`` as one
-    batched product each, and X is ``b[i] * a[i][i].reciprocal()``.
+    stacked product each (:func:`jets._product`, which takes the level
+    path or broadcast copies by the level rule), and X is
+    ``b[i] * a[i][i].reciprocal()``.  The row updates multiply the
+    (n - 1) factors by the (n - col) entries of the pivot row: a stack
+    that runs level by level gathers each of them once per level, not
+    once per entry of the other.
     """
     n, space = len(b), b[0].space
     entries = [v for row, rhs in zip(a, b) for v in (*row, rhs)]
@@ -372,14 +372,25 @@ def _solve_jet_system(a, b, context=""):
         c[pair, :, samples] = c[pair[::-1], :, samples]
         invs.append(TaylorValue(space, c[col, col]).reciprocal().coeffs)
         others = [r for r in range(n) if r != col]
-        factor = _stacked_product(space, c[others, col], invs[-1])
-        c[others, col + 1:] -= _stacked_product(space, factor[:, None], c[col, col + 1:])
-    x = _stacked_product(space, c[:, n], np.array(invs))  # a[i][i] is pivot i
+        factor = jets._product(space, c[others, col], invs[-1])
+        c[others, col + 1:] -= jets._product(space, factor[:, None], c[col, col + 1:])
+    x = jets._product(space, c[:, n], np.array(invs))  # a[i][i] is pivot i
     return [TaylorValue(space, xi.reshape(shape)) for xi in x]
 
 
 def _ad_spray_jets(field, x, y, order):
-    """Spray jets from the energy function via the variational formula.
+    """Spray jets from the energy function via the variational formula:
+    G = 1/4 g^-1 (y^r d_r dot F^2 - d F^2), one jet solve."""
+    # F^2, its derivatives and the truncated arguments go with the call
+    # that forms the system, before the elimination runs.
+    g, rhs = _variational_system(field, x, y, order)
+    sol = _solve_jet_system(g, rhs, context=f" for {field.label or 'field'}")
+    return [gi * 0.25 for gi in sol]
+
+
+def _variational_system(field, x, y, order):
+    """(g, rhs) of the variational spray at fiber order ``order``: g_ij =
+    1/2 dot_i dot_j F^2 and rhs_h = y^r d_r dot_h F^2 - d_h F^2.
 
     Only the declared coordinates r of ``field.x_deps`` are seeded, so the
     sum over y^r d_r and the d_h F^2 term run over them alone (the others
@@ -409,8 +420,7 @@ def _ad_spray_jets(field, x, y, order):
         ]
         for i in range(n)
     ]
-    sol = _solve_jet_system(g, rhs, context=f" for {field.label or 'field'}")
-    return [gi * 0.25 for gi in sol]
+    return g, rhs
 
 
 def ad_spray_field(field):

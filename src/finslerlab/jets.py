@@ -68,6 +68,19 @@ result with a non-finite coefficient is recomputed by ``bincount``, since
 the sign of a NaN sum may differ and its warnings should not.  The levels
 of a pair table are built with it (:func:`_pair_table`).
 
+The operands of a product may also be stacks of coefficient arrays that
+broadcast over their leading axes, one product per entry of the
+broadcast: the jet solve multiplies each row factor by each entry of the
+pivot row, and a full-space value times a fiber-face value multiplies
+each x block by the same fiber row.  The level rule counts the rows of
+the broadcast.  On the level path each operand is one coefficient-major
+copy of its own stack, so a level gathers its rows once per operand and
+the multiply broadcasts them into the accumulator's prefix; no operand
+is copied once per entry of the other.  Below the rule a stack runs as
+broadcast copies, one row per product, through one ``bincount``.  Every
+product sums the same pair products in the same order either way, so it
+keeps its bits.
+
 Series composition
 ------------------
 :func:`compose_series` evaluates ``sum u[k] * h^k`` by Horner for a
@@ -527,10 +540,11 @@ def _face_product(space, a, b):
 
     Base face x fiber face is an outer product, and ``+ 0.0`` turns its
     -0.0 into the +0.0 of a ``bincount`` sum.  The full space x the
-    fiber face is one fiber-face product whose rows are the full
-    operand's x blocks, each with the other operand's row of the same
-    sample; the operands keep their order.  See "Faces" for why both
-    give the bits of the product on embedded operands.
+    fiber face is one stacked fiber-face product over (sample, x block):
+    the full operand's x blocks, each with the other operand's row of the
+    same sample, which broadcasts over the blocks; the operands keep
+    their order.  See "Faces" for why both give the bits of the product
+    on embedded operands.
     """
     A, B = a.space, b.space
     if A is not B and space.n_x and space.n_y:
@@ -541,14 +555,12 @@ def _face_product(space, a, b):
             return out.reshape(out.shape[:-2] + (space.size,))
         if {A, B} == {space, fiber}:
             batch = np.broadcast_shapes(a.coeffs.shape[:-1], b.coeffs.shape[:-1])
-            blocks = batch + (len(space.x_monomials), fiber.size)
 
-            def rows(v):  # one row per sample and x block
-                c = v.coeffs
-                c = c.reshape(c.shape[:-1] + blocks[-2:]) if v.space is space else c[..., None, :]
-                return np.broadcast_to(c, blocks).reshape(-1, fiber.size)
+            def blocks(v):  # (sample, x block, coefficient); a fiber value is one block
+                count = len(space.x_monomials) if v.space is space else 1
+                return v.coeffs.reshape(-1, count, fiber.size)
 
-            return _product(fiber, rows(a), rows(b)).reshape(batch + (space.size,))
+            return _product(fiber, blocks(a), blocks(b)).reshape(batch + (space.size,))
     return _product(space, _embedded(a, space), _embedded(b, space))
 
 
@@ -578,20 +590,26 @@ def _pair_table(I, J, K, size):
 
 
 def _product(space, a, b, table=None):
-    """Coefficients of the truncated product of coefficient arrays a, b,
-    summed over the pairs of ``table`` (default: ``mul_table``)."""
-    I, J, K, (pos, levels) = space.mul_table if table is None else table
-    shape = (a if a.ndim >= b.ndim else b).shape
+    """Coefficients of the truncated products of coefficient arrays a, b,
+    summed over the pairs of ``table`` (default: ``mul_table``).  Arrays
+    of more than two axes are stacks, which broadcast over their leading
+    axes (see "Sample axis")."""
+    table = space.mul_table if table is None else table
+    I, J, K, (pos, levels) = table
+    lead = _lead(a, b)
+    shape = lead + (space.size,)
     if not len(K):  # bincount of no weights would return integer zeros
         return np.zeros(shape)
-    n = shape[0] if len(shape) == 2 else 1  # one point runs as one sample
+    n = math.prod(lead)  # one point runs as one sample
     if n * len(K) > MUL_CHUNK_ELEMENTS * len(levels):
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _level_product(a, b, n, pos, levels)
+            out = _level_product(a, b, pos, levels)
         # A non-finite coefficient comes from a non-finite pair product or
         # sum; bincount gives it the same bits and numpy's warnings.
         if np.isfinite(out).all():
-            return out.reshape(shape)
+            return out
+    if len(lead) > 1:  # a stack: broadcast copies, one row per product
+        a, b = (np.broadcast_to(c, shape).reshape(n, space.size) for c in (a, b))
     w = a.take(I, axis=-1) * b.take(J, axis=-1)
     # Sample-major keys: row s accumulates into bins [s * size, (s + 1) *
     # size), in the same (i, j) order as one point.
@@ -599,18 +617,34 @@ def _product(space, a, b, table=None):
     return np.bincount(keys, weights=w.ravel(), minlength=n * space.size).reshape(shape)
 
 
-def _level_product(a, b, n, pos, levels):
-    """The product of :func:`_product` level by level, as an (n, size)
-    array: each output row starts at 0.0 and adds its pair products in
-    table order, as ``bincount`` does, so the sums keep their bits."""
-    a, b = (np.ascontiguousarray(c.T) if c.ndim == 2
-            else np.broadcast_to(c[:, None], (len(c), n)) for c in (a, b))
-    acc = np.zeros((len(levels[0][0]) + 1, n))  # the last row stays 0.0
+def _lead(a, b):
+    """The leading shape that coefficient arrays a and b broadcast to."""
+    if a.ndim > 2 or b.ndim > 2:
+        return np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    return (a if a.ndim >= b.ndim else b).shape[:-1]
+
+
+def _level_product(a, b, pos, levels):
+    """The product of :func:`_product` level by level, shaped like the
+    broadcast of a and b: each output coefficient starts at 0.0 and adds
+    its pair products in table order, as ``bincount`` does, so the sums
+    keep their bits.  Each operand is one coefficient-major copy of its
+    own stack, so a level gathers its rows once per operand, and the
+    multiply broadcasts them (in place when a spans the whole stack)."""
+    lead = _lead(a, b)
+    whole = a.shape[:-1] == lead
+
+    def coefficient_major(c):  # (size, *lead), with c's missing axes of length 1
+        rows = np.ascontiguousarray(c.reshape(-1, c.shape[-1]).T)
+        return rows.reshape(c.shape[-1:] + (1,) * (len(lead) + 1 - c.ndim) + c.shape[:-1])
+
+    a, b = coefficient_major(a), coefficient_major(b)
+    top = len(levels[0][0])
+    acc = np.zeros((top + 1,) + lead)  # the last row stays 0.0
     for I, J in levels:
         w = a.take(I, axis=0)
-        w *= b.take(J, axis=0)
-        acc[:len(I)] += w
-    return acc.T.take(pos, axis=1)
+        acc[:len(I)] += np.multiply(w, b.take(J, axis=0), w if whole else None)
+    return acc.reshape(top + 1, -1).T.take(pos, axis=1).reshape(lead + (len(pos),))
 
 
 class TaylorValue:

@@ -542,17 +542,17 @@ def landsberg_via_p(cfs, field, plan=None):
         p3 = pj.fiber_tensor(3)[:, 1:, 1:, 1:]
         ell_mu = pt.ell[:, 1:]
         ell_y = (ell_mu[:, None, :] @ pt.y[:, 1:, None])[:, 0, 0]
-        l_via = np.zeros_like(pt.L)
-        l_via[:, 1:, 1:, 1:] = -0.5 * pt.F[:, None, None, None] * (
-            p3 * ell_y[:, None, None, None]
-            + p2[:, :, :, None] * ell_mu[:, None, None, :]
-            + p2[:, None, :, :] * ell_mu[:, :, None, None]
-            + p2.transpose(0, 2, 1)[:, :, None, :] * ell_mu[:, None, :, None]
-        )
         l_gen = pt.L  # the general definition, from the same spray
-        maxima = {"via_p": _max_abs(l_via), "general": _max_abs(l_gen),
-                  "agreement": _max_abs(l_via - l_gen)}
         with np.errstate(invalid="ignore", over="ignore"):
+            l_via = np.zeros_like(pt.L)
+            l_via[:, 1:, 1:, 1:] = -0.5 * pt.F[:, None, None, None] * (
+                p3 * ell_y[:, None, None, None]
+                + p2[:, :, :, None] * ell_mu[:, None, None, :]
+                + p2[:, None, :, :] * ell_mu[:, :, None, None]
+                + p2.transpose(0, 2, 1)[:, :, None, :] * ell_mu[:, None, :, None]
+            )
+            maxima = {"via_p": _max_abs(l_via), "general": _max_abs(l_gen),
+                      "agreement": _max_abs(l_via - l_gen)}
             scale = np.fmax(1.0, np.abs(pt.F))
             return {key: m / scale for key, m in maxima.items()}
 

@@ -666,6 +666,125 @@ def test_stacked_jet_solve_equals_the_per_entry_elimination_bitwise():
             assert g.coeffs[s].tobytes() == w.coeffs.tobytes()
 
 
+def _broadcast_copy_product(space, p, q):
+    # the product the stacked one replaces: broadcast copies of both
+    # stacks, one row per product, as one batched jet product
+    p, q = np.broadcast_arrays(p, q)
+    flat = [jets.TaylorValue(space, v.reshape(-1, space.size)) for v in (p, q)]
+    return (flat[0] * flat[1]).coeffs.reshape(p.shape)
+
+
+def _reference_products(space, p, q, monkeypatch):
+    """The broadcast-copy product, and the same held to ``bincount``."""
+    want = _broadcast_copy_product(space, p, q)
+    monkeypatch.setattr(jets, "MUL_CHUNK_ELEMENTS", math.inf)
+    try:
+        return want, _broadcast_copy_product(space, p, q)
+    finally:
+        monkeypatch.undo()
+
+
+def _by_levels(space, lead):
+    # the level rule of jets._product for operands broadcast to ``lead``
+    _, _, K, (_, levels) = space.mul_table
+    return math.prod(lead) * len(K) > jets.MUL_CHUNK_ELEMENTS * len(levels)
+
+
+def _level_calls(monkeypatch):
+    """Record the operand shapes of every ``jets._level_product`` call."""
+    calls, levels = [], jets._level_product
+
+    def recording(a, b, pos, table_levels):
+        calls.append((a.shape, b.shape))
+        return levels(a, b, pos, table_levels)
+
+    monkeypatch.setattr(jets, "_level_product", recording)
+    return calls
+
+
+# (entry, preset, dim, order, points): every system the oracle_ad workload
+# solves, (0,3,0,3), (0,4,0,3) and the size-1 space of the 2N = 100
+# order-0 homogeneity batch, and class3/euclid at n = 8, order 3.
+SOLVE_CASES = [("class1", "product", None, 3, 50), ("class3", "mixed4", None, 3, 50),
+               ("class1", "product", None, 0, 100), ("class3", "mixed4", None, 0, 100),
+               ("class3", "euclid", 8, 3, 20)]
+
+
+@pytest.mark.parametrize("entry, preset, dim, order, points", SOLVE_CASES)
+def test_stacked_products_equal_broadcast_copy_products_bitwise(
+        entry, preset, dim, order, points, monkeypatch):
+    field = catalog.build_finsler(catalog.make_spec(entry, quadratic=preset, dim=dim))
+    x, y = _plan_arrays(field, points, seed=1)
+    g, rhs = geometry._variational_system(field, x, y, order)
+    assert g[0][0].space is jets.jet_space(0, field.n, 0, order)
+    products, product = [], jets._product
+
+    def recording(space, p, q, table=None):
+        out = product(space, p, q, table)
+        if max(p.ndim, q.ndim) > 2:  # a stack of the solve
+            products.append((space, p.copy(), q.copy(), out))
+        return out
+
+    def copies(space, p, q, table=None):
+        if max(p.ndim, q.ndim) > 2:
+            return _broadcast_copy_product(space, p, q)
+        return product(space, p, q, table)
+
+    monkeypatch.setattr(jets, "_product", recording)
+    got = geometry._solve_jet_system(g, rhs)
+    monkeypatch.setattr(jets, "_product", copies)
+    want = geometry._solve_jet_system(g, rhs)
+    monkeypatch.undo()
+    assert [v.coeffs.tobytes() for v in got] == [v.coeffs.tobytes() for v in want]
+    assert len(products) == 2 * field.n + 1
+    for space, p, q, out in products:
+        for reference in _reference_products(space, p, q, monkeypatch):
+            assert out.tobytes() == reference.tobytes(), (p.shape, q.shape)
+    if field.n > 3 or order:  # the n = 3 size-1 stacks stay below the rule
+        lead = [np.broadcast_shapes(p.shape[:-1], q.shape[:-1]) for _, p, q, _ in products]
+        assert any(_by_levels(products[0][0], s) for s in lead)
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_a_stack_on_either_side_of_the_level_rule_keeps_its_bits(side, monkeypatch):
+    space = jets.jet_space(0, 4, 0, 3)
+    _, _, K, (_, levels) = space.mul_table
+    # row updates of a 4 x 4 system: 3 factors times 4 pivot-row entries
+    samples = jets.MUL_CHUNK_ELEMENTS * len(levels) // (len(K) * 12)
+    samples += side == "above"
+    rng = np.random.default_rng(79)
+    p = rng.normal(size=(3, 1, samples, space.size))
+    q = rng.normal(size=(4, samples, space.size))
+    assert _by_levels(space, (3, 4, samples)) == (side == "above")
+    calls = _level_calls(monkeypatch)
+    got = jets._product(space, p, q)
+    monkeypatch.undo()
+    # the level path gathers from the stacks themselves, no broadcast copy
+    assert calls == ([(p.shape, q.shape)] if side == "above" else [])
+    for reference in _reference_products(space, p, q, monkeypatch):
+        assert got.tobytes() == reference.tobytes()
+
+
+def test_a_non_finite_stack_has_the_bits_and_warnings_of_bincount(monkeypatch):
+    space = jets.jet_space(0, 4, 0, 3)
+    rng = np.random.default_rng(83)
+    p = rng.normal(size=(3, 1, 50, space.size))
+    q = rng.normal(size=(4, 50, space.size))
+    p[1, 0, 7, 2] = np.inf
+    q[2, 7, 0] = 0.0  # inf * 0.0 is invalid
+    results = []
+    for product in (jets._product, _broadcast_copy_product):
+        calls = _level_calls(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = product(space, p, q)
+        monkeypatch.undo()
+        assert len(calls) == 1  # the level path ran, and bincount replaced it
+        results.append((out.tobytes(), [(w.category, str(w.message)) for w in caught]))
+    assert results[0] == results[1]
+    assert results[0][1] and not np.isfinite(out).all()
+
+
 # ---------------------------------------------------------------------------
 # faces: x in the base face, y in the fiber face
 # ---------------------------------------------------------------------------

@@ -955,14 +955,13 @@ def test_level_products_equal_bincount_products_bitwise(signature, monkeypatch):
         for batches in LEVEL_BATCHES:
             a, b = (rng.normal(size=(sp.size,) if n is None else (n, sp.size))
                     for n in batches)
-            n = max(c.shape[0] if c.ndim == 2 else 1 for c in (a, b))
             for finite in (True, False):
                 if not finite:  # non-finite entries sum in the same order
                     for c in (a, b):
                         c.flat[rng.integers(c.size, size=3)] = (np.inf, -np.inf, np.nan)
                 want = _bincount_product(sp, a, b, table, monkeypatch)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got = jets._level_product(a, b, n, *table[3]).reshape(want.shape)
+                    got = jets._level_product(a, b, *table[3]).reshape(want.shape)
                 case = (batches, len(table[2]), finite)
                 # The same sums: a NaN where bincount has one, every other
                 # bit equal.  The sign of a NaN may differ, so _product

@@ -186,6 +186,22 @@ def test_landsberg_via_p_agreement():
         assert out["agreement"]["max"] <= 1e-9
 
 
+def test_landsberg_via_p_warns_nothing_of_its_own_on_an_overflowed_tensor():
+    # f = 1e200 exp(x^1) overflows L: the jet products and the general L
+    # still warn, but the shortcut's tensor and the difference of the two
+    # are formed under np.errstate.
+    spec = catalog.make_spec("class1", f=lambda t: jets.exp(t) * 1e200)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = landsberg_via_p(catalog.closed_form_spray(spec), catalog.build_finsler(spec),
+                              SamplePlan(n_points=10, seed=0))
+    assert out["via_p"] == out["general"] == {"max": math.inf, "at_sample": 0}
+    assert caught
+    own = Path(verify.__file__).resolve()
+    assert not [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning) and Path(w.filename).resolve() == own]
+
+
 def test_every_space_built_by_the_spray_routes_is_canonical():
     spec = default_spec("class1")
     field = catalog.build_finsler(spec)

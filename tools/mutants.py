@@ -201,6 +201,10 @@ MUTANTS = [
      "        brackets = [root * (c3 / c1), *y_jets[1:]]\n"
      "        galpha[0] = galpha[0] + phi_y * (rate * rate * 1e-15)\n",
      "two-constant G^1 with a small term quadratic in the conformal rate"),
+    (PKG + "jets.py",
+     "b.take(J, axis=0)",
+     "b.take(I, axis=0)",
+     "a level gathers its second operand with the first operand's indices"),
 ]
 
 
